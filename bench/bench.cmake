@@ -14,6 +14,8 @@ add_custom_target(regen-goldens
 
 function(wild5g_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
+  # tests/ reads the full list back for the every-bench thread-count gate.
+  set_property(GLOBAL APPEND PROPERTY WILD5G_BENCH_TARGETS ${name})
   # wild5g_faults backs the --faults flag every bench accepts, and
   # wild5g_engine the supervision layer (signals, --deadline-ms) every bench
   # inherits through bench_common.h's MetricsEmitter.

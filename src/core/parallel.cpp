@@ -117,7 +117,7 @@ class ThreadPool {
       }
       std::exception_ptr task_error = nullptr;
       try {
-        // wild5g-lint: allow(guarded-by-violation) body_ is published under
+        // Reading body_ outside mutex_ is safe: it is published under
         // mutex_ before the generation_ bump that releases this batch, and
         // run() cannot retire or replace it until pending_ drains — the
         // generation check above is the happens-before edge.
@@ -152,10 +152,9 @@ class ThreadPool {
 /// serializes top-level parallel regions from distinct caller threads (the
 /// benches only ever have one).
 std::mutex g_pool_mutex;
-// Confinement of the three pool globals under g_pool_mutex is now proved by
-// wild5g-lint's guarded-by inference (no manual allow needed): every access
-// is either lexically under a g_pool_mutex guard or inside a helper whose
-// held-set fixpoint H(f) contains it.
+// The three pool globals are confined to g_pool_mutex: every access is
+// either lexically under a g_pool_mutex guard or inside a *_locked helper
+// whose callers hold it.
 std::size_t g_override_threads = 0;  // 0 = WILD5G_THREADS / hardware
 std::unique_ptr<ThreadPool> g_pool;
 std::size_t g_pool_threads = 0;  // thread count g_pool was built for

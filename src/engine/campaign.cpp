@@ -28,9 +28,8 @@ struct RegistryEntry {
 /// Serializes registry access; registration happens during startup and the
 /// service protocol thread reads concurrently with the compute thread.
 std::mutex g_registry_mutex;
-// The registry singleton's confinement under g_registry_mutex is proved by
-// wild5g-lint's guarded-by inference: every caller of registry_locked()
-// holds the mutex, so H(registry_locked) covers the static below.
+// The registry singleton is confined to g_registry_mutex: every caller of
+// registry_locked() holds the mutex.
 std::vector<RegistryEntry>& registry_locked() {
   static std::vector<RegistryEntry> entries;
   return entries;

@@ -1,18 +1,19 @@
 // Engine suite: the campaign engine's checkpoint/resume determinism
 // contract (DESIGN.md section 12) plus the serialization plumbing under it.
 //
-// The heart of the suite is resume byte-identity: checkpoint a metro
-// campaign at several different yield points, restore each snapshot into a
-// fresh campaign, run the remaining steps, and require the final metrics
-// document to be byte-for-byte identical to an uninterrupted run — at
-// --threads 1 and 8, with and without a fault plan. Everything a campaign's
-// state touches (Rng text state, SampleAccumulator sketches, the
+// The heart of the suite is resume byte-identity: checkpoint every
+// registered campaign at several different yield points, restore each
+// snapshot into a fresh campaign, run the remaining steps, and require the
+// final metrics document to be byte-for-byte identical to an uninterrupted
+// run — at --threads 1 and 8, with and without a fault plan. Everything a
+// campaign's state touches (Rng text state, SampleAccumulator sketches, the
 // partially-built document) must round-trip losslessly for this to hold.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/json.h"
@@ -314,43 +315,46 @@ std::string run_with_checkpoint_at(const engine::CampaignRequest& request,
   return json::dump(doc.document());
 }
 
-class EngineResume : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EngineResume, metro_load_resumes_byte_identically_at_any_threads) {
+/// Every registered campaign, so a new campaign gets resume coverage (and a
+/// restore_state that drops a key fails here) without touching this file.
+std::vector<std::string> registered_campaigns() {
   engine::register_builtin_campaigns();
-  const engine::CampaignRequest request =
-      small_request("metro_load", /*with_faults=*/false);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    parallel::set_thread_count(threads);
+  return engine::campaign_names();
+}
+
+class EngineResume
+    : public ::testing::TestWithParam<std::tuple<std::string, std::size_t>> {
+};
+
+TEST_P(EngineResume, resumes_byte_identically_at_every_yield_point) {
+  const auto& [campaign, threads] = GetParam();
+  engine::register_builtin_campaigns();
+  parallel::set_thread_count(threads);
+  for (const bool with_faults : {false, true}) {
+    const engine::CampaignRequest request =
+        small_request(campaign, with_faults);
+    const std::size_t total = engine::make_campaign(request)->total_steps();
+    ASSERT_GE(total, 2u) << campaign << " has no interior yield point";
     const std::string baseline = run_uninterrupted(request);
-    const std::string resumed = run_with_checkpoint_at(request, GetParam());
-    EXPECT_EQ(baseline, resumed)
-        << "resume from step " << GetParam() << " diverged at " << threads
-        << " thread(s)";
+    // Right after the first step, mid-campaign, and one step before the end.
+    for (const std::size_t stop_at : {std::size_t{1}, total / 2, total - 1}) {
+      EXPECT_EQ(baseline, run_with_checkpoint_at(request, stop_at))
+          << campaign << (with_faults ? " (faulted)" : "")
+          << " resumed from step " << stop_at << " diverged at " << threads
+          << " thread(s)";
+    }
   }
   parallel::set_thread_count(0);
 }
 
-TEST_P(EngineResume, drive_soak_with_faults_resumes_byte_identically) {
-  engine::register_builtin_campaigns();
-  const engine::CampaignRequest request =
-      small_request("drive_soak", /*with_faults=*/true);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    parallel::set_thread_count(threads);
-    const std::string baseline = run_uninterrupted(request);
-    const std::string resumed = run_with_checkpoint_at(request, GetParam());
-    EXPECT_EQ(baseline, resumed)
-        << "faulted resume from step " << GetParam() << " diverged at "
-        << threads << " thread(s)";
-  }
-  parallel::set_thread_count(0);
-}
-
-// Three different yield points: right after the first step, mid-campaign,
-// and one step before the end.
-INSTANTIATE_TEST_SUITE_P(YieldPoints, EngineResume,
-                         ::testing::Values(std::size_t{1}, std::size_t{3},
-                                           std::size_t{5}));
+INSTANTIATE_TEST_SUITE_P(
+    AllCampaigns, EngineResume,
+    ::testing::Combine(::testing::ValuesIn(registered_campaigns()),
+                       ::testing::Values(std::size_t{1}, std::size_t{8})),
+    [](const ::testing::TestParamInfo<EngineResume::ParamType>& info) {
+      return std::get<0>(info.param) + "_threads" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(engine, snapshot_file_round_trip_and_atomic_write) {
   engine::register_builtin_campaigns();

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -64,20 +65,43 @@ TEST(GoldenDeterminism, AbrQoeBenchIsByteIdentical) {
 
 // The parallel campaign runner's contract: thread count is a pure
 // performance knob. One worker vs eight must emit byte-identical metrics
-// documents (per-task forked Rng substreams, index-ordered reduction), on a
-// bench whose campaign loops actually fan out.
-TEST(GoldenDeterminism, ThreadCountDoesNotChangeBytes) {
-  const std::string serial =
-      run_bench_json("bench_fig24_server_survey", "t1", "--threads 1");
-  const std::string threaded =
-      run_bench_json("bench_fig24_server_survey", "t8", "--threads 8");
+// documents (per-task forked Rng substreams, index-ordered reduction). The
+// gate runs every bench WILD5G_BENCHES names, so each parallel_map call site
+// a bench reaches, in bench/ or in src/, runs at both counts; under TSan the
+// eight-worker run also reports any race between its tasks.
+class GoldenDeterminismThreads : public ::testing::TestWithParam<std::string> {
+};
+
+TEST_P(GoldenDeterminismThreads, OneAndEightWorkersEmitIdenticalBytes) {
+  const std::string& bench = GetParam();
+  const std::string serial = run_bench_json(bench, "t1", "--threads 1");
+  const std::string threaded = run_bench_json(bench, "t8", "--threads 8");
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, threaded)
-      << "bench_fig24_server_survey output depends on thread count";
+  EXPECT_EQ(serial, threaded) << bench << " output depends on thread count";
   // The document must not record the thread count, or byte-identity across
   // --threads values could never hold.
   EXPECT_EQ(serial.find("threads"), std::string::npos);
 }
+
+namespace {
+
+std::vector<std::string> thread_gate_benches() {
+  std::vector<std::string> benches;
+  std::stringstream list(WILD5G_BENCHES);
+  for (std::string name; std::getline(list, name, ',');) {
+    benches.push_back(name);
+  }
+  return benches;
+}
+
+}  // namespace
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryBench, GoldenDeterminismThreads,
+    ::testing::ValuesIn(thread_gate_benches()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
 
 TEST(GoldenDeterminism, ThreadCountEnvVarDoesNotChangeBytes) {
   const std::string flagged =

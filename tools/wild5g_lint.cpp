@@ -1,5 +1,5 @@
-// wild5g-lint / wild5g-analyze: source-level enforcement of the repo's
-// determinism, unit-hygiene, and layering contracts.
+// wild5g-lint: source-level enforcement of the repo's determinism,
+// unit-hygiene, and layering contracts.
 //
 // The golden-metrics harness (bench/golden/, tools/golden_check) only proves
 // reproducibility if nothing in the tree can smuggle nondeterminism past the
@@ -7,7 +7,7 @@
 // flowing into each figure carry the physical unit their name claims. This
 // tool makes both contracts machine-checked: a hand-rolled tokenizer (no
 // libclang dependency) feeds a semantic layer — a preprocessor-lite include
-// graph, per-file symbol scans, and a cross-file function-signature index —
+// graph, a cross-file function-signature index, and a function-body index —
 // and a rule engine runs over src/, bench/, tools/, and examples/, failing
 // the build on violations.
 //
@@ -23,17 +23,21 @@
 //                bindings whose suffixes disagree must route through a
 //                units.h conversion helper, and redundant conversions are
 //                flagged.
-//   parallel     parallel-rng-capture, parallel-rng-stream — the static twin
-//                of the runtime byte-identity gate: Rng objects captured by
-//                reference into parallel_map/parallel_for task lambdas, and
-//                draws inside task bodies on streams not derived from
-//                fork(i)/split(), are flagged (see src/core/parallel.h).
+//   concurrency  lock-held-blocking-call — a blocking call reached while a
+//                mutex is held, directly or through free-function calls.
 //   layering     layering, include-cycle — the include DAG flows strictly
 //                downward (src/core depends on nothing outside core, src/sim
 //                sits below radio/net/abr/web, bench/ headers are never
 //                included from src/) and cycles are findings.
-//   hygiene      float-equality, printf-float, catch-swallow.
+//   hygiene      float-equality, printf-float, catch-swallow,
+//                bench-sample-hoard, engine-blocking-call, arena-escape.
 //   meta         allow-needs-justification, unknown-rule.
+//
+// Only rules no runtime gate can check live here. Parallel-Rng discipline,
+// shared-state races, lock order, condition-variable waits, signal-handler
+// safety, and checkpoint/restore symmetry are enforced by the test suites
+// that run the code (the 1-vs-8-thread determinism gate, the TSan lane, the
+// engine resume tests); DESIGN.md section 8 maps each to its gate.
 //
 // Suppression: a finding is waived by a directive comment — on the same line
 // as the finding, or on its own line(s) directly above it — of the form
@@ -78,10 +82,9 @@ struct RuleInfo {
   std::string_view family;
   std::string_view summary;
   std::string_view fixit;  // generic mechanical-fix hint; empty if contextual
-  std::string_view effects = {};  // effect bits the rule keys on ("" = none)
 };
 
-constexpr std::array<RuleInfo, 31> kRules = {{
+constexpr std::array<RuleInfo, 19> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -138,79 +141,13 @@ constexpr std::array<RuleInfo, 31> kRules = {{
      "redundant units.h conversion: the argument is already in the target "
      "unit, or an inverse pair cancels out",
      "drop the redundant conversion call(s)"},
-    {"parallel-rng-capture", "parallel",
-     "Rng captured by reference into a parallel_map/parallel_for task "
-     "lambda; concurrent draws race and break byte-identical goldens",
-     "split() a base stream outside the loop and draw from base.fork(i) "
-     "inside the task"},
-    {"parallel-rng-stream", "parallel",
-     "draw inside a parallel task body on a stream not derived from "
-     "fork(i)/split(); per-task streams keep goldens thread-count invariant",
-     "derive a per-task stream with base.fork(i) (or construct an Rng from "
-     "a per-task seed) before drawing"},
-    {"parallel-effect-write", "effects",
-     "a parallel_map/parallel_for task body calls a function whose "
-     "transitive effects include a write to namespace-scope or static-local "
-     "mutable state; concurrent shared writes race and break byte-identical "
-     "goldens",
-     "hoist the state into per-task results collected index-ordered and "
-     "reduced on the caller's thread, or const-qualify it",
-     "writes_global"},
-    {"parallel-effect-rng", "effects",
-     "a parallel task body calls a function that transitively draws from an "
-     "Rng stream not derived per task (a member/global stream, or a "
-     "captured outer stream passed by reference)",
-     "pass the callee a task-local stream derived via base.fork(i) (or "
-     "construct the drawing object inside the task body)",
-     "draws_rng"},
-    {"parallel-effect-alias", "effects",
-     "a parallel task body passes an object captured from the enclosing "
-     "scope — shared across tasks — to a function that mutates its "
-     "parameter; concurrent mutation races",
-     "give each task its own copy and merge index-ordered results after "
-     "the barrier",
-     "mutates_param"},
-    {"parallel-effect-unknown", "effects",
-     "a parallel task body calls a function whose effects the engine "
-     "cannot resolve (same-name definitions with conflicting effect sets "
-     "are poisoned conservatively); the call needs a human audit",
-     "disambiguate the overload set (rename, or align the overloads' "
-     "effects) or justify via allow",
-     "unknown"},
-    {"global-mutable-state", "effects",
-     "non-const namespace-scope or static-local variable in src/; every "
-     "piece of shared mutable state is an entry in the inventory the "
-     "multi-UE scheduler refactor must drain",
-     "const-qualify it, confine it with thread_local or a sync primitive "
-     "(std::mutex & friends are allow-listed), or justify via allow",
-     "writes_global"},
-    {"arena-escape", "effects",
+    {"arena-escape", "hygiene",
      "a pointer obtained from a core/arena.h allocation is stored into "
      "storage that outlives the handler scope (member, global, long-lived "
      "container) or returned; arena recycling makes this a latent "
      "use-after-free",
      "keep arena pointers handler-local; hand out EventIds or copy the "
-     "payload out instead",
-     "allocates"},
-    {"guarded-by-violation", "concurrency",
-     "a shared variable whose accesses are dominated by one mutex (inferred "
-     "guarded-by fact) is touched outside that lock; the unguarded access "
-     "races with every guarded writer — the witness chain names the call "
-     "path that loses the lock",
-     "take the inferred mutex around the access, or justify via allow if a "
-     "happens-before edge outside the lock makes it safe"},
-    {"lock-order-cycle", "concurrency",
-     "two mutexes are acquired in both orders somewhere in the program "
-     "(directly or through calls); the acquired-while-held graph has a "
-     "cycle, so two threads can deadlock taking the locks in opposite "
-     "orders",
-     "pick one global acquisition order and release the first lock before "
-     "taking the second on the inverted path"},
-    {"cv-wait-no-predicate", "concurrency",
-     "condition_variable wait(lock) without a predicate overload; spurious "
-     "wakeups and missed notifies make bare waits hang or spin",
-     "use wait(lock, [&]{ return condition; }) so the wakeup condition is "
-     "re-checked under the lock"},
+     "payload out instead"},
     {"lock-held-blocking-call", "concurrency",
      "a blocking call (filesystem, sleep, subprocess — the engine-blocking-"
      "call identifier set) runs while a mutex is held, directly or through "
@@ -218,21 +155,6 @@ constexpr std::array<RuleInfo, 31> kRules = {{
      "full blocking duration",
      "release the lock before blocking: copy what the call needs out under "
      "the lock, unlock, then block"},
-    {"signal-unsafe-call", "concurrency",
-     "a function installed as a signal handler (sigaction/std::signal) "
-     "transitively reaches a call outside the async-signal-safe allowlist "
-     "(POSIX 2017 plus lock-free atomics); heap, locks, and throws inside "
-     "a handler deadlock or corrupt state when the signal lands mid-"
-     "operation",
-     "restrict the handler to setting a lock-free atomic flag (and "
-     "optionally write()/_exit()); do the real work on a thread that polls "
-     "the flag"},
-    {"checkpoint-restore-symmetry", "hygiene",
-     "a state key serialized in checkpoint_state has no counterpart in the "
-     "paired restore_state (or vice versa); asymmetric checkpoint I/O "
-     "silently breaks the resume byte-identity contract",
-     "read every key you write and write every key you read, using the "
-     "same string literal in both bodies"},
     {"layering", "layering",
      "include edge violates the layer DAG (core at the bottom, sim below "
      "radio/net/abr/web, bench/ never included from src/)",
@@ -246,9 +168,9 @@ constexpr std::array<RuleInfo, 31> kRules = {{
 }};
 
 // Family display order for --rules-doc and --list-rules grouping.
-constexpr std::array<std::string_view, 8> kFamilies = {
-    "determinism", "units",    "parallel", "effects",
-    "concurrency", "layering", "hygiene",  "meta"};
+constexpr std::array<std::string_view, 6> kFamilies = {
+    "determinism", "units",   "concurrency",
+    "layering",    "hygiene", "meta"};
 
 bool is_known_rule(std::string_view id) {
   return std::any_of(kRules.begin(), kRules.end(),
@@ -268,9 +190,6 @@ struct Finding {
   std::string rule;
   std::string message;
   std::string fixit;  // empty when no mechanical fix applies
-  // Stable identity for --baseline ratcheting: rule|virtual-path|normalized
-  // source line. Filled in run_checks once the owning file is known.
-  std::string fingerprint = {};
 };
 
 // ---------------------------------------------------------------------------
@@ -837,9 +756,9 @@ void check_sample_hoard(const std::vector<Token>& toks,
 /// belong to the layer driving the engine (bench_common.h, wild5g_serve).
 /// Clock reads are already covered by ban-wall-clock, so this rule only
 /// names the filesystem and sleep families.
-/// Identifier set shared by engine-blocking-call and (via the concurrency
-/// analysis) lock-held-blocking-call: names whose presence marks a call that
-/// can block the calling thread for an unbounded or scheduler-scale time.
+/// Identifier set shared by engine-blocking-call and lock-held-blocking-call:
+/// names whose presence marks a call that can block the calling thread for
+/// an unbounded or scheduler-scale time.
 const std::set<std::string>& blocking_idents() {
   static const std::set<std::string> kBlocking = {
       "ifstream",  "ofstream",    "fstream", "fopen",     "freopen",
@@ -1458,498 +1377,10 @@ void check_unit_calls(const std::vector<Token>& toks, const FileContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Parallel-Rng discipline (the static twin of the runtime byte-identity
-// gate; see src/core/parallel.h). Two rules over parallel_map/parallel_for
-// call sites:
-//   parallel-rng-capture  an Rng explicitly captured by reference into the
-//                         task lambda — concurrent draws race, and even a
-//                         mutex would make results schedule-dependent.
-//   parallel-rng-stream   a draw inside the task body on an outer Rng (any
-//                         stream not derived per-task via fork(i)/split()
-//                         or constructed locally from a per-task seed).
-// A default [&] capture alone is not a finding — the tree-wide idiom is
-// `[&]` with every draw routed through a lambda-local fork(i) child, which
-// the stream rule verifies.
-
-/// Names in this file declared as wild5g::Rng (or bound via
-/// `auto x = ....fork(...)/....split()`). File scope is a sound
-/// over-approximation: tracking extra names can only matter if they are
-/// drawn from inside a task body without a local declaration.
-std::set<std::string> collect_rng_vars(const std::vector<Token>& toks) {
-  std::set<std::string> vars;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent) continue;
-    if (toks[i].text == "Rng") {
-      std::size_t j = i + 1;
-      while (j < toks.size() &&
-             (toks[j].text == "&" || toks[j].text == "*" ||
-              toks[j].text == "const")) {
-        ++j;
-      }
-      if (j < toks.size() && toks[j].kind == Token::Kind::kIdent) {
-        vars.insert(toks[j].text);
-      }
-      continue;
-    }
-    if (toks[i].text == "auto" && i + 2 < toks.size() &&
-        toks[i + 1].kind == Token::Kind::kIdent && toks[i + 2].text == "=") {
-      const std::size_t stop = std::min(toks.size(), i + 20);
-      for (std::size_t j = i + 3; j < stop && toks[j].text != ";"; ++j) {
-        if (toks[j].kind == Token::Kind::kIdent &&
-            (toks[j].text == "fork" || toks[j].text == "split")) {
-          vars.insert(toks[i + 1].text);
-          break;
-        }
-      }
-    }
-  }
-  return vars;
-}
-
-void check_parallel_rng(const std::vector<Token>& toks, const FileContext& ctx,
-                        const std::set<std::string>& rng_vars,
-                        std::vector<Finding>& out) {
-  // Mutating draw methods of wild5g::Rng. fork() is const and seed-derived,
-  // so calling it inside a task body is exactly the sanctioned idiom.
-  static const std::set<std::string> kDraws = {
-      "uniform", "uniform_int", "normal",  "lognormal", "exponential",
-      "bernoulli", "pick",      "shuffle", "split"};
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        (toks[i].text != "parallel_map" && toks[i].text != "parallel_for") ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::size_t call_close =
-        find_match(toks, i + 1, "(", ")", toks.size());
-    if (call_close == kNpos) continue;
-    // The first '[' inside the call opens the task lambda's capture list.
-    std::size_t cap_open = kNpos;
-    for (std::size_t j = i + 2; j < call_close; ++j) {
-      if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "[") {
-        cap_open = j;
-        break;
-      }
-    }
-    if (cap_open == kNpos) continue;
-    const std::size_t cap_close =
-        find_match(toks, cap_open, "[", "]", call_close);
-    if (cap_close == kNpos) continue;
-
-    // Rule 1: explicit by-reference captures of a known Rng.
-    for (std::size_t j = cap_open + 1; j < cap_close; ++j) {
-      if (toks[j].kind != Token::Kind::kPunct || toks[j].text != "&" ||
-          j + 1 >= cap_close || toks[j + 1].kind != Token::Kind::kIdent) {
-        continue;
-      }
-      std::string target;
-      if (j + 2 < cap_close && toks[j + 2].text == "=") {
-        // Init capture `&alias = expr`: flag only when expr is exactly a
-        // tracked Rng variable.
-        if (j + 3 < cap_close && toks[j + 3].kind == Token::Kind::kIdent &&
-            rng_vars.count(toks[j + 3].text) != 0 &&
-            (j + 4 >= cap_close || toks[j + 4].text == ",")) {
-          target = toks[j + 3].text;
-        }
-      } else if (rng_vars.count(toks[j + 1].text) != 0) {
-        target = toks[j + 1].text;
-      }
-      if (target.empty()) continue;
-      out.push_back(
-          {ctx.display_path, toks[j].line, "parallel-rng-capture",
-           "Rng '" + target + "' is captured by reference into a " +
-               toks[i].text + " task lambda; concurrent draws race and "
-               "break byte-identical goldens at any thread count",
-           "split() a base stream before the loop (Rng base = " + target +
-               ".split();) and draw from base.fork(i) inside the task"});
-    }
-
-    // Rule 2: draws inside the task body on non-local Rng streams.
-    std::set<std::string> locals;
-    std::size_t j = cap_close + 1;
-    if (j < call_close && toks[j].text == "(") {
-      const std::size_t params_close =
-          find_match(toks, j, "(", ")", call_close);
-      if (params_close == kNpos) continue;
-      // Every identifier in the parameter list shadows an outer name (the
-      // over-approximation also swallows type names, which is harmless).
-      for (std::size_t k = j + 1; k < params_close; ++k) {
-        if (toks[k].kind == Token::Kind::kIdent) locals.insert(toks[k].text);
-      }
-      j = params_close + 1;
-    }
-    while (j < call_close && toks[j].kind == Token::Kind::kIdent) {
-      ++j;  // mutable, noexcept
-    }
-    if (j >= call_close || toks[j].text != "{") continue;
-    const std::size_t body_open = j;
-    const std::size_t body_close =
-        find_match(toks, body_open, "{", "}", call_close + 1);
-    if (body_close == kNpos) continue;
-    for (std::size_t k = body_open + 1; k + 1 < body_close; ++k) {
-      if (toks[k].kind != Token::Kind::kIdent ||
-          non_type_keywords().count(toks[k].text) != 0) {
-        continue;
-      }
-      // `Type name`, `Type& name`, `auto name`: a declaration inside the
-      // body makes `name` task-local (bench_fig09's `Rng rng(seed + d)`
-      // idiom is deterministic — the stream derives from the task index).
-      std::size_t m = k + 1;
-      while (m < body_close &&
-             (toks[m].text == "&" || toks[m].text == "*" ||
-              toks[m].text == "const")) {
-        ++m;
-      }
-      if (m < body_close && toks[m].kind == Token::Kind::kIdent &&
-          m + 1 < body_close &&
-          (toks[m + 1].text == "=" || toks[m + 1].text == "(" ||
-           toks[m + 1].text == "{" || toks[m + 1].text == ";")) {
-        locals.insert(toks[m].text);
-      }
-    }
-    for (std::size_t k = body_open + 1; k + 3 < body_close; ++k) {
-      if (toks[k].kind == Token::Kind::kIdent &&
-          rng_vars.count(toks[k].text) != 0 &&
-          locals.count(toks[k].text) == 0 &&
-          (toks[k + 1].text == "." || toks[k + 1].text == "->") &&
-          toks[k + 2].kind == Token::Kind::kIdent &&
-          kDraws.count(toks[k + 2].text) != 0 && toks[k + 3].text == "(") {
-        out.push_back(
-            {ctx.display_path, toks[k].line, "parallel-rng-stream",
-             "'" + toks[k].text + "." + toks[k + 2].text + "(...)' inside a " +
-                 toks[i].text + " task body draws from a stream that is not "
-                 "derived per task; results depend on scheduling and break "
-                 "thread-count invariance",
-             "derive a task-local stream first (auto child = base.fork(i);) "
-             "and draw from it"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Effect inference (the interprocedural layer behind the `effects` family).
-//
-// The parallel rules above only see draws *lexically inside* a task lambda; a
-// task that calls a helper which mutates a file-static accumulator, or draws
-// from a member Rng three frames down, passed clean. This section closes that
-// hole: every function definition in the scanned set gets a conservative
-// effect signature over a small powerset lattice, effects propagate bottom-up
-// over the call graph to a fixpoint (cycles iterate until stable; the lattice
-// is finite so termination is structural), and three rule families consume
-// the database:
-//   parallel-effect-*     a task body reaching shared-state writes, foreign
-//                         Rng draws, shared-capture mutation, or a poisoned
-//                         callee through any call chain — the chain itself is
-//                         printed as the fix-it context.
-//   global-mutable-state  the inventory those rules (and the coming multi-UE
-//                         scheduler refactor) work from: every non-const
-//                         namespace-scope or static-local variable in src/
-//                         must be const, thread-confined (thread_local / sync
-//                         primitives), or justified via allow. A justified
-//                         declaration is treated as audited and drops out of
-//                         the writes_global tracking set, so sanctioned state
-//                         (e.g. the parallel.cpp pool singleton) does not
-//                         poison every caller.
-//   arena-escape          arena-backed pointers stored past handler scope.
-
-// Effect lattice bits. draws_rng splits in two because the sanctioned idiom —
-// pass the helper a task-local fork(i) child — is only distinguishable from
-// the racy one by *where the stream came from*: a draw on a parameter is
-// conditional on the call site's argument, a draw on member/global state is
-// unconditional.
-enum : unsigned {
-  kEffWritesGlobal = 1u << 0,   // assigns namespace-scope/static-local state
-  kEffMutatesParam = 1u << 1,   // writes through a non-const ref/ptr param
-  kEffDrawsRngState = 1u << 2,  // draws on a member/global/non-local stream
-  kEffDrawsRngParam = 1u << 3,  // draws on a caller-supplied stream param
-  kEffAllocates = 1u << 4,      // new/malloc outside core/arena.h
-  kEffSchedules = 1u << 5,      // Simulator::schedule_at/_in, Injector::arm
-  kEffUnknown = 1u << 6,        // poisoned: conflicting same-name defs
-};
-
-/// std sync primitives whose namespace-scope instances are coordination, not
-/// observable state: a mutex cannot leak scheduling order into metrics.
-const std::set<std::string>& sync_type_names() {
-  static const std::set<std::string> kSync = {
-      "mutex",          "recursive_mutex",
-      "shared_mutex",   "timed_mutex",
-      "recursive_timed_mutex", "condition_variable",
-      "condition_variable_any", "once_flag",
-      "atomic_flag"};
-  return kSync;
-}
-
-struct GlobalDecl {
-  std::string name;
-  int line = 0;
-  bool static_local = false;  // function-local static vs namespace scope
-  bool audited = false;       // declaration carries a justified allow()
-  bool confined = false;      // guard inference proved mutex confinement
-};
-
-/// Collects mutable (non-const, non-thread-confined) namespace-scope and
-/// static-local variable definitions. A hand-rolled scope tracker classifies
-/// each `{`: namespace bodies stay at namespace scope, class/enum bodies are
-/// member scope (data members are per-object state, not globals), everything
-/// else — function bodies, initializers — is block scope, where only
-/// `static` declarations are of interest. Ambiguous shapes (most-vexing
-/// parse, function pointers, macro invocations) resolve to silence: this
-/// feeds a build-failing gate, so false negatives beat false positives.
-void collect_globals(const std::vector<Token>& toks,
-                     std::vector<GlobalDecl>& out) {
-  enum class Scope { kNamespace, kClass, kEnum, kBlock };
-  std::vector<Scope> stack;
-  const auto at_namespace = [&] {
-    return stack.empty() || stack.back() == Scope::kNamespace;
-  };
-
-  static const std::set<std::string> kNotADecl = {
-      "using",  "typedef", "namespace", "friend",   "template",
-      "static_assert",     "extern",    "goto",     "return",
-      "if",     "while",   "for",       "do",       "switch",
-      "case",   "break",   "continue",  "throw",    "delete",
-      "operator", "public", "private",  "protected", "class",
-      "struct", "union",   "enum",      "asm",      "new"};
-
-  // Analyzes the statement chunk [b, e) as a potential variable definition
-  // and appends a GlobalDecl when it declares mutable non-exempt state.
-  const auto analyze = [&](std::size_t b, std::size_t e, bool static_local) {
-    while (b < e && toks[b].kind == Token::Kind::kIdent &&
-           (toks[b].text == "static" || toks[b].text == "inline")) {
-      ++b;
-    }
-    if (b >= e || toks[b].kind != Token::Kind::kIdent) return;
-    if (kNotADecl.count(toks[b].text) != 0) return;
-    // Cut the initializer: the declaration part ends at the first '=' that
-    // is outside parentheses/brackets (template '<' is not tracked — a '='
-    // inside template arguments would only make the check quieter).
-    int depth = 0;
-    std::size_t stop = e;
-    for (std::size_t j = b; j < e; ++j) {
-      if (toks[j].kind != Token::Kind::kPunct) continue;
-      const std::string& t = toks[j].text;
-      if (t == "(" || t == "[" || t == "{") ++depth;
-      if (t == ")" || t == "]" || t == "}") --depth;
-      if (t == "=" && depth == 0) {
-        stop = j;
-        break;
-      }
-    }
-    if (stop - b < 2) return;  // a lone identifier is never a definition
-    // Exemptions: const-qualified, thread-confined, or a sync primitive.
-    for (std::size_t j = b; j < stop; ++j) {
-      if (toks[j].kind != Token::Kind::kIdent) continue;
-      const std::string& t = toks[j].text;
-      if (t == "const" || t == "constexpr" || t == "thread_local" ||
-          sync_type_names().count(t) != 0) {
-        return;
-      }
-      if (t == "operator") return;
-    }
-    // Name resolution: with a parameter-ish '(' the candidate is either a
-    // function declaration (all chunks declaration-shaped — skip) or a
-    // constructor-initialized variable (expression-shaped args — flag).
-    std::size_t paren = kNpos;
-    depth = 0;
-    for (std::size_t j = b; j < stop; ++j) {
-      if (toks[j].kind != Token::Kind::kPunct) continue;
-      const std::string& t = toks[j].text;
-      if (t == "(" && depth == 0) {
-        paren = j;
-        break;
-      }
-      if (t == "[" || t == "{") ++depth;
-      if (t == "]" || t == "}") --depth;
-    }
-    std::size_t name_idx = kNpos;
-    if (paren != kNpos) {
-      if (paren == b || toks[paren - 1].kind != Token::Kind::kIdent) return;
-      name_idx = paren - 1;
-      const std::size_t close = find_match(toks, paren, "(", ")", stop + 1);
-      bool all_decl_shaped = true;
-      if (close != kNpos && close > paren + 1) {
-        for (const auto& [cb, ce] : split_args(toks, paren + 1, close)) {
-          std::string pname;
-          std::string punit;
-          if (cb >= ce || !decl_chunk(toks, cb, ce, &pname, &punit)) {
-            all_decl_shaped = false;
-            break;
-          }
-        }
-      }
-      if (all_decl_shaped) return;  // function declaration, not a variable
-    } else {
-      for (std::size_t j = stop; j > b;) {
-        --j;
-        if (toks[j].kind == Token::Kind::kIdent) {
-          name_idx = j;
-          break;
-        }
-        if (toks[j].kind == Token::Kind::kPunct &&
-            (toks[j].text == "]" || toks[j].text == "[")) {
-          continue;  // array extents sit after the name
-        }
-        if (toks[j].kind != Token::Kind::kNumber) return;
-      }
-    }
-    if (name_idx == kNpos) return;
-    const std::string& name = toks[name_idx].text;
-    if (kNotADecl.count(name) != 0 || non_type_keywords().count(name) != 0) {
-      return;
-    }
-    out.push_back({name, toks[name_idx].line, static_local, false});
-  };
-
-  std::size_t stmt = 0;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Token::Kind::kPunct && t.text == "#") {
-      // Preprocessor directive: consume the physical line.
-      const int line = t.line;
-      while (i + 1 < toks.size() && toks[i + 1].line == line) ++i;
-      stmt = i + 1;
-      continue;
-    }
-    if (t.kind == Token::Kind::kIdent && t.text == "static" &&
-        !stack.empty() && stack.back() == Scope::kBlock) {
-      // Static local. Scan to the statement's ';' (balanced through any
-      // braced initializer) and analyze; the cap bounds pathological input.
-      int depth = 0;
-      std::size_t semi = kNpos;
-      const std::size_t cap = std::min(toks.size(), i + 96);
-      for (std::size_t j = i + 1; j < cap; ++j) {
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        const std::string& p = toks[j].text;
-        if (p == "(" || p == "[" || p == "{") ++depth;
-        if (p == ")" || p == "]" || p == "}") --depth;
-        if (p == ";" && depth == 0) {
-          semi = j;
-          break;
-        }
-      }
-      if (semi != kNpos) {
-        analyze(i + 1, semi, /*static_local=*/true);
-        i = semi;
-        stmt = i + 1;
-      }
-      continue;
-    }
-    if (t.kind != Token::Kind::kPunct) continue;
-    if (t.text == "{") {
-      // Classify the brace from its header chunk [stmt, i).
-      bool is_init = false;
-      int depth = 0;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        const std::string& p = toks[j].text;
-        if (p == "(" || p == "[") ++depth;
-        if (p == ")" || p == "]") --depth;
-        if (p == "=" && depth == 0) is_init = true;
-      }
-      if (is_init) {
-        // Braced initializer: skip it; the statement continues to ';'.
-        const std::size_t close = find_match(toks, i, "{", "}", toks.size());
-        if (close == kNpos) return;
-        i = close;
-        continue;
-      }
-      Scope kind = Scope::kBlock;
-      bool has_paren = false;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "(") {
-          has_paren = true;
-        }
-      }
-      for (std::size_t j = stmt; j < i && !has_paren; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent) continue;
-        const std::string& w = toks[j].text;
-        if (w == "namespace") {
-          kind = Scope::kNamespace;
-          break;
-        }
-        if (w == "class" || w == "struct" || w == "union") {
-          kind = Scope::kClass;
-          break;
-        }
-        if (w == "enum") {
-          kind = Scope::kEnum;
-          break;
-        }
-      }
-      stack.push_back(kind);
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == "}") {
-      if (!stack.empty()) stack.pop_back();
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == ";") {
-      if (at_namespace()) analyze(stmt, i, /*static_local=*/false);
-      stmt = i + 1;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Function-definition index with effect signatures.
-
-/// Draw methods of wild5g::Rng that advance stream state (fork() is const
-/// and seed-derived, so it is deliberately absent — calling it anywhere is
-/// the sanctioned idiom).
-const std::set<std::string>& rng_draw_methods() {
-  static const std::set<std::string> kDraws = {
-      "uniform",   "uniform_int", "normal", "lognormal", "exponential",
-      "bernoulli", "pick",        "shuffle", "split"};
-  return kDraws;
-}
-
-/// Container/member operations that mutate their receiver; used to spot
-/// writes through reference parameters and into global containers.
-const std::set<std::string>& mutating_methods() {
-  static const std::set<std::string> kMut = {
-      "push_back", "emplace_back", "insert", "emplace", "erase",
-      "clear",     "resize",       "assign", "pop_back", "reset",
-      "store"};
-  return kMut;
-}
-
-// Receiver classification at a call site, relative to the calling scope.
-enum : int {
-  kRecvNone = 0,   // free function call
-  kRecvLocal = 1,  // receiver declared in the calling scope
-  kRecvParam = 2,  // receiver is a parameter of the enclosing function
-  kRecvOuter = 3,  // member, global, or captured object
-};
-
-// Classification of one call argument relative to the calling scope. The
-// engine is parameter-position-aware: a callee that draws from parameter 3
-// only taints call sites whose *third* argument is a shared stream — a
-// captured config object in another slot is irrelevant.
-enum : int {
-  kArgComplex = 0,  // any expression that is not a bare (possibly &) name
-  kArgLocal = 1,    // declared in the calling scope
-  kArgParam = 2,    // a parameter of the enclosing function
-  kArgOuter = 3,    // captured / member / file-scope name
-  kArgGlobal = 4,   // ... and a tracked mutable global
-};
-
-struct EffCallArg {
-  int cls = kArgComplex;
-  std::string name;    // the bare identifier, when cls != kArgComplex
-  int param_pos = -1;  // caller parameter index, when cls == kArgParam
-};
-
-struct EffCallSite {
-  std::string callee;
-  int argc = 0;
-  int line = 0;
-  int recv = kRecvNone;
-  int recv_param_pos = -1;  // caller parameter index when recv == kRecvParam
-  std::vector<EffCallArg> args;
-};
+// Function-body index: every definition in the scanned set with its body
+// token range and local names (parameters and body declarations), keyed by
+// (name, arity) for call resolution. arena-escape reads the bodies;
+// lock-held-blocking-call follows free-function calls through the index.
 
 struct FuncDef {
   std::string name;
@@ -1958,28 +1389,19 @@ struct FuncDef {
   std::size_t body_open = 0;
   std::size_t body_close = 0;
   int arity = 0;
-  std::size_t name_tok = 0;  // token index of the name (for Cls:: lookback)
-  unsigned direct = 0;   // effects of this body alone
-  unsigned effects = 0;  // after bottom-up propagation
-  std::vector<EffCallSite> calls;
-  std::set<std::string> params;
-  std::map<std::string, int> param_pos;  // name -> declaration position
-  std::set<std::string> mutable_ref_params;
+  std::size_t name_tok = 0;      // token index of the name
   std::set<std::string> locals;  // params + body-declared names
-  // Positional effect detail backing the MutatesParam / DrawsRngParam bits:
-  // which parameter slots are written through / drawn from (directly or
-  // through callees). Grow-only, so the fixpoint stays monotone.
-  std::set<int> mutated_params;
-  std::set<int> rng_params;
-  // Chain reconstruction: how each effect bit got here — either a direct
-  // witness in this body, or the callee (and its bit) it was inherited from.
-  struct Witness {
-    const FuncDef* via = nullptr;
-    unsigned via_bit = 0;
-    std::string direct_text;
-  };
-  std::map<unsigned, Witness> witness;
 };
+
+/// Container/member operations that mutate their receiver; used to spot
+/// arena pointers stored into non-local containers.
+const std::set<std::string>& mutating_methods() {
+  static const std::set<std::string> kMut = {
+      "push_back", "emplace_back", "insert", "emplace", "erase",
+      "clear",     "resize",       "assign", "pop_back", "reset",
+      "store"};
+  return kMut;
+}
 
 /// Names declared inside a block [open, close): `Type name =|(|{|;|:` after
 /// optional cv/ref tokens. The over-approximation (type names occasionally
@@ -2043,22 +1465,7 @@ void collect_function_defs(const std::vector<Token>& toks,
           break;
         }
         ++def.arity;
-        if (pname.empty()) continue;
-        def.params.insert(pname);
-        def.param_pos[pname] = def.arity - 1;
-        bool by_ref = false;
-        bool is_const = false;
-        for (std::size_t j = cb; j < ce; ++j) {
-          if (toks[j].kind == Token::Kind::kPunct &&
-              (toks[j].text == "&" || toks[j].text == "*" ||
-               toks[j].text == "&&")) {
-            by_ref = true;
-          }
-          if (toks[j].kind == Token::Kind::kIdent && toks[j].text == "const") {
-            is_const = true;
-          }
-        }
-        if (by_ref && !is_const) def.mutable_ref_params.insert(pname);
+        if (!pname.empty()) def.locals.insert(pname);
       }
     }
     if (!shaped) continue;
@@ -2083,193 +1490,14 @@ void collect_function_defs(const std::vector<Token>& toks,
     def.name_tok = i;
     def.file = ctx.display_path;
     def.line = toks[i].line;
-    def.locals = collect_block_locals(toks, def.body_open, def.body_close);
-    def.locals.insert(def.params.begin(), def.params.end());
+    const std::set<std::string> body_locals =
+        collect_block_locals(toks, def.body_open, def.body_close);
+    def.locals.insert(body_locals.begin(), body_locals.end());
     out.push_back(std::move(def));
   }
 }
 
-/// Direct (intraprocedural) effects of one body, plus its call sites.
-void compute_direct_effects(const std::vector<Token>& toks,
-                            const FileContext& ctx, bool arena_owner,
-                            const std::set<std::string>& mutable_globals,
-                            FuncDef& def) {
-  static const std::set<std::string> kAllocCalls = {"malloc", "calloc",
-                                                    "realloc", "free"};
-  static const std::set<std::string> kScheduleCalls = {"schedule_at",
-                                                       "schedule_in", "arm"};
-  static const std::set<std::string> kAssignOps = {"=", "+=", "-=", "*=",
-                                                   "/="};
-  const auto classify = [&](const std::string& ident) {
-    if (def.params.count(ident) != 0) return kRecvParam;
-    if (def.locals.count(ident) != 0) return kRecvLocal;
-    return kRecvOuter;
-  };
-  const auto note_direct = [&](unsigned bit, std::string why) {
-    def.direct |= bit;
-    if (def.witness.count(bit) == 0) {
-      def.witness[bit] = {nullptr, 0, std::move(why)};
-    }
-  };
-  const auto loc = [&](int line) {
-    return ctx.display_path + ":" + std::to_string(line);
-  };
-
-  for (std::size_t k = def.body_open + 1; k < def.body_close; ++k) {
-    const Token& t = toks[k];
-    if (t.kind != Token::Kind::kIdent) continue;
-    const std::string& id = t.text;
-    const bool member_ctx =
-        k > 0 && (toks[k - 1].text == "." || toks[k - 1].text == "->");
-
-    if (id == "new" && !arena_owner) {
-      note_direct(kEffAllocates, "allocates with 'new' at " + loc(t.line));
-      continue;
-    }
-    if (kAllocCalls.count(id) != 0 && next_is(toks, k, "(") &&
-        free_call_context(toks, k) && !arena_owner) {
-      note_direct(kEffAllocates, "calls '" + id + "' at " + loc(t.line));
-      continue;
-    }
-    if (kScheduleCalls.count(id) != 0 && next_is(toks, k, "(")) {
-      note_direct(kEffSchedules,
-                  "schedules via '" + id + "' at " + loc(t.line));
-      continue;
-    }
-
-    // Draw on an Rng-like receiver: `recv.uniform(...)`.
-    if (!member_ctx && k + 3 < def.body_close &&
-        (toks[k + 1].text == "." || toks[k + 1].text == "->") &&
-        toks[k + 2].kind == Token::Kind::kIdent &&
-        rng_draw_methods().count(toks[k + 2].text) != 0 &&
-        toks[k + 3].text == "(") {
-      const int cls = classify(id);
-      const std::string why = "draws via '" + id + "." + toks[k + 2].text +
-                              "(...)' at " + loc(t.line);
-      if (cls == kRecvParam) {
-        note_direct(kEffDrawsRngParam, why);
-        const auto pos = def.param_pos.find(id);
-        if (pos != def.param_pos.end()) def.rng_params.insert(pos->second);
-      } else if (cls != kRecvLocal) {
-        note_direct(kEffDrawsRngState, why);
-      }
-      continue;
-    }
-
-    // Mutation patterns after an identifier: assignment operators,
-    // increment/decrement, mutating member calls, member-field assignment,
-    // subscript assignment.
-    if (!member_ctx && k + 1 < def.body_close) {
-      bool mutated = false;
-      const std::string& nxt = toks[k + 1].text;
-      if (toks[k + 1].kind == Token::Kind::kPunct) {
-        if (kAssignOps.count(nxt) != 0) mutated = true;
-        if ((nxt == "+" && k + 2 < def.body_close &&
-             toks[k + 2].text == "+") ||
-            (nxt == "-" && k + 2 < def.body_close &&
-             toks[k + 2].text == "-")) {
-          mutated = true;  // postfix ++/--
-        }
-        if ((nxt == "." || nxt == "->") && k + 3 < def.body_close &&
-            toks[k + 2].kind == Token::Kind::kIdent) {
-          if (mutating_methods().count(toks[k + 2].text) != 0 &&
-              toks[k + 3].text == "(") {
-            mutated = true;
-          } else if (toks[k + 3].kind == Token::Kind::kPunct &&
-                     kAssignOps.count(toks[k + 3].text) != 0) {
-            mutated = true;  // recv.field = ...
-          }
-        }
-        if (nxt == "[") {
-          const std::size_t rb =
-              find_match(toks, k + 1, "[", "]", def.body_close);
-          if (rb != kNpos && rb + 1 < def.body_close &&
-              toks[rb + 1].kind == Token::Kind::kPunct &&
-              kAssignOps.count(toks[rb + 1].text) != 0) {
-            mutated = true;
-          }
-        }
-      }
-      const bool prefix_incr =
-          k >= 2 && toks[k - 1].kind == Token::Kind::kPunct &&
-          toks[k - 2].kind == Token::Kind::kPunct &&
-          ((toks[k - 1].text == "+" && toks[k - 2].text == "+") ||
-           (toks[k - 1].text == "-" && toks[k - 2].text == "-"));
-      if (mutated || prefix_incr) {
-        if (def.mutable_ref_params.count(id) != 0) {
-          note_direct(kEffMutatesParam, "mutates parameter '" + id +
-                                            "' at " + loc(t.line));
-          const auto pos = def.param_pos.find(id);
-          if (pos != def.param_pos.end()) {
-            def.mutated_params.insert(pos->second);
-          }
-        } else if (def.locals.count(id) == 0 &&
-                   mutable_globals.count(id) != 0) {
-          note_direct(kEffWritesGlobal,
-                      "writes '" + id + "' at " + loc(t.line));
-        }
-      }
-    }
-
-    // Call site (free or member), for bottom-up propagation.
-    if (next_is(toks, k, "(") && non_type_keywords().count(id) == 0 &&
-        kAllocCalls.count(id) == 0 && kScheduleCalls.count(id) == 0) {
-      if (member_ctx && rng_draw_methods().count(id) != 0) continue;
-      if (k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std") {
-        continue;  // std:: calls cannot touch wild5g state
-      }
-      EffCallSite site;
-      site.callee = id;
-      site.line = t.line;
-      if (member_ctx) {
-        site.recv = kRecvOuter;
-        if (k >= 2 && toks[k - 2].kind == Token::Kind::kIdent) {
-          site.recv = classify(toks[k - 2].text);
-          if (site.recv == kRecvNone) site.recv = kRecvOuter;
-          if (site.recv == kRecvParam) {
-            const auto pos = def.param_pos.find(toks[k - 2].text);
-            if (pos != def.param_pos.end()) site.recv_param_pos = pos->second;
-          }
-        }
-      }
-      const std::size_t close =
-          find_match(toks, k + 1, "(", ")", def.body_close + 1);
-      if (close != kNpos && close > k + 2) {
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].kind == Token::Kind::kPunct &&
-              toks[b].text == "&") {
-            ++b;
-          }
-          EffCallArg arg;
-          if (ae == b + 1 && toks[b].kind == Token::Kind::kIdent) {
-            arg.name = toks[b].text;
-            if (def.params.count(arg.name) != 0) {
-              arg.cls = kArgParam;
-              const auto pos = def.param_pos.find(arg.name);
-              if (pos != def.param_pos.end()) arg.param_pos = pos->second;
-            } else if (def.locals.count(arg.name) != 0) {
-              arg.cls = kArgLocal;
-            } else if (mutable_globals.count(arg.name) != 0) {
-              arg.cls = kArgGlobal;
-            } else {
-              arg.cls = kArgOuter;
-            }
-          }
-          site.args.push_back(std::move(arg));
-        }
-        site.argc = static_cast<int>(site.args.size());
-      }
-      def.calls.push_back(std::move(site));
-    }
-  }
-  def.effects = def.direct;
-}
-
-// name -> arity -> definitions. Same-name-same-arity definitions with
-// conflicting *direct* effect masks poison resolution with kEffUnknown: the
-// engine cannot tell which one a call binds to, so it refuses to claim
-// specific effects and demands an audit instead.
+// name -> arity -> definitions.
 using FuncIndex = std::map<std::string, std::map<int, std::vector<FuncDef*>>>;
 
 std::vector<FuncDef*> resolve_callee(const FuncIndex& index,
@@ -2286,432 +1514,15 @@ std::vector<FuncDef*> resolve_callee(const FuncIndex& index,
   return all;
 }
 
-/// True when an exact-arity overload set disagrees on direct effect masks —
-/// the engine cannot tell which definition a call binds to, so resolution
-/// is poisoned with kEffUnknown instead of guessing a union.
-bool conflicting(const std::vector<FuncDef*>& defs, bool exact) {
-  if (!exact) return false;
-  for (const FuncDef* d : defs) {
-    if (d->direct != defs.front()->direct) return true;
-  }
-  return false;
-}
-
-unsigned union_effects(const std::vector<FuncDef*>& defs) {
-  unsigned merged = 0;
-  for (const FuncDef* d : defs) merged |= d->effects;
-  return merged;
-}
-
-std::set<int> rng_positions(const std::vector<FuncDef*>& defs) {
-  std::set<int> out;
-  for (const FuncDef* d : defs) {
-    out.insert(d->rng_params.begin(), d->rng_params.end());
-  }
-  return out;
-}
-
-std::set<int> mutated_positions(const std::vector<FuncDef*>& defs) {
-  std::set<int> out;
-  for (const FuncDef* d : defs) {
-    out.insert(d->mutated_params.begin(), d->mutated_params.end());
-  }
-  return out;
-}
-
-const FuncDef* witness_for(const std::vector<FuncDef*>& defs, unsigned bit) {
-  for (const FuncDef* d : defs) {
-    if ((d->effects & bit) != 0) return d;
-  }
-  return defs.front();
-}
-
-/// Bottom-up propagation to a fixpoint. Effect bits and the positional
-/// mutated/rng sets only ever grow over finite domains, so the loop
-/// terminates — mutual recursion simply iterates until the cycle stabilizes.
-/// Inheritance through a site is receiver- and position-conditioned (the
-/// sanctioned idiom inherits nothing):
-///   writes_global / allocates / schedules / unknown  pass through verbatim
-///   draws_rng (state)   recv local -> dropped; recv param -> caller's
-///                       receiver slot becomes an rng param; else kept
-///   draws_rng_param[j]  arg j local/complex -> dropped; arg j param p ->
-///                       caller slot p becomes an rng param; arg j outer or
-///                       global -> a shared stream feeds the draw: state
-///   mutates_param[j]    arg j global -> writes_global; arg j param p ->
-///                       caller slot p becomes mutated; else dropped (the
-///                       task-site alias rule handles captured objects)
-void propagate_effects(std::vector<FuncDef*>& funcs, const FuncIndex& index) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (FuncDef* f : funcs) {
-      for (const EffCallSite& site : f->calls) {
-        const auto slot = index.find(site.callee);
-        if (slot == index.end()) continue;
-        const bool exact = slot->second.count(site.argc) != 0;
-        const std::vector<FuncDef*> defs =
-            resolve_callee(index, site.callee, site.argc);
-        if (defs.empty()) continue;
-
-        const auto note = [&](unsigned bit, const FuncDef* via,
-                              unsigned via_bit) {
-          if ((f->effects & bit) == 0) {
-            f->effects |= bit;
-            changed = true;
-          }
-          if (f->witness.count(bit) == 0) {
-            f->witness[bit] = {via, via_bit, ""};
-          }
-        };
-
-        if (conflicting(defs, exact)) {
-          if ((f->effects & kEffUnknown) == 0) {
-            f->effects |= kEffUnknown;
-            changed = true;
-            f->witness[kEffUnknown] = {
-                nullptr, 0,
-                "calls '" + site.callee + "', which has " +
-                    std::to_string(defs.size()) +
-                    " same-arity definitions with conflicting effects "
-                    "(first at " + defs.front()->file + ":" +
-                    std::to_string(defs.front()->line) + ")"};
-          }
-          continue;
-        }
-        const unsigned callee = union_effects(defs);
-
-        for (const unsigned bit : {kEffWritesGlobal, kEffAllocates,
-                                   kEffSchedules, kEffUnknown}) {
-          if ((callee & bit) != 0 && (f->effects & bit) == 0) {
-            note(bit, witness_for(defs, bit), bit);
-          }
-        }
-        if ((callee & kEffDrawsRngState) != 0) {
-          if (site.recv == kRecvParam) {
-            if (site.recv_param_pos >= 0 &&
-                f->rng_params.insert(site.recv_param_pos).second) {
-              changed = true;
-            }
-            note(kEffDrawsRngParam, witness_for(defs, kEffDrawsRngState),
-                 kEffDrawsRngState);
-          } else if (site.recv != kRecvLocal) {
-            note(kEffDrawsRngState, witness_for(defs, kEffDrawsRngState),
-                 kEffDrawsRngState);
-          }
-        }
-        for (const int j : rng_positions(defs)) {
-          if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-            continue;
-          }
-          const EffCallArg& arg = site.args[static_cast<std::size_t>(j)];
-          if (arg.cls == kArgOuter || arg.cls == kArgGlobal) {
-            note(kEffDrawsRngState, witness_for(defs, kEffDrawsRngParam),
-                 kEffDrawsRngParam);
-          } else if (arg.cls == kArgParam && arg.param_pos >= 0) {
-            if (f->rng_params.insert(arg.param_pos).second) changed = true;
-            note(kEffDrawsRngParam, witness_for(defs, kEffDrawsRngParam),
-                 kEffDrawsRngParam);
-          }
-        }
-        for (const int j : mutated_positions(defs)) {
-          if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-            continue;
-          }
-          const EffCallArg& arg = site.args[static_cast<std::size_t>(j)];
-          if (arg.cls == kArgGlobal) {
-            note(kEffWritesGlobal, witness_for(defs, kEffMutatesParam),
-                 kEffMutatesParam);
-          } else if (arg.cls == kArgParam && arg.param_pos >= 0) {
-            if (f->mutated_params.insert(arg.param_pos).second) {
-              changed = true;
-            }
-            note(kEffMutatesParam, witness_for(defs, kEffMutatesParam),
-                 kEffMutatesParam);
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Renders the offending call chain for an effect bit:
-/// `helper (file:12) -> bump (file:6) -> writes 'g_total' at file:3`.
-std::string effect_chain(const FuncDef* def, unsigned bit) {
-  std::string chain =
-      def->name + " (" + def->file + ":" + std::to_string(def->line) + ")";
-  std::set<const FuncDef*> seen;
-  const FuncDef* cur = def;
-  while (cur != nullptr && seen.insert(cur).second) {
-    const auto it = cur->witness.find(bit);
-    if (it == cur->witness.end()) break;
-    if (!it->second.direct_text.empty()) {
-      chain += " -> " + it->second.direct_text;
-      break;
-    }
-    const FuncDef* via = it->second.via;
-    if (via == nullptr) break;
-    chain += " -> " + via->name + " (" + via->file + ":" +
-             std::to_string(via->line) + ")";
-    bit = it->second.via_bit;
-    cur = via;
-  }
-  return chain;
-}
-
-// ---------------------------------------------------------------------------
-// Checks consuming the effect database.
-
-/// global-mutable-state: the inventory findings. Scoped to src/ virtual
-/// paths — bench/tools mains are single-threaded drivers whose file-level
-/// state cannot be reached from a task without tripping the parallel rules.
-void check_global_state(const FileContext& ctx, const std::string& vpath,
-                        const std::vector<GlobalDecl>& globals,
-                        std::vector<Finding>& out) {
-  if (vpath.rfind("src/", 0) != 0) return;
-  for (const auto& g : globals) {
-    // Guard inference proved every access holds one mutex: confinement is
-    // machine-verified, no inventory entry (and no allow()) needed.
-    if (g.confined) continue;
-    const std::string kind =
-        g.static_local ? "function-local static" : "namespace-scope";
-    out.push_back(
-        {ctx.display_path, g.line, "global-mutable-state",
-         kind + " mutable variable '" + g.name + "' is shared state the "
-         "multi-UE scheduler refactor cannot reason about; any parallel task "
-         "reaching it through a call chain races",
-         "const-qualify it, confine it with thread_local, or justify with "
-         "// wild5g-lint: allow(global-mutable-state) <why>"});
-  }
-}
-
-/// A located parallel_map/parallel_for task lambda: the body token range
-/// plus every name that is task-local (lambda parameters and body
-/// declarations), mirroring check_parallel_rng's location logic.
-struct ParallelTask {
-  std::string_view entry;  // "parallel_map" or "parallel_for"
-  std::size_t body_open = 0;
-  std::size_t body_close = 0;
-  std::set<std::string> locals;
-};
-
-std::vector<ParallelTask> collect_parallel_tasks(
-    const std::vector<Token>& toks) {
-  std::vector<ParallelTask> tasks;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        (toks[i].text != "parallel_map" && toks[i].text != "parallel_for") ||
-        toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::size_t call_close =
-        find_match(toks, i + 1, "(", ")", toks.size());
-    if (call_close == kNpos) continue;
-    std::size_t cap_open = kNpos;
-    for (std::size_t j = i + 2; j < call_close; ++j) {
-      if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "[") {
-        cap_open = j;
-        break;
-      }
-    }
-    if (cap_open == kNpos) continue;
-    const std::size_t cap_close =
-        find_match(toks, cap_open, "[", "]", call_close);
-    if (cap_close == kNpos) continue;
-    ParallelTask task;
-    task.entry = toks[i].text == "parallel_map" ? "parallel_map"
-                                                : "parallel_for";
-    std::size_t j = cap_close + 1;
-    if (j < call_close && toks[j].text == "(") {
-      const std::size_t params_close =
-          find_match(toks, j, "(", ")", call_close);
-      if (params_close == kNpos) continue;
-      for (std::size_t k = j + 1; k < params_close; ++k) {
-        if (toks[k].kind == Token::Kind::kIdent) {
-          task.locals.insert(toks[k].text);
-        }
-      }
-      j = params_close + 1;
-    }
-    while (j < call_close && toks[j].kind == Token::Kind::kIdent) {
-      ++j;  // mutable, noexcept
-    }
-    if (j >= call_close || toks[j].text != "{") continue;
-    task.body_open = j;
-    task.body_close = find_match(toks, j, "{", "}", call_close + 1);
-    if (task.body_close == kNpos) continue;
-    const std::set<std::string> body_locals =
-        collect_block_locals(toks, task.body_open, task.body_close);
-    task.locals.insert(body_locals.begin(), body_locals.end());
-    tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
-/// parallel-effect-{write,rng,alias,unknown}: every indexed call inside a
-/// task body is checked against the callee's propagated effects, mapped
-/// through the call site exactly like function-to-function inheritance.
-void check_parallel_effects(const std::vector<Token>& toks,
-                            const FileContext& ctx, const FuncIndex& index,
-                            const std::set<std::string>& mutable_globals,
-                            std::vector<Finding>& out) {
-  for (const ParallelTask& task : collect_parallel_tasks(toks)) {
-    for (std::size_t k = task.body_open + 1; k < task.body_close; ++k) {
-      if (toks[k].kind != Token::Kind::kIdent || !next_is(toks, k, "(")) {
-        continue;
-      }
-      const std::string& name = toks[k].text;
-      if (non_type_keywords().count(name) != 0) continue;
-      const bool member_ctx =
-          toks[k - 1].text == "." || toks[k - 1].text == "->";
-      if (member_ctx && rng_draw_methods().count(name) != 0) {
-        continue;  // parallel-rng-stream's domain
-      }
-      if (k >= 2 && toks[k - 1].text == "::" && toks[k - 2].text == "std") {
-        continue;
-      }
-      const auto slot = index.find(name);
-      if (slot == index.end()) continue;
-
-      EffCallSite site;
-      site.callee = name;
-      site.line = toks[k].line;
-      if (member_ctx) {
-        site.recv = kRecvOuter;
-        if (k >= 2 && toks[k - 2].kind == Token::Kind::kIdent &&
-            task.locals.count(toks[k - 2].text) != 0) {
-          site.recv = kRecvLocal;
-        }
-      }
-      const std::size_t close =
-          find_match(toks, k + 1, "(", ")", task.body_close + 1);
-      if (close == kNpos) continue;
-      if (close > k + 2) {
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].kind == Token::Kind::kPunct &&
-              toks[b].text == "&") {
-            ++b;
-          }
-          EffCallArg arg;
-          if (ae == b + 1 && toks[b].kind == Token::Kind::kIdent) {
-            const std::string& id = toks[b].text;
-            if (task.locals.count(id) != 0) {
-              arg.cls = kArgLocal;
-            } else if (mutable_globals.count(id) != 0) {
-              arg.cls = kArgGlobal;
-            } else {
-              arg.cls = kArgOuter;
-              arg.name = id;
-            }
-          }
-          site.args.push_back(std::move(arg));
-        }
-        site.argc = static_cast<int>(site.args.size());
-      }
-      const bool exact = slot->second.count(site.argc) != 0;
-      const std::vector<FuncDef*> defs =
-          resolve_callee(index, name, site.argc);
-      if (defs.empty()) continue;
-      const std::string entry(task.entry);
-      if (conflicting(defs, exact)) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-unknown",
-             entry + " task body calls '" + name + "', whose effects cannot "
-             "be resolved (" + std::to_string(defs.size()) + " same-arity "
-             "definitions with conflicting effect signatures); the engine "
-             "assumes the worst",
-             "rename the conflicting overloads apart, or justify with "
-             "// wild5g-lint: allow(parallel-effect-unknown) <why>"});
-        continue;
-      }
-      const unsigned callee = union_effects(defs);
-      const std::set<int> rng_pos = rng_positions(defs);
-      const std::set<int> mut_pos = mutated_positions(defs);
-      const auto arg_at = [&](int j) -> const EffCallArg* {
-        if (j < 0 || static_cast<std::size_t>(j) >= site.args.size()) {
-          return nullptr;
-        }
-        return &site.args[static_cast<std::size_t>(j)];
-      };
-
-      bool write_bad = (callee & kEffWritesGlobal) != 0;
-      unsigned write_sb = kEffWritesGlobal;
-      bool rng_bad =
-          (callee & kEffDrawsRngState) != 0 && site.recv != kRecvLocal;
-      unsigned rng_sb = kEffDrawsRngState;
-      std::string alias_arg;
-      for (const int j : mut_pos) {
-        const EffCallArg* arg = arg_at(j);
-        if (arg == nullptr) continue;
-        if (arg->cls == kArgGlobal && !write_bad) {
-          write_bad = true;
-          write_sb = kEffMutatesParam;
-        } else if (arg->cls == kArgOuter && alias_arg.empty()) {
-          alias_arg = arg->name;
-        }
-      }
-      for (const int j : rng_pos) {
-        const EffCallArg* arg = arg_at(j);
-        if (arg == nullptr) continue;
-        if ((arg->cls == kArgOuter || arg->cls == kArgGlobal) && !rng_bad) {
-          rng_bad = true;
-          rng_sb = kEffDrawsRngParam;
-        }
-      }
-
-      if (write_bad) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-write",
-             entry + " task body calls '" + name + "', which transitively "
-             "writes shared mutable state; concurrent tasks race and break "
-             "byte-identical goldens: " +
-                 effect_chain(witness_for(defs, write_sb), write_sb),
-             "return a per-task value and reduce on the caller's thread, or "
-             "const-qualify the state"});
-      }
-      if (rng_bad) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-rng",
-             entry + " task body calls '" + name + "', which transitively "
-             "draws from an Rng stream that is not derived per task; draw "
-             "order depends on scheduling: " +
-                 effect_chain(witness_for(defs, rng_sb), rng_sb),
-             "pass the helper a task-local child stream (auto child = "
-             "base.fork(i);) instead of shared state"});
-      }
-      if (!alias_arg.empty()) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-alias",
-             entry + " task body passes captured '" + alias_arg + "' to '" +
-                 name + "', which mutates a reference parameter; every task "
-                 "aliases the same object: " +
-                 effect_chain(witness_for(defs, kEffMutatesParam),
-                              kEffMutatesParam),
-             "accumulate into a task-local value and merge after the "
-             "parallel region"});
-      }
-      if ((callee & kEffUnknown) != 0) {
-        out.push_back(
-            {ctx.display_path, site.line, "parallel-effect-unknown",
-             entry + " task body calls '" + name + "', whose transitive "
-             "effects cannot be resolved; the engine assumes the worst: " +
-                 effect_chain(witness_for(defs, kEffUnknown), kEffUnknown),
-             "rename the conflicting overloads apart, or justify with "
-             "// wild5g-lint: allow(parallel-effect-unknown) <why>"});
-      }
-    }
-  }
-}
-
 /// arena-escape: a pointer produced by `<arena>.allocate(...)` stored into
 /// anything that outlives the enclosing function scope — member, global, or
 /// non-local container — or returned. Arena recycling makes every such
-/// store a latent use-after-free that ASan only catches when a test happens
-/// to land on the recycled slot.
+/// store a latent use-after-free that no runtime gate sees: the arena hands
+/// the recycled block out again without poisoning it, so ASan reads it as
+/// live memory and the stale read is deterministic.
 void check_arena_escape(const std::vector<Token>& toks,
                         const FileContext& ctx, const std::string& vpath,
                         const std::vector<FuncDef>& funcs,
-                        const std::set<std::string>& mutable_globals,
                         std::vector<Finding>& out) {
   // Sanctioned owners: the arena itself and the simulator event loop, which
   // recycles nodes in lockstep with dispatch and is audited by test_sim's
@@ -2794,15 +1605,12 @@ void check_arena_escape(const std::vector<Token>& toks,
         }
         const std::string& base = toks[root].text;
         if (def.locals.count(base) != 0 && base != "this") continue;
-        const bool global = mutable_globals.count(base) != 0;
         out.push_back(
             {ctx.display_path, t.line, "arena-escape",
              "'" + toks[k + 1].text + "' points into arena storage and is "
-             "stored into " +
-                 (global ? "global '" + base + "'"
-                         : "'" + toks[k - 1].text +
-                               "', which outlives this handler scope") +
-                 "; the arena recycles the slot and the pointer dangles",
+             "stored into '" + toks[k - 1].text + "', which outlives this "
+             "handler scope; the arena recycles the slot and the pointer "
+             "dangles",
              std::string(fixit)});
         continue;
       }
@@ -2908,10 +1716,10 @@ std::string src_module_of(const std::string& vpath) {
 
 // ---------------------------------------------------------------------------
 // Driver: two passes over the tree. Pass 1 loads and lexes every file and
-// gathers per-file facts (includes, Rng names, signatures). Pass 2 runs the
-// per-file checks against the global signature index, then the include graph
-// is checked for layering violations and cycles, and finally suppression
-// directives are applied per file.
+// gathers per-file facts (includes, signatures, function bodies). Pass 2
+// runs the per-file checks against the global indexes, then the include
+// graph is checked for layering violations and cycles, and finally
+// suppression directives are applied per file.
 
 struct FileUnit {
   fs::path path;
@@ -2924,11 +1732,8 @@ struct FileUnit {
   std::string vpath;          // repo-relative layout ("" when unknown)
   std::string src_module;     // "core", "radio", ... ("" outside src/)
   std::vector<IncludeRef> includes;
-  std::set<std::string> rng_vars;
   std::set<std::size_t> decl_sites;
-  std::vector<std::string> lines;    // raw physical lines, for fingerprints
-  std::vector<GlobalDecl> globals;   // mutable global/static inventory
-  std::vector<FuncDef> funcs;        // effect-inference database
+  std::vector<FuncDef> funcs;  // function-body index
   bool io_error = false;
 };
 
@@ -2939,24 +1744,7 @@ bool path_ends_with(const fs::path& path, std::string_view suffix) {
                          suffix) == 0;
 }
 
-// Lex-cache telemetry, surfaced in --json so the analyzer-scale test can
-// assert shared files are lexed once per path even when scan roots overlap.
-int g_files_lexed = 0;
-int g_lex_cache_hits = 0;
-
 FileUnit load_file(const fs::path& path) {
-  // Everything in a FileUnit at load time is a pure function of the file
-  // path and contents (funcs/raw/meta are filled later, per run), so a
-  // display-path-keyed copy cache is exact. Overlapping scan roots hit it;
-  // the counters feed --json.
-  static std::map<std::string, FileUnit> cache;
-  const std::string cache_key = path.lexically_normal().generic_string();
-  const auto hit = cache.find(cache_key);
-  if (hit != cache.end()) {
-    ++g_lex_cache_hits;
-    return hit->second;
-  }
-  ++g_files_lexed;
   FileUnit unit;
   unit.path = path;
   unit.ctx.display_path = path.lexically_normal().generic_string();
@@ -2993,490 +1781,73 @@ FileUnit load_file(const fs::path& path) {
   unit.src_module = src_module_of(unit.vpath);
   unit.ctx.in_bench = unit.vpath.rfind("bench/", 0) == 0;
   unit.includes = collect_includes(unit.lexed.tokens);
-  unit.rng_vars = collect_rng_vars(unit.lexed.tokens);
-  collect_globals(unit.lexed.tokens, unit.globals);
-  // Raw physical lines back the --baseline fingerprints: a finding keeps its
-  // identity across pure line-number drift (code added above it) but not
-  // across edits to the flagged line itself.
-  std::string line;
-  std::istringstream line_in(raw_text);
-  while (std::getline(line_in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    unit.lines.push_back(line);
-  }
-  cache.emplace(cache_key, unit);
+  collect_function_defs(unit.lexed.tokens, unit.ctx, unit.funcs);
   return unit;
 }
 
-/// Stable finding identity for --baseline: rule | virtual path (falling back
-/// to the bare filename outside the lintable roots) | the flagged source
-/// line with every whitespace byte removed.
-std::string fingerprint_of(const FileUnit& unit, const Finding& f) {
-  const std::string vkey =
-      unit.vpath.empty() ? unit.path.filename().generic_string() : unit.vpath;
-  std::string norm;
-  if (f.line >= 1 && static_cast<std::size_t>(f.line) <= unit.lines.size()) {
-    for (const char c : unit.lines[static_cast<std::size_t>(f.line) - 1]) {
-      if (c != ' ' && c != '\t' && c != '\r' && c != '\f' && c != '\v') {
-        norm += c;
-      }
-    }
-  }
-  return f.rule + "|" + vkey + "|" + norm;
-}
-
 // ---------------------------------------------------------------------------
-// Concurrency analysis: guarded-by inference, lock-order cycles, cv-wait
-// hygiene, lock-held blocking calls, async-signal-safety, and the
-// checkpoint/restore symmetry micro-rule. The analysis reuses the effect
-// engine's function database (FuncDef bodies + the FuncIndex call resolver)
-// but walks bodies itself, because it needs what the effect engine discards:
-// token positions, so every call and access can be placed inside or outside
-// a lexical lock segment. DESIGN.md section 8 documents the lattice and the
-// known over-approximations.
+// lock-held-blocking-call. Each body is walked for lexical lock segments: a
+// RAII guard (lock_guard/unique_lock/scoped_lock/shared_lock) holds from its
+// declaration to the end of its block; guard .unlock()/.lock() toggle it,
+// and toggles inside a nested block are undone when that block closes (the
+// early-return unlock idiom). A bare .lock()/.unlock() on a declared mutex
+// acts as a guard with the same rules. A blocking identifier inside a
+// segment is a finding, and so is a free-function call inside a segment to a
+// definition that blocks, directly or through further free-function calls
+// (a forward fixpoint over the body index). Member calls are not followed.
 
-/// Guard RAII wrapper type names; a declaration of one of these opens a lock
-/// segment that runs to the end of the enclosing block (or to a same-depth
-/// .unlock() toggle).
 const std::set<std::string>& guard_type_names() {
   static const std::set<std::string> kGuards = {
       "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
   return kGuards;
 }
 
-const std::set<std::string>& mutex_type_names() {
+/// Names declared with a mutex-family type anywhere in the file; a bare
+/// `name.lock()` on one of them opens a lock segment.
+void collect_mutex_names(const std::vector<Token>& toks,
+                         std::set<std::string>& out) {
   static const std::set<std::string> kMutex = {
       "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
       "recursive_timed_mutex"};
-  return kMutex;
-}
-
-const std::set<std::string>& atomic_type_names() {
-  static const std::set<std::string> kAtomic = {
-      "atomic",      "atomic_flag", "atomic_bool",  "atomic_int",
-      "atomic_uint", "atomic_long", "atomic_llong", "atomic_size_t",
-      "sig_atomic_t"};
-  return kAtomic;
-}
-
-/// POSIX.1-2017 async-signal-safe functions the tree plausibly calls, plus
-/// the handful of signal-management calls that are themselves safe. Lock-free
-/// atomic member calls are allow-listed separately by method name.
-const std::set<std::string>& signal_safe_calls() {
-  static const std::set<std::string> kSafe = {
-      "write",       "_exit",       "_Exit",    "abort",      "raise",
-      "kill",        "sigaction",   "signal",   "sigemptyset", "sigaddset",
-      "sigfillset",  "sigdelset",   "sigprocmask", "pthread_sigmask",
-      "alarm",       "getpid",      "close",    "read",       "open",
-      "dup",         "dup2",        "fsync"};
-  return kSafe;
-}
-
-const std::set<std::string>& atomic_safe_methods() {
-  static const std::set<std::string> kSafe = {
-      "store",        "load",          "exchange",
-      "fetch_add",    "fetch_sub",     "fetch_or",
-      "fetch_and",    "test_and_set",  "clear",
-      "compare_exchange_weak",         "compare_exchange_strong"};
-  return kSafe;
-}
-
-/// One class (or struct) definition with its sync-relevant members. Same-name
-/// classes are merged across files so a header declaration and out-of-line
-/// method definitions agree on the member sets — a deliberate
-/// over-approximation for same-name classes in different namespaces.
-struct ConcClass {
-  std::string name;
-  std::size_t open = 0;   // body '{' token index
-  std::size_t close = 0;  // matching '}'
-  std::set<std::string> mutexes;  // members with a mutex-family type
-  std::set<std::string> cvs;      // condition_variable members
-  std::set<std::string> atomics;  // atomic members: exempt from inference
-  std::set<std::string> members;  // plain data members: inference candidates
-};
-
-struct ConcFileFacts {
-  std::vector<ConcClass> classes;        // in token order, nested included
-  std::set<std::string> global_mutexes;  // namespace-scope mutex names
-  std::set<std::string> global_cvs;      // namespace-scope cv names
-  std::set<std::string> atomic_names;    // any-scope atomic variable names
-};
-
-/// Classifies one class-scope declaration chunk [b, e) and files the member
-/// into the right ConcClass bucket. Function declarations, constants, and
-/// nested type definitions resolve to silence.
-void classify_member_chunk(const std::vector<Token>& toks, std::size_t b,
-                           std::size_t e, ConcClass& cls) {
-  if (b >= e) return;
-  // Cut the initializer: declaration part ends at the first top-level '='
-  // or '{' (paren/bracket nesting skipped; '<' untracked, as elsewhere).
-  int depth = 0;
-  std::size_t cut = e;
-  for (std::size_t j = b; j < e; ++j) {
-    if (toks[j].kind != Token::Kind::kPunct) continue;
-    const std::string& t = toks[j].text;
-    if (t == "(" || t == "[") ++depth;
-    if (t == ")" || t == "]") --depth;
-    if ((t == "=" || t == "{") && depth == 0) {
-      cut = j;
-      break;
-    }
-  }
-  if (cut < b + 2) return;  // need at least `Type name`
-  bool is_mutex = false;
-  bool is_cv = false;
-  bool is_atomic = false;
-  bool saw_const = false;
-  bool has_star = false;
-  for (std::size_t j = b; j < cut; ++j) {
-    if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "*") {
-      has_star = true;
-    }
-    if (toks[j].kind != Token::Kind::kIdent) continue;
-    const std::string& t = toks[j].text;
-    if (t == "constexpr" || t == "static" || t == "using" ||
-        t == "typedef" || t == "friend" || t == "template" ||
-        t == "operator" || t == "enum" || t == "class" || t == "struct" ||
-        t == "union" || t == "once_flag") {
-      return;
-    }
-    if (t == "const") saw_const = true;
-    if (mutex_type_names().count(t) != 0) is_mutex = true;
-    if (t == "condition_variable" || t == "condition_variable_any") {
-      is_cv = true;
-    }
-    if (atomic_type_names().count(t) != 0) is_atomic = true;
-  }
-  // `const T x` is immutable — not shared-state. `const T* p` is a mutable
-  // pointer to const payload: the pointer itself is an inference candidate.
-  if (saw_const && !has_star) return;
-  const Token& name = toks[cut - 1];
-  // `)` before the terminator means a member function declaration; `]`
-  // means an array member — both stay out of the inference domain.
-  if (name.kind != Token::Kind::kIdent ||
-      non_type_keywords().count(name.text) != 0) {
-    return;
-  }
-  if (is_mutex) {
-    cls.mutexes.insert(name.text);
-  } else if (is_cv) {
-    cls.cvs.insert(name.text);
-  } else if (is_atomic) {
-    cls.atomics.insert(name.text);
-  } else {
-    cls.members.insert(name.text);
-  }
-}
-
-/// Collects the member buckets of one class body [open, close] at its
-/// immediate depth; nested braces (member function bodies, nested types,
-/// default member initializers) are skipped wholesale.
-void collect_class_members(const std::vector<Token>& toks, ConcClass& cls) {
-  std::size_t j = cls.open + 1;
-  std::size_t start = j;
-  while (j < cls.close && j < toks.size()) {
-    const Token& t = toks[j];
-    if (t.kind == Token::Kind::kIdent &&
-        (t.text == "public" || t.text == "private" ||
-         t.text == "protected") &&
-        next_is(toks, j, ":")) {
-      j += 2;
-      start = j;
-      continue;
-    }
-    if (t.kind == Token::Kind::kPunct &&
-        (t.text == "(" || t.text == "{" || t.text == "[")) {
-      const std::string close_tok =
-          t.text == "(" ? ")" : (t.text == "{" ? "}" : "]");
-      const std::size_t m = find_match(toks, j, t.text, close_tok, cls.close);
-      if (m == kNpos) return;
-      // A '{' at member scope is a function body or nested type; the chunk
-      // it terminates is never a data member, so drop it.
-      if (t.text == "{") {
-        j = m + 1;
-        start = j;
-        continue;
-      }
-      // Keep parens *inside* the chunk (classify_member_chunk rejects
-      // `...)`-terminated declarations itself, and `std::function<void(int)>`
-      // members survive the cut).
-      j = m + 1;
-      continue;
-    }
-    if (t.kind == Token::Kind::kPunct && t.text == ";") {
-      classify_member_chunk(toks, start, j, cls);
-      ++j;
-      start = j;
-      continue;
-    }
-    ++j;
-  }
-}
-
-/// One pass over a file: class ranges (with member buckets), namespace-scope
-/// mutex/cv names, and atomic variable names at any scope. The brace
-/// classifier mirrors collect_globals so the two scans agree on what is
-/// namespace scope.
-void scan_concurrency_decls(const std::vector<Token>& toks,
-                            ConcFileFacts& facts) {
-  enum class Scope { kNamespace, kClass, kEnum, kBlock };
-  std::vector<Scope> stack;
-  const auto at_namespace = [&] {
-    return stack.empty() || stack.back() == Scope::kNamespace;
-  };
-
-  // Atomic names, linear pass: `atomic[<...>] [&*]* name` at any scope. The
-  // set only ever exempts variables from inference, so over-collection is
-  // harmless.
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent ||
-        atomic_type_names().count(toks[i].text) == 0) {
-      continue;
-    }
-    std::size_t k = i + 1;
-    if (k < toks.size() && toks[k].text == "<") {
-      const std::size_t m = find_match(toks, k, "<", ">", k + 24);
-      if (m == kNpos) continue;
-      k = m + 1;
-    }
-    while (k < toks.size() && (toks[k].text == "&" || toks[k].text == "*")) {
-      ++k;
-    }
-    if (k + 1 < toks.size() && toks[k].kind == Token::Kind::kIdent &&
-        (toks[k + 1].text == ";" || toks[k + 1].text == "{" ||
-         toks[k + 1].text == "=" || toks[k + 1].text == "(" ||
-         toks[k + 1].text == ",")) {
-      facts.atomic_names.insert(toks[k].text);
-    }
-  }
-
-  std::size_t stmt = 0;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind == Token::Kind::kPunct && t.text == "#") {
-      const int line = t.line;
-      while (i + 1 < toks.size() && toks[i + 1].line == line) ++i;
-      stmt = i + 1;
-      continue;
-    }
-    if (t.kind != Token::Kind::kPunct) continue;
-    if (t.text == "{") {
-      bool is_init = false;
-      int depth = 0;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        const std::string& p = toks[j].text;
-        if (p == "(" || p == "[") ++depth;
-        if (p == ")" || p == "]") --depth;
-        if (p == "=" && depth == 0) is_init = true;
-      }
-      if (is_init) {
-        const std::size_t close = find_match(toks, i, "{", "}", toks.size());
-        if (close == kNpos) return;
-        i = close;
-        continue;
-      }
-      Scope kind = Scope::kBlock;
-      bool has_paren = false;
-      for (std::size_t j = stmt; j < i; ++j) {
-        if (toks[j].kind == Token::Kind::kPunct && toks[j].text == "(") {
-          has_paren = true;
-        }
-      }
-      std::size_t kw = kNpos;
-      for (std::size_t j = stmt; j < i && !has_paren; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent) continue;
-        const std::string& w = toks[j].text;
-        if (w == "namespace") {
-          kind = Scope::kNamespace;
-          break;
-        }
-        if (w == "class" || w == "struct" || w == "union") {
-          kind = Scope::kClass;
-          kw = j;
-          break;
-        }
-        if (w == "enum") {
-          kind = Scope::kEnum;
-          break;
-        }
-      }
-      if (kind == Scope::kClass && kw != kNpos) {
-        std::size_t n = kw + 1;
-        while (n < i && toks[n].kind != Token::Kind::kIdent) ++n;
-        if (n < i) {
-          ConcClass cls;
-          cls.name = toks[n].text;
-          cls.open = i;
-          cls.close = find_match(toks, i, "{", "}", toks.size());
-          if (cls.close != kNpos) {
-            collect_class_members(toks, cls);
-            facts.classes.push_back(std::move(cls));
-          }
-        }
-      }
-      stack.push_back(kind);
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == "}") {
-      if (!stack.empty()) stack.pop_back();
-      stmt = i + 1;
-      continue;
-    }
-    if (t.text == ";") {
-      if (at_namespace()) {
-        ConcClass probe;  // reuse the member classifier's buckets
-        classify_member_chunk(toks, stmt, i, probe);
-        for (const auto& n : probe.mutexes) facts.global_mutexes.insert(n);
-        for (const auto& n : probe.cvs) facts.global_cvs.insert(n);
-      }
-      stmt = i + 1;
+    if (toks[i].kind == Token::Kind::kIdent &&
+        kMutex.count(toks[i].text) != 0 &&
+        toks[i + 1].kind == Token::Kind::kIdent) {
+      out.insert(toks[i + 1].text);
     }
   }
 }
 
-// Mutex identity: "Cls#member" for class members (merged across files),
-// "::name" for namespace-scope mutexes, "vpath:func#name" for locals and
-// unresolved receivers (never shared across functions, so they cannot seed
-// false cross-function facts).
-std::string mutex_display(const std::string& key) {
-  const std::size_t hash = key.find('#');
-  if (key.rfind("::", 0) == 0) return key.substr(2);
-  if (hash == std::string::npos) return key;
-  const std::size_t colon = key.find(':');
-  if (colon != std::string::npos && colon < hash) {
-    return key.substr(hash + 1) + " (function-local)";
-  }
-  return key.substr(0, hash) + "::" + key.substr(hash + 1);
-}
-
-struct ConcAcq {
-  std::string key;
-  int line = 0;
-  std::set<std::string> held_before;  // lexically held at the acquire point
-};
-
-struct ConcSite {
-  std::string callee;
-  int argc = 0;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-struct ConcMemberCall {
-  std::string recv;
-  std::string method;
-  int argc = 0;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-struct ConcAccess {
-  std::string name;
-  int line = 0;
-  std::set<std::string> held;
-};
-
-/// Per-function concurrency facts plus the interprocedural fixpoint state.
-struct ConcFunc {
-  FuncDef* def = nullptr;
-  FileUnit* unit = nullptr;
-  std::string cls;  // owning class name, "" for free functions
-  std::vector<ConcAcq> acqs;
-  std::vector<ConcSite> sites;
-  std::vector<ConcMemberCall> member_calls;
-  std::vector<ConcAccess> accesses;       // candidate-variable touches
-  std::vector<ConcSite> blockers;         // blocking idents (callee = ident)
-  std::set<std::string> local_cvs;
-  // H(f): mutexes held at *every* call site (greatest fixpoint, intersection
-  // over callers of lexical-held-at-site union the caller's own H). h_top
-  // models the "no caller seen yet" top element.
-  bool h_top = true;
-  std::set<std::string> h;
-  // Lock-order closure: every mutex this function may acquire, directly or
-  // through calls, with a witness for chain rendering.
-  std::set<std::string> acquired;
-  struct AcqWit {
+/// One body's lock-relevant facts: blocking identifiers and free calls, each
+/// with the mutex held at that point ("" when none).
+struct LockWalk {
+  struct Site {
+    std::string name;  // blocking identifier or callee
+    int argc = 0;
     int line = 0;
-    const ConcFunc* via = nullptr;  // null = acquired directly at `line`
+    std::string held;
   };
-  std::map<std::string, AcqWit> acq_wit;
-  // Blocking closure: does this function (transitively) hit a blocking call?
-  bool blocks = false;
-  struct BlkWit {
-    std::string direct;             // blocking ident, when direct
-    int line = 0;
-    const ConcFunc* via = nullptr;
-  };
-  BlkWit blk_wit;
+  std::vector<Site> blockers;
+  std::vector<Site> calls;
 };
 
-const std::set<std::string>& conc_h(const ConcFunc& f) {
-  static const std::set<std::string> kEmpty;
-  return f.h_top ? kEmpty : f.h;
-}
-
-/// Walks one function body tracking lexical lock segments. A RAII guard
-/// holds from its declaration to the end of the enclosing block; explicit
-/// .unlock()/.lock() toggle it; toggles inside a *nested* block are undone
-/// when that block closes (the early-return unlock idiom), while toggles at
-/// the guard's own depth persist. Bare mutex .lock()/.unlock() calls create
-/// a pseudo-guard with the same rules.
-void walk_conc_body(const std::vector<Token>& toks, ConcFunc& cf,
-                    const std::map<std::string, ConcClass>& merged,
-                    const ConcFileFacts& facts,
-                    const std::set<std::string>& global_candidates) {
-  FuncDef& def = *cf.def;
-  const ConcClass* cls = nullptr;
-  const auto mc = merged.find(cf.cls);
-  if (mc != merged.end()) cls = &mc->second;
-  const std::string local_prefix = cf.unit->vpath.empty()
-                                       ? cf.unit->ctx.display_path
-                                       : cf.unit->vpath;
-
-  // Resolves the mutex named by chunk [b, e) to its identity key.
-  const auto mutex_key = [&](std::size_t b, std::size_t e) -> std::string {
-    std::string name;
-    std::string joined;
-    bool qualified = false;
-    for (std::size_t j = b; j < e; ++j) {
-      joined += toks[j].text;
-      if (toks[j].kind == Token::Kind::kIdent) name = toks[j].text;
-      if (toks[j].text == "." || toks[j].text == "->") qualified = true;
-    }
-    if (name.empty()) return {};
-    const bool this_qualified =
-        qualified && toks[b].kind == Token::Kind::kIdent &&
-        toks[b].text == "this";
-    if ((!qualified || this_qualified) && cls != nullptr &&
-        cls->mutexes.count(name) != 0 && def.locals.count(name) == 0) {
-      return cf.cls + "#" + name;
-    }
-    if (!qualified && facts.global_mutexes.count(name) != 0 &&
-        def.locals.count(name) == 0) {
-      return "::" + name;
-    }
-    return local_prefix + ":" + def.name + "#" + (qualified ? joined : name);
-  };
-
+LockWalk walk_locks(const std::vector<Token>& toks, const FuncDef& def,
+                    const std::set<std::string>& mutexes) {
   struct Guard {
-    std::vector<std::string> keys;
+    std::string mutex;  // display text of the guarded mutex
     bool active = false;
     int depth = 0;
   };
-  std::map<std::string, Guard> guards;
+  std::map<std::string, Guard> guards;  // guard (or bare mutex) name -> state
   std::vector<std::map<std::string, bool>> snaps;
   int depth = 0;
-  const auto held_now = [&] {
-    std::set<std::string> held;
-    for (const auto& [gname, g] : guards) {
-      (void)gname;
-      if (g.active) held.insert(g.keys.begin(), g.keys.end());
+  const auto held_now = [&]() -> std::string {
+    for (const auto& [name, g] : guards) {
+      if (g.active) return g.mutex;
     }
-    return held;
+    return {};
   };
-
+  LockWalk walk;
   const std::size_t end = std::min(def.body_close + 1, toks.size());
   for (std::size_t j = def.body_open; j < end; ++j) {
     const Token& t = toks[j];
@@ -3484,21 +1855,19 @@ void walk_conc_body(const std::vector<Token>& toks, ConcFunc& cf,
       if (t.text == "{") {
         ++depth;
         std::map<std::string, bool> snap;
-        for (const auto& [gname, g] : guards) snap[gname] = g.active;
+        for (const auto& [name, g] : guards) snap[name] = g.active;
         snaps.push_back(std::move(snap));
-      } else if (t.text == "}") {
-        if (!snaps.empty()) {
-          const auto snap = std::move(snaps.back());
-          snaps.pop_back();
-          for (auto it = guards.begin(); it != guards.end();) {
-            if (it->second.depth >= depth) {
-              it = guards.erase(it);
-            } else {
-              const auto f = snap.find(it->first);
-              if (f != snap.end()) it->second.active = f->second;
-              ++it;
-            }
+      } else if (t.text == "}" && !snaps.empty()) {
+        const auto snap = std::move(snaps.back());
+        snaps.pop_back();
+        for (auto it = guards.begin(); it != guards.end();) {
+          if (it->second.depth >= depth) {
+            it = guards.erase(it);
+            continue;
           }
+          const auto was = snap.find(it->first);
+          if (was != snap.end()) it->second.active = was->second;
+          ++it;
         }
         --depth;
       }
@@ -3518,844 +1887,164 @@ void walk_conc_body(const std::vector<Token>& toks, ConcFunc& cf,
           (toks[p + 1].text != "(" && toks[p + 1].text != "{")) {
         continue;
       }
-      const std::string open = toks[p + 1].text;
-      const std::string close_tok = open == "(" ? ")" : "}";
-      const std::size_t close = find_match(toks, p + 1, open, close_tok, end);
+      const bool paren = toks[p + 1].text == "(";
+      const std::size_t close =
+          find_match(toks, p + 1, paren ? "(" : "{", paren ? ")" : "}", end);
       if (close == kNpos) continue;
       Guard g;
       g.depth = depth;
-      bool defer = false;
+      bool deferred = false;
       for (const auto& [cb, ce] : split_args(toks, p + 2, close)) {
-        std::string last;
-        for (std::size_t k = cb; k < ce; ++k) {
-          if (toks[k].kind == Token::Kind::kIdent) last = toks[k].text;
-        }
+        if (cb >= ce) continue;
+        std::string text;
+        for (std::size_t k = cb; k < ce; ++k) text += toks[k].text;
+        const std::string& last = toks[ce - 1].text;
         if (last == "defer_lock" || last == "adopt_lock" ||
             last == "try_to_lock") {
-          if (last == "defer_lock") defer = true;
-          continue;
-        }
-        const std::string key = mutex_key(cb, ce);
-        if (!key.empty()) g.keys.push_back(key);
-      }
-      g.active = !defer && !g.keys.empty();
-      if (g.active) {
-        const auto before = held_now();
-        for (const auto& key : g.keys) {
-          cf.acqs.push_back({key, toks[p].line, before});
+          deferred = deferred || last == "defer_lock";
+        } else if (g.mutex.empty()) {
+          g.mutex = text;
         }
       }
+      g.active = !deferred && !g.mutex.empty();
       guards[toks[p].text] = std::move(g);
       j = close;
       continue;
     }
 
-    // Member call `recv.method(...)` — guard toggles, bare mutex locks,
-    // cv waits, atomic methods.
+    // `recv.lock()` / `recv.unlock()` on a guard or a declared mutex.
     if (j + 3 < end && (toks[j + 1].text == "." || toks[j + 1].text == "->") &&
-        toks[j + 2].kind == Token::Kind::kIdent && toks[j + 3].text == "(") {
-      const std::string& recv = t.text;
+        toks[j + 3].text == "(") {
       const std::string& method = toks[j + 2].text;
-      const std::size_t close = find_match(toks, j + 3, "(", ")", end);
-      int argc = 0;
-      if (close != kNpos && close > j + 4) {
-        argc = static_cast<int>(split_args(toks, j + 4, close).size());
+      const bool locks = method == "lock" || method == "try_lock" ||
+                         method == "lock_shared";
+      const bool unlocks = method == "unlock" || method == "unlock_shared";
+      const auto gi = guards.find(t.text);
+      if ((locks || unlocks) && gi != guards.end()) {
+        gi->second.active = locks;
+      } else if ((locks || unlocks) && mutexes.count(t.text) != 0) {
+        Guard& g = guards["\x01" + t.text];
+        if (locks && !g.active) g.depth = depth;
+        g.mutex = t.text;
+        g.active = locks;
       }
-      const auto gi = guards.find(recv);
-      if (gi != guards.end() &&
-          (method == "lock" || method == "unlock" || method == "try_lock")) {
-        if (method == "unlock") {
-          gi->second.active = false;
-        } else if (!gi->second.active) {
-          const auto before = held_now();
-          gi->second.active = true;
-          for (const auto& key : gi->second.keys) {
-            cf.acqs.push_back({key, t.line, before});
-          }
-        }
-      } else if (method == "lock" || method == "try_lock" ||
-                 method == "lock_shared" || method == "unlock" ||
-                 method == "unlock_shared") {
-        // Bare mutex lock: pseudo-guard keyed off the receiver name.
-        const bool is_mutex_recv =
-            (cls != nullptr && cls->mutexes.count(recv) != 0) ||
-            facts.global_mutexes.count(recv) != 0;
-        if (is_mutex_recv) {
-          const std::string pseudo = "\x01" + recv;
-          if (method == "unlock" || method == "unlock_shared") {
-            const auto pg = guards.find(pseudo);
-            if (pg != guards.end()) pg->second.active = false;
-          } else {
-            auto& g = guards[pseudo];
-            if (!g.active) {
-              const auto before = held_now();
-              g.keys = {mutex_key(j, j + 1)};
-              g.active = true;
-              g.depth = depth;
-              cf.acqs.push_back({g.keys.front(), t.line, before});
-            }
-          }
-        }
-      }
-      cf.member_calls.push_back({recv, method, argc, t.line, held_now()});
       continue;
     }
 
-    // Local condition_variable declarations (for the cv-wait rule).
-    if ((t.text == "condition_variable" ||
-         t.text == "condition_variable_any") &&
-        j + 1 < end && toks[j + 1].kind == Token::Kind::kIdent) {
-      cf.local_cvs.insert(toks[j + 1].text);
-      continue;
-    }
-
-    // Blocking identifiers (the engine-blocking-call set).
     if (blocking_idents().count(t.text) != 0) {
-      cf.blockers.push_back({t.text, 0, t.line, held_now()});
+      walk.blockers.push_back({t.text, 0, t.line, held_now()});
     }
-
-    // Free call sites: `callee(...)` with no `.`/`->` receiver.
-    if (j > 0 && next_is(toks, j, "(") &&
+    // Free call `callee(...)`: no `.`/`->` receiver.
+    if (next_is(toks, j, "(") && j != def.name_tok &&
         toks[j - 1].text != "." && toks[j - 1].text != "->" &&
-        non_type_keywords().count(t.text) == 0 &&
-        guard_type_names().count(t.text) == 0 && j != def.name_tok) {
+        non_type_keywords().count(t.text) == 0) {
       const std::size_t close = find_match(toks, j + 1, "(", ")", end);
       if (close != kNpos) {
-        int argc = 0;
-        if (close > j + 2) {
-          argc = static_cast<int>(split_args(toks, j + 2, close).size());
-        }
-        cf.sites.push_back({t.text, argc, t.line, held_now()});
-      }
-    }
-
-    // Candidate-variable accesses (bare identifier, not shadowed locally).
-    const bool bare =
-        j == 0 || (toks[j - 1].text != "." && toks[j - 1].text != "->");
-    if (bare && def.locals.count(t.text) == 0) {
-      const bool member_cand = cls != nullptr &&
-                               cls->members.count(t.text) != 0 &&
-                               facts.atomic_names.count(t.text) == 0;
-      // A member name shadows a same-name global inside methods: the access
-      // is attributed to the member (or to nothing, for atomic members).
-      const bool shadowed_by_member =
-          cls != nullptr && (cls->members.count(t.text) != 0 ||
-                             cls->atomics.count(t.text) != 0 ||
-                             cls->mutexes.count(t.text) != 0);
-      const bool global_cand = !member_cand && !shadowed_by_member &&
-                               global_candidates.count(t.text) != 0;
-      if (member_cand || global_cand) {
-        cf.accesses.push_back({t.text, t.line, held_now()});
+        const int argc =
+            close > j + 2
+                ? static_cast<int>(split_args(toks, j + 2, close).size())
+                : 0;
+        walk.calls.push_back({t.text, argc, t.line, held_now()});
       }
     }
   }
+  return walk;
 }
 
-/// Renders `f (file:line) -> g (file:line) -> acquires 'K' at file:line`
-/// through the acquired-set witness links.
-std::string acquire_chain(const ConcFunc* cf, const std::string& key) {
-  std::string chain;
-  std::set<const ConcFunc*> seen;
-  while (cf != nullptr && seen.insert(cf).second) {
-    const auto it = cf->acq_wit.find(key);
-    if (it == cf->acq_wit.end()) break;
-    if (!chain.empty()) chain += " -> ";
-    chain += cf->def->name + " (" + cf->def->file + ":" +
-             std::to_string(cf->def->line) + ")";
-    if (it->second.via == nullptr) {
-      chain += " -> acquires '" + mutex_display(key) + "' at " +
-               cf->def->file + ":" + std::to_string(it->second.line);
-      return chain;
-    }
-    cf = it->second.via;
+void check_lock_held_blocking(std::vector<FileUnit>& units,
+                              const FuncIndex& index) {
+  std::set<std::string> mutexes;
+  for (const auto& unit : units) {
+    collect_mutex_names(unit.lexed.tokens, mutexes);
   }
-  return chain;
-}
-
-/// The tentpole driver: builds per-function concurrency facts over the
-/// already-collected FuncDef database, runs the H(f) and lock-order
-/// fixpoints, and appends findings for the five concurrency rules plus
-/// checkpoint-restore-symmetry. Mutex-confined globals are erased from
-/// mutable_globals (and flagged confined on their GlobalDecl) so both
-/// check_global_state and the effect engine treat the proof as equivalent
-/// to an audit.
-void run_concurrency_checks(std::vector<FileUnit>& units,
-                            const FuncIndex& findex,
-                            std::set<std::string>& mutable_globals) {
-  // --- Per-file declaration facts, merged class map. ---
-  std::vector<ConcFileFacts> facts(units.size());
-  std::map<std::string, ConcClass> merged;
-  ConcFileFacts all;  // union of global mutex/cv/atomic names
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    if (units[u].io_error) continue;
-    scan_concurrency_decls(units[u].lexed.tokens, facts[u]);
-    for (const auto& cls : facts[u].classes) {
-      ConcClass& m = merged[cls.name];
-      m.name = cls.name;
-      m.mutexes.insert(cls.mutexes.begin(), cls.mutexes.end());
-      m.cvs.insert(cls.cvs.begin(), cls.cvs.end());
-      m.atomics.insert(cls.atomics.begin(), cls.atomics.end());
-      m.members.insert(cls.members.begin(), cls.members.end());
-    }
-    all.global_mutexes.insert(facts[u].global_mutexes.begin(),
-                              facts[u].global_mutexes.end());
-    all.global_cvs.insert(facts[u].global_cvs.begin(),
-                          facts[u].global_cvs.end());
-    all.atomic_names.insert(facts[u].atomic_names.begin(),
-                            facts[u].atomic_names.end());
-  }
-  // Atomic members never participate in inference, member or global side.
-  for (const auto& [name, cls] : merged) {
-    (void)name;
-    all.atomic_names.insert(cls.atomics.begin(), cls.atomics.end());
-  }
-
-  std::set<std::string> global_candidates;
-  for (const auto& n : mutable_globals) {
-    if (all.atomic_names.count(n) == 0 && all.global_mutexes.count(n) == 0 &&
-        all.global_cvs.count(n) == 0) {
-      global_candidates.insert(n);
+  struct Node {
+    FileUnit* unit;
+    const FuncDef* def;
+    LockWalk walk;
+    // Blocking witness: the direct identifier, or the callee that blocks.
+    bool blocks = false;
+    std::string direct = {};
+    int line = 0;
+    const Node* via = nullptr;
+  };
+  std::vector<Node> nodes;
+  std::map<const FuncDef*, Node*> by_def;
+  for (auto& unit : units) {
+    for (const auto& def : unit.funcs) {
+      nodes.push_back({&unit, &def,
+                       walk_locks(unit.lexed.tokens, def, mutexes)});
     }
   }
-
-  // --- Function attribution + body walks. ---
-  std::size_t total = 0;
-  for (const auto& unit : units) total += unit.funcs.size();
-  std::vector<ConcFunc> funcs;
-  funcs.reserve(total);
-  std::map<const FuncDef*, ConcFunc*> by_def;
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    FileUnit& unit = units[u];
-    for (auto& def : unit.funcs) {
-      ConcFunc cf;
-      cf.def = &def;
-      cf.unit = &unit;
-      // Innermost enclosing class range wins; out-of-line `Cls::method`
-      // definitions fall back to the name-token lookback.
-      std::size_t best_span = kNpos;
-      for (const auto& cls : facts[u].classes) {
-        if (cls.open < def.body_open && def.body_close < cls.close &&
-            cls.close - cls.open < best_span) {
-          best_span = cls.close - cls.open;
-          cf.cls = cls.name;
-        }
-      }
-      if (cf.cls.empty() && def.name_tok >= 2) {
-        const auto& toks = unit.lexed.tokens;
-        if (toks[def.name_tok - 1].text == "::" &&
-            merged.count(toks[def.name_tok - 2].text) != 0) {
-          cf.cls = toks[def.name_tok - 2].text;
-        }
-      }
-      funcs.push_back(std::move(cf));
+  for (auto& node : nodes) {
+    by_def[node.def] = &node;
+    if (!node.walk.blockers.empty()) {
+      node.blocks = true;
+      node.direct = node.walk.blockers.front().name;
+      node.line = node.walk.blockers.front().line;
     }
   }
-  for (std::size_t u = 0, fi = 0; u < units.size(); ++u) {
-    for (std::size_t d = 0; d < units[u].funcs.size(); ++d, ++fi) {
-      ConcFunc& cf = funcs[fi];
-      walk_conc_body(units[u].lexed.tokens, cf, merged, all,
-                     global_candidates);
-      by_def[cf.def] = &cf;
-      for (const auto& acq : cf.acqs) {
-        cf.acquired.insert(acq.key);
-        if (cf.acq_wit.count(acq.key) == 0) {
-          cf.acq_wit[acq.key] = {acq.line, nullptr};
-        }
-      }
-      for (const auto& b : cf.blockers) {
-        if (!cf.blocks) {
-          cf.blocks = true;
-          cf.blk_wit = {b.callee, b.line, nullptr};
-        }
-      }
-    }
-  }
-
-  // Call-site resolution, shared by every fixpoint below.
-  const auto resolve_conc = [&](const ConcSite& site) {
-    std::vector<ConcFunc*> out;
-    for (FuncDef* d : resolve_callee(findex, site.callee, site.argc)) {
+  const auto callees = [&](const LockWalk::Site& site) {
+    std::vector<Node*> out;
+    for (const FuncDef* d : resolve_callee(index, site.name, site.argc)) {
       const auto it = by_def.find(d);
       if (it != by_def.end()) out.push_back(it->second);
     }
     return out;
   };
-
-  // Reverse call edges (for guarded-by witness chains) and in-degree.
-  std::map<const ConcFunc*, std::vector<std::pair<ConcFunc*, const ConcSite*>>>
-      rev;
-  for (ConcFunc& cf : funcs) {
-    for (const ConcSite& site : cf.sites) {
-      for (ConcFunc* callee : resolve_conc(site)) {
-        rev[callee].push_back({&cf, &site});
-      }
-    }
-  }
-
-  // --- H(f): greatest fixpoint. Roots (no callers) hold nothing. ---
-  for (ConcFunc& cf : funcs) {
-    if (rev.count(&cf) == 0) cf.h_top = false;  // h stays empty
-  }
-  for (int round = 0; round < 2; ++round) {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ConcFunc& cf : funcs) {
-        if (cf.h_top) continue;  // no contribution until constrained
-        for (const ConcSite& site : cf.sites) {
-          for (ConcFunc* callee : resolve_conc(site)) {
-            std::set<std::string> contrib = site.held;
-            contrib.insert(cf.h.begin(), cf.h.end());
-            if (callee->h_top) {
-              callee->h_top = false;
-              callee->h = std::move(contrib);
-              changed = true;
-            } else {
-              std::set<std::string> inter;
-              std::set_intersection(callee->h.begin(), callee->h.end(),
-                                    contrib.begin(), contrib.end(),
-                                    std::inserter(inter, inter.begin()));
-              if (inter != callee->h) {
-                callee->h = std::move(inter);
-                changed = true;
-              }
-            }
-          }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (auto& node : nodes) {
+      if (node.blocks) continue;
+      for (const auto& site : node.walk.calls) {
+        for (const Node* callee : callees(site)) {
+          if (!callee->blocks) continue;
+          node.blocks = true;
+          node.line = site.line;
+          node.via = callee;
+          changed = true;
+          break;
         }
-      }
-    }
-    // Call cycles with no outside caller never left top; ground them and
-    // propagate once more.
-    bool any_top = false;
-    for (ConcFunc& cf : funcs) {
-      if (cf.h_top) {
-        cf.h_top = false;
-        any_top = true;
-      }
-    }
-    if (!any_top) break;
-  }
-
-  // --- Acquired-set and blocking closures (forward fixpoints). ---
-  {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (ConcFunc& cf : funcs) {
-        for (const ConcSite& site : cf.sites) {
-          for (ConcFunc* callee : resolve_conc(site)) {
-            for (const auto& key : callee->acquired) {
-              if (cf.acquired.insert(key).second) {
-                cf.acq_wit[key] = {site.line, callee};
-                changed = true;
-              }
-            }
-            if (callee->blocks && !cf.blocks) {
-              cf.blocks = true;
-              cf.blk_wit = {"", site.line, callee};
-              changed = true;
-            }
-          }
-        }
+        if (node.blocks) break;
       }
     }
   }
 
-  // --- Rule (a): guarded-by inference. ---
-  struct AccRec {
-    const ConcFunc* cf;
-    int line;
-    std::set<std::string> held_full;
-  };
-  std::map<std::string, std::vector<AccRec>> tally;  // candidate id -> recs
-  const auto member_id = [](const std::string& cls, const std::string& n) {
-    return cls + "#" + n;
-  };
-  for (const ConcFunc& cf : funcs) {
-    const auto mc = merged.find(cf.cls);
-    const ConcClass* cls = mc == merged.end() ? nullptr : &mc->second;
-    for (const ConcAccess& acc : cf.accesses) {
-      std::string id;
-      if (cls != nullptr && cls->members.count(acc.name) != 0) {
-        id = member_id(cf.cls, acc.name);
-      } else if (global_candidates.count(acc.name) != 0) {
-        id = "::" + acc.name;
-      } else {
-        continue;
-      }
-      AccRec rec{&cf, acc.line, acc.held};
-      const auto& h = conc_h(cf);
-      rec.held_full.insert(h.begin(), h.end());
-      tally[id].push_back(std::move(rec));
-    }
-  }
-  for (const auto& [id, recs] : tally) {
-    std::map<std::string, std::size_t> cover;
-    for (const auto& rec : recs) {
-      for (const auto& m : rec.held_full) ++cover[m];
-    }
-    std::string best;
-    std::size_t best_count = 0;
-    for (const auto& [m, c] : cover) {
-      if (c > best_count) {
-        best = m;
-        best_count = c;
-      }
-    }
-    if (best_count == 0) continue;
-    const std::string var_display = mutex_display(id);
-    if (best_count == recs.size()) {
-      // Confined: every access holds `best`. Globals graduate out of the
-      // mutable-state inventory — the machine-checked equivalent of the
-      // old hand-written allow() audits.
-      if (id.rfind("::", 0) == 0) {
-        const std::string name = id.substr(2);
-        mutable_globals.erase(name);
-        for (auto& unit : units) {
-          for (auto& g : unit.globals) {
-            if (g.name == name) g.confined = true;
-          }
-        }
-      }
-      continue;
-    }
-    if (best_count < 2 || 2 * best_count <= recs.size()) continue;
-    for (const auto& rec : recs) {
-      if (rec.held_full.count(best) != 0) continue;
-      // Witness: walk caller edges that lose the guard, up to a short cap.
-      std::string chain = rec.cf->def->name + " (" + rec.cf->def->file + ":" +
-                          std::to_string(rec.cf->def->line) + ")";
-      const ConcFunc* cur = rec.cf;
-      std::set<const ConcFunc*> seen{cur};
-      for (int hop = 0; hop < 8; ++hop) {
-        const auto edges = rev.find(cur);
-        if (edges == rev.end()) break;
-        const ConcFunc* next = nullptr;
-        const ConcSite* via = nullptr;
-        for (const auto& [caller, site] : edges->second) {
-          if (seen.count(caller) != 0) continue;
-          std::set<std::string> held = site->held;
-          const auto& h = conc_h(*caller);
-          held.insert(h.begin(), h.end());
-          if (held.count(best) == 0) {
-            next = caller;
-            via = site;
-            break;
-          }
-        }
-        if (next == nullptr) break;
-        seen.insert(next);
-        chain = next->def->name + " (" + next->def->file + ":" +
-                std::to_string(via->line) + ") -> " + chain;
-        cur = next;
-      }
-      rec.cf->unit->raw.push_back(
-          {rec.cf->unit->ctx.display_path, rec.line, "guarded-by-violation",
-           "'" + var_display + "' is guarded by '" + mutex_display(best) +
-               "' (" + std::to_string(best_count) + " of " +
-               std::to_string(recs.size()) +
-               " accesses hold it) but this access runs without the lock; "
-               "unguarded path: " + chain,
-           "take '" + mutex_display(best) +
-               "' around this access, or justify via allow if a "
-               "happens-before edge orders it"});
-    }
-  }
-
-  // --- Rule (b): lock-order cycles. ---
-  struct EdgeWit {
-    const ConcFunc* f;
-    int line;
-    bool via_call;  // acquisition reached through a call site
-  };
-  std::map<std::string, std::map<std::string, EdgeWit>> graph;
-  const auto add_edge = [&](const std::string& h, const std::string& k,
-                            const ConcFunc* f, int line, bool via_call) {
-    if (h == k) return;
-    auto& slot = graph[h];
-    if (slot.count(k) == 0) slot[k] = {f, line, via_call};
-  };
-  for (const ConcFunc& cf : funcs) {
-    const auto& h_set = conc_h(cf);
-    for (const ConcAcq& acq : cf.acqs) {
-      for (const auto& h : acq.held_before) {
-        add_edge(h, acq.key, &cf, acq.line, false);
-      }
-      for (const auto& h : h_set) add_edge(h, acq.key, &cf, acq.line, false);
-    }
-    for (const ConcSite& site : cf.sites) {
-      std::set<std::string> held = site.held;
-      held.insert(h_set.begin(), h_set.end());
-      if (held.empty()) continue;
-      for (ConcFunc* callee : resolve_conc(site)) {
-        for (const auto& k : callee->acquired) {
-          for (const auto& h : held) add_edge(h, k, &cf, site.line, true);
-        }
-      }
-    }
-  }
-  {
-    std::set<std::set<std::string>> reported;
-    std::map<std::string, int> color;
-    std::vector<std::string> stack;
-    const std::function<void(const std::string&)> dfs =
-        [&](const std::string& node) {
-          color[node] = 1;
-          stack.push_back(node);
-          const auto edges = graph.find(node);
-          if (edges != graph.end()) {
-            for (const auto& [to, wit] : edges->second) {
-              (void)wit;
-              if (color[to] == 1) {
-                const auto at = std::find(stack.begin(), stack.end(), to);
-                std::vector<std::string> cycle(at, stack.end());
-                std::set<std::string> sig(cycle.begin(), cycle.end());
-                if (!reported.insert(sig).second) continue;
-                // Canonical rotation: start at the smallest key.
-                const auto mn =
-                    std::min_element(cycle.begin(), cycle.end());
-                std::rotate(cycle.begin(), mn, cycle.end());
-                std::string names;
-                std::string edges_text;
-                for (std::size_t i = 0; i < cycle.size(); ++i) {
-                  const std::string& a = cycle[i];
-                  const std::string& b = cycle[(i + 1) % cycle.size()];
-                  names += mutex_display(a) + " -> ";
-                  const EdgeWit& ew = graph[a][b];
-                  edges_text += "; '" + mutex_display(b) +
-                                "' acquired while holding '" +
-                                mutex_display(a) + "': ";
-                  if (ew.via_call) {
-                    std::string via_chain = acquire_chain(ew.f, b);
-                    edges_text += via_chain.empty()
-                                      ? ew.f->def->name + " (" +
-                                            ew.f->def->file + ":" +
-                                            std::to_string(ew.line) + ")"
-                                      : via_chain;
-                  } else {
-                    edges_text += ew.f->def->name + " (" + ew.f->def->file +
-                                  ":" + std::to_string(ew.line) + ")";
-                  }
-                }
-                names += mutex_display(cycle.front());
-                const EdgeWit& first = graph[cycle.front()][
-                    cycle.size() > 1 ? cycle[1] : cycle.front()];
-                first.f->unit->raw.push_back(
-                    {first.f->unit->ctx.display_path, first.line,
-                     "lock-order-cycle",
-                     "lock-order cycle: " + names + edges_text,
-                     "pick one global acquisition order; release '" +
-                         mutex_display(cycle.front()) +
-                         "' before taking the next lock on the inverted "
-                         "path"});
-              } else if (color[to] == 0) {
-                dfs(to);
-              }
-            }
-          }
-          stack.pop_back();
-          color[node] = 2;
-        };
-    std::vector<std::string> nodes;
-    for (const auto& [n, e] : graph) {
-      (void)e;
-      nodes.push_back(n);
-    }
-    for (const auto& n : nodes) {
-      if (color[n] == 0) dfs(n);
-    }
-  }
-
-  // --- Rule (b'): cv wait without predicate; (b''): lock-held blocking. ---
-  for (const ConcFunc& cf : funcs) {
-    const auto mc = merged.find(cf.cls);
-    const ConcClass* cls = mc == merged.end() ? nullptr : &mc->second;
-    for (const ConcMemberCall& call : cf.member_calls) {
-      if (call.method != "wait" || call.argc != 1) continue;
-      const bool is_cv = (cls != nullptr && cls->cvs.count(call.recv) != 0) ||
-                         all.global_cvs.count(call.recv) != 0 ||
-                         cf.local_cvs.count(call.recv) != 0;
-      if (!is_cv) continue;
-      cf.unit->raw.push_back(
-          {cf.unit->ctx.display_path, call.line, "cv-wait-no-predicate",
-           "'" + call.recv + ".wait(lock)' has no predicate; spurious "
-           "wakeups and missed notifies make bare waits hang or spin",
-           "re-check the wakeup condition under the lock: " + call.recv +
-               ".wait(lock, [&]{ return <condition>; })"});
-    }
-    for (const ConcSite& b : cf.blockers) {
+  for (auto& node : nodes) {
+    std::vector<Finding>& out = node.unit->raw;
+    const std::string& file = node.unit->ctx.display_path;
+    for (const auto& b : node.walk.blockers) {
       if (b.held.empty()) continue;
-      cf.unit->raw.push_back(
-          {cf.unit->ctx.display_path, b.line, "lock-held-blocking-call",
-           "blocking call '" + b.callee + "' runs while '" +
-               mutex_display(*b.held.begin()) +
+      out.push_back(
+          {file, b.line, "lock-held-blocking-call",
+           "blocking call '" + b.name + "' runs while '" + b.held +
                "' is held; every thread contending the lock stalls for the "
                "full blocking duration",
            "copy what the call needs out under the lock, unlock, then "
            "block"});
     }
-    const auto& h_set = conc_h(cf);
-    for (const ConcSite& site : cf.sites) {
-      std::set<std::string> held = site.held;
-      held.insert(h_set.begin(), h_set.end());
-      if (held.empty()) continue;
-      for (ConcFunc* callee : resolve_conc(site)) {
-        if (!callee->blocks) continue;
-        // Chain to the direct blocking identifier.
-        std::string chain = cf.def->name + " (" + cf.def->file + ":" +
+    for (const auto& site : node.walk.calls) {
+      if (site.held.empty()) continue;
+      for (const Node* cur : callees(site)) {
+        if (!cur->blocks) continue;
+        std::string chain = node.def->name + " (" + file + ":" +
                             std::to_string(site.line) + ")";
-        const ConcFunc* cur = callee;
-        std::set<const ConcFunc*> seen;
-        while (cur != nullptr && seen.insert(cur).second) {
+        for (std::set<const Node*> seen; cur != nullptr &&
+                                         seen.insert(cur).second;
+             cur = cur->via) {
           chain += " -> " + cur->def->name + " (" + cur->def->file + ":" +
                    std::to_string(cur->def->line) + ")";
-          if (cur->blk_wit.via == nullptr) {
-            chain += " -> blocks on '" + cur->blk_wit.direct + "' at " +
-                     cur->def->file + ":" + std::to_string(cur->blk_wit.line);
-            break;
+          if (cur->via == nullptr) {
+            chain += " -> blocks on '" + cur->direct + "' at " +
+                     cur->def->file + ":" + std::to_string(cur->line);
           }
-          cur = cur->blk_wit.via;
         }
-        cf.unit->raw.push_back(
-            {cf.unit->ctx.display_path, site.line, "lock-held-blocking-call",
-             "call to '" + site.callee + "' blocks while '" +
-                 mutex_display(*held.begin()) + "' is held: " + chain,
+        out.push_back(
+            {file, site.line, "lock-held-blocking-call",
+             "call to '" + site.name + "' blocks while '" + site.held +
+                 "' is held: " + chain,
              "release the lock before the call, or hoist the blocking work "
              "out of the callee"});
         break;  // one finding per site
-      }
-    }
-  }
-
-  // --- Rule (c): async-signal-safety. ---
-  struct HandlerRoot {
-    std::string name;
-    std::string file;
-    int line = 0;
-  };
-  std::vector<HandlerRoot> roots;
-  for (auto& unit : units) {
-    const auto& toks = unit.lexed.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (toks[i].kind != Token::Kind::kIdent) continue;
-      if ((toks[i].text == "sa_handler" || toks[i].text == "sa_sigaction") &&
-          toks[i + 1].text == "=") {
-        std::string last;
-        for (std::size_t j = i + 2; j < toks.size() && toks[j].text != ";";
-             ++j) {
-          if (toks[j].kind == Token::Kind::kIdent) last = toks[j].text;
-        }
-        if (!last.empty() && last != "SIG_IGN" && last != "SIG_DFL" &&
-            last != "nullptr" && last != "NULL") {
-          roots.push_back({last, unit.ctx.display_path, toks[i].line});
-        }
-      }
-      if (toks[i].text == "signal" && toks[i + 1].text == "(") {
-        const std::size_t close =
-            find_match(toks, i + 1, "(", ")", toks.size());
-        if (close == kNpos || close <= i + 2) continue;
-        const auto args = split_args(toks, i + 2, close);
-        if (args.size() != 2) continue;
-        std::string last;
-        for (std::size_t j = args[1].first; j < args[1].second; ++j) {
-          if (toks[j].kind == Token::Kind::kIdent) last = toks[j].text;
-        }
-        if (!last.empty() && last != "SIG_IGN" && last != "SIG_DFL" &&
-            last != "nullptr" && last != "NULL") {
-          roots.push_back({last, unit.ctx.display_path, toks[i].line});
-        }
-      }
-    }
-  }
-  for (const HandlerRoot& root : roots) {
-    const auto slot = findex.find(root.name);
-    if (slot == findex.end()) continue;
-    // BFS from every definition matching the handler name; parents back the
-    // witness chain, one finding per offending line.
-    std::vector<ConcFunc*> queue;
-    std::map<const ConcFunc*, std::pair<const ConcFunc*, int>> parent;
-    for (const auto& [arity, defs] : slot->second) {
-      (void)arity;
-      for (FuncDef* d : defs) {
-        const auto it = by_def.find(d);
-        if (it != by_def.end() && parent.count(it->second) == 0) {
-          parent[it->second] = {nullptr, 0};
-          queue.push_back(it->second);
-        }
-      }
-    }
-    const auto chain_to = [&](const ConcFunc* cf) {
-      std::vector<std::string> hops;
-      const ConcFunc* cur = cf;
-      while (cur != nullptr) {
-        hops.push_back(cur->def->name + " (" + cur->def->file + ":" +
-                       std::to_string(cur->def->line) + ")");
-        cur = parent.at(cur).first;
-      }
-      std::string out = "handler '" + root.name + "' (installed at " +
-                        root.file + ":" + std::to_string(root.line) + ")";
-      for (auto it = hops.rbegin(); it != hops.rend(); ++it) {
-        out += " -> " + *it;
-      }
-      return out;
-    };
-    std::set<std::pair<std::string, int>> flagged;
-    const auto flag = [&](const ConcFunc* cf, int line,
-                          const std::string& what) {
-      if (!flagged.insert({cf->unit->ctx.display_path, line}).second) return;
-      cf->unit->raw.push_back(
-          {cf->unit->ctx.display_path, line, "signal-unsafe-call",
-           what + " inside the signal-handler call tree: " + chain_to(cf) +
-               " — only async-signal-safe calls (write, _exit, lock-free "
-               "atomics, ...) are legal when the signal lands mid-operation",
-           "restrict the handler tree to setting a lock-free atomic flag; "
-           "do the real work on a thread that polls it"});
-    };
-    for (std::size_t qi = 0; qi < queue.size(); ++qi) {
-      ConcFunc* cf = queue[qi];
-      const auto& toks = cf->unit->lexed.tokens;
-      for (std::size_t j = cf->def->body_open; j < cf->def->body_close; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent) continue;
-        const std::string& w = toks[j].text;
-        if (w == "new" || w == "malloc" || w == "calloc" || w == "realloc" ||
-            w == "free" || w == "throw") {
-          flag(cf, toks[j].line, "'" + w + "'");
-        }
-      }
-      for (const ConcAcq& acq : cf->acqs) {
-        flag(cf, acq.line, "lock acquisition of '" +
-                               mutex_display(acq.key) + "'");
-      }
-      for (const ConcSite& b : cf->blockers) {
-        flag(cf, b.line, "blocking call '" + b.callee + "'");
-      }
-      for (const ConcSite& site : cf->sites) {
-        const auto callees = resolve_conc(site);
-        if (callees.empty()) {
-          if (signal_safe_calls().count(site.callee) == 0 &&
-              site.callee != "new" && site.callee != "free") {
-            flag(cf, site.line,
-                 "call to '" + site.callee +
-                     "', which is not on the async-signal-safe allowlist");
-          }
-          continue;
-        }
-        for (ConcFunc* callee : callees) {
-          if (parent.count(callee) == 0) {
-            parent[callee] = {cf, site.line};
-            queue.push_back(callee);
-          }
-        }
-      }
-      for (const ConcMemberCall& call : cf->member_calls) {
-        if (atomic_safe_methods().count(call.method) != 0) continue;
-        const auto defs = resolve_callee(findex, call.method, call.argc);
-        bool any = false;
-        for (FuncDef* d : defs) {
-          const auto it = by_def.find(d);
-          if (it == by_def.end()) continue;
-          any = true;
-          if (parent.count(it->second) == 0) {
-            parent[it->second] = {cf, call.line};
-            queue.push_back(it->second);
-          }
-        }
-        if (!any) {
-          flag(cf, call.line,
-               "call to method '" + call.method + "' on '" + call.recv +
-                   "', which is not a lock-free atomic operation");
-        }
-      }
-    }
-  }
-
-  // --- checkpoint-restore-symmetry. ---
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    const auto& toks = unit.lexed.tokens;
-    std::vector<FuncDef*> ckpts;
-    std::vector<FuncDef*> rsts;
-    for (auto& def : unit.funcs) {
-      if (def.name == "checkpoint_state" && def.arity == 0) {
-        ckpts.push_back(&def);
-      }
-      if (def.name == "restore_state" && def.arity == 1) {
-        rsts.push_back(&def);
-      }
-    }
-    const auto by_tok = [](const FuncDef* a, const FuncDef* b) {
-      return a->name_tok < b->name_tok;
-    };
-    std::sort(ckpts.begin(), ckpts.end(), by_tok);
-    std::sort(rsts.begin(), rsts.end(), by_tok);
-    const std::size_t pairs = std::min(ckpts.size(), rsts.size());
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const FuncDef& c = *ckpts[p];
-      const FuncDef& r = *rsts[p];
-      // Keys written: first string argument of every `.set("key", ...)`.
-      std::vector<std::pair<std::string, int>> ckpt_keys;
-      for (std::size_t j = c.body_open; j + 3 < c.body_close; ++j) {
-        if ((toks[j].text == "." || toks[j].text == "->") &&
-            toks[j + 1].text == "set" && toks[j + 2].text == "(" &&
-            toks[j + 3].kind == Token::Kind::kString) {
-          ckpt_keys.push_back({toks[j + 3].text, toks[j + 1].line});
-        }
-      }
-      // Keys read: first string argument inside find/state_field/state_count
-      // call parens (skipping non-string leading args like the state ref).
-      std::vector<std::pair<std::string, int>> rst_keys;
-      for (std::size_t j = r.body_open; j + 1 < r.body_close; ++j) {
-        if (toks[j].kind != Token::Kind::kIdent ||
-            (toks[j].text != "find" && toks[j].text != "state_field" &&
-             toks[j].text != "state_count") ||
-            toks[j + 1].text != "(") {
-          continue;
-        }
-        const std::size_t close =
-            find_match(toks, j + 1, "(", ")", r.body_close + 1);
-        if (close == kNpos) continue;
-        for (std::size_t k = j + 2; k < close; ++k) {
-          if (toks[k].kind == Token::Kind::kString) {
-            rst_keys.push_back({toks[k].text, toks[j].line});
-            break;
-          }
-        }
-      }
-      std::set<std::string> ckpt_strings;
-      for (std::size_t j = c.body_open; j < c.body_close; ++j) {
-        if (toks[j].kind == Token::Kind::kString) {
-          ckpt_strings.insert(toks[j].text);
-        }
-      }
-      std::set<std::string> rst_strings;
-      for (std::size_t j = r.body_open; j < r.body_close; ++j) {
-        if (toks[j].kind == Token::Kind::kString) {
-          rst_strings.insert(toks[j].text);
-        }
-      }
-      std::set<std::string> seen;
-      for (const auto& [key, line] : ckpt_keys) {
-        if (rst_strings.count(key) == 0 && seen.insert(key).second) {
-          unit.raw.push_back(
-              {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
-               "checkpoint_state serializes '" + key +
-                   "' but the paired restore_state (" + unit.ctx.display_path +
-                   ":" + std::to_string(r.line) +
-                   ") never reads it; resume silently drops the field",
-               "read '" + key + "' in restore_state (same string literal)"});
-        }
-      }
-      for (const auto& [key, line] : rst_keys) {
-        if (ckpt_strings.count(key) == 0 && seen.insert(key).second) {
-          unit.raw.push_back(
-              {unit.ctx.display_path, line, "checkpoint-restore-symmetry",
-               "restore_state reads '" + key +
-                   "' but the paired checkpoint_state (" +
-                   unit.ctx.display_path + ":" + std::to_string(c.line) +
-                   ") never writes it; the read sees a default, not state",
-               "write '" + key + "' in checkpoint_state (same string "
-               "literal)"});
-        }
       }
     }
   }
@@ -4465,59 +2154,11 @@ void check_cycles(std::vector<FileUnit>& units) {
 
 std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
   SignatureIndex index;
+  FuncIndex findex;
   for (auto& unit : units) {
     collect_signatures(unit.lexed.tokens, index, unit.decl_sites);
+    for (auto& def : unit.funcs) findex[def.name][def.arity].push_back(&def);
   }
-
-  // Effect phase 0: the tracked writes_global set. A declaration whose
-  // global-mutable-state finding carries a justified allow() is audited,
-  // sanctioned state and stays out of the set; below, the concurrency
-  // analysis additionally erases every global whose mutex confinement it
-  // can *prove* (e.g. the parallel.cpp pool singletons), so neither the
-  // inventory rule nor the effect engine sees machine-verified state.
-  std::set<std::string> mutable_globals;
-  for (auto& unit : units) {
-    for (auto& g : unit.globals) {
-      Finding probe;
-      probe.file = unit.ctx.display_path;
-      probe.line = g.line;
-      probe.rule = "global-mutable-state";
-      g.audited = suppressed(unit.allows, unit.token_lines, probe);
-      if (!g.audited) mutable_globals.insert(g.name);
-    }
-  }
-
-  // Phase A: the function database. Pointers into unit.funcs are stable
-  // from here on — nothing appends to the vectors after collection.
-  FuncIndex findex;
-  std::vector<FuncDef*> all_funcs;
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    collect_function_defs(unit.lexed.tokens, unit.ctx, unit.funcs);
-  }
-  for (auto& unit : units) {
-    for (auto& def : unit.funcs) {
-      findex[def.name][def.arity].push_back(&def);
-      all_funcs.push_back(&def);
-    }
-  }
-
-  // Phase B: concurrency analysis. Runs before the effect fixpoint because
-  // its guard inference shrinks mutable_globals (confined state must not
-  // poison writes_global chains).
-  run_concurrency_checks(units, findex, mutable_globals);
-
-  // Phase C: per-body direct effects, then the bottom-up call-graph
-  // fixpoint.
-  for (auto& unit : units) {
-    if (unit.io_error) continue;
-    const bool arena_owner = unit.vpath == "src/core/arena.h";
-    for (auto& def : unit.funcs) {
-      compute_direct_effects(unit.lexed.tokens, unit.ctx, arena_owner,
-                             mutable_globals, def);
-    }
-  }
-  propagate_effects(all_funcs, findex);
 
   for (auto& unit : units) {
     if (unit.io_error) continue;
@@ -4532,14 +2173,10 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
     check_unit_assign(toks, unit.ctx, unit.raw);
     check_unit_conversion_calls(toks, unit.ctx, unit.raw);
     check_unit_calls(toks, unit.ctx, index, unit.decl_sites, unit.raw);
-    check_parallel_rng(toks, unit.ctx, unit.rng_vars, unit.raw);
-    check_global_state(unit.ctx, unit.vpath, unit.globals, unit.raw);
-    check_parallel_effects(toks, unit.ctx, findex, mutable_globals,
-                           unit.raw);
-    check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs,
-                       mutable_globals, unit.raw);
+    check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs, unit.raw);
     check_layering(unit);
   }
+  check_lock_held_blocking(units, findex);
   check_cycles(units);
 
   std::vector<Finding> findings;
@@ -4550,7 +2187,6 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
         kept.push_back(std::move(f));
       }
     }
-    for (auto& f : kept) f.fingerprint = fingerprint_of(unit, f);
     std::sort(kept.begin(), kept.end(),
               [](const Finding& a, const Finding& b) {
                 return std::tie(a.line, a.rule) < std::tie(b.line, b.rule);
@@ -4586,8 +2222,6 @@ json::Value findings_json(const std::vector<Finding>& findings,
     list.push_back(std::move(entry));
   }
   doc.set("files_scanned", static_cast<std::int64_t>(files_scanned));
-  doc.set("files_lexed", static_cast<std::int64_t>(g_files_lexed));
-  doc.set("lex_cache_hits", static_cast<std::int64_t>(g_lex_cache_hits));
   doc.set("count", static_cast<std::int64_t>(findings.size()));
   doc.set("findings", std::move(list));
   return doc;
@@ -4610,7 +2244,6 @@ json::Value sarif_json(const std::vector<Finding>& findings) {
     entry.set("defaultConfiguration", std::move(config));
     json::Value props = json::Value::object();
     props.set("family", std::string(rule.family));
-    if (!rule.effects.empty()) props.set("effects", std::string(rule.effects));
     entry.set("properties", std::move(props));
     rules.push_back(std::move(entry));
   }
@@ -4645,11 +2278,6 @@ json::Value sarif_json(const std::vector<Finding>& findings) {
     json::Value locations = json::Value::array();
     locations.push_back(std::move(location));
     result.set("locations", std::move(locations));
-    if (!f.fingerprint.empty()) {
-      json::Value prints = json::Value::object();
-      prints.set("wild5gFingerprint/v1", f.fingerprint);
-      result.set("partialFingerprints", std::move(prints));
-    }
     results.push_back(std::move(result));
   }
 
@@ -4673,7 +2301,6 @@ json::Value rules_json() {
     entry.set("family", std::string(rule.family));
     entry.set("summary", std::string(rule.summary));
     if (!rule.fixit.empty()) entry.set("fixit", std::string(rule.fixit));
-    if (!rule.effects.empty()) entry.set("effects", std::string(rule.effects));
     list.push_back(std::move(entry));
   }
   json::Value doc = json::Value::object();
@@ -4705,50 +2332,20 @@ std::string rules_doc_markdown() {
         "```\n\n";
   os << "Machine-readable forms: `--list-rules --json` (this table as "
         "JSON),\n`--json` (findings), `--sarif <path>` (SARIF 2.1.0 for "
-        "GitHub code scanning).\nRatchet mode: `--baseline <sarif>` fails "
-        "only on findings whose fingerprint\n(rule | virtual path | "
-        "whitespace-stripped source line) is absent from the\ncommitted "
-        "baseline.\n";
+        "GitHub code scanning).\n\n";
+  os << "Invariants a runtime gate already checks (parallel Rng streams, "
+        "shared-state\nraces, lock order, condition-variable waits, "
+        "signal-handler safety,\ncheckpoint/restore symmetry) have no rule "
+        "here; DESIGN.md section 8 maps each\nto the test that enforces "
+        "it.\n";
   for (const auto& family : kFamilies) {
     os << "\n## " << family << "\n\n";
-    if (family == "effects") {
-      os << "These rules consume an interprocedural effect database: every "
-            "function\ndefinition gets a conservative signature over the "
-            "lattice `{writes_global,\nmutates_param, draws_rng, "
-            "draws_rng_param, allocates, schedules, unknown}`,\npropagated "
-            "bottom-up over the call graph to a fixpoint (call cycles "
-            "iterate\nuntil stable). Same-name same-arity definitions with "
-            "conflicting direct\neffects poison resolution with `unknown` "
-            "instead of guessing, so every\nsuppression stays auditable. "
-            "Findings print the offending call chain down\nto the concrete "
-            "write/draw as fix-it context.\n\n";
-    }
-    if (family == "concurrency") {
-      os << "These rules reuse the effect engine's function database for a "
-            "lock-aware\nanalysis (DESIGN.md section 8). Guarded-by facts are "
-            "*inferred*: a shared\nvariable whose accesses are dominated by "
-            "one mutex (lexical `lock_guard`/\n`unique_lock`/`scoped_lock` "
-            "segments, plus the held-at-every-call-site set\nH(f) computed "
-            "as a greatest fixpoint over the call graph) is treated as\n"
-            "guarded by it; a proven-confined global graduates out of the "
-            "`global-mutable-\nstate` inventory, while a majority-but-not-"
-            "total guard flags each unguarded\naccess with its witness call "
-            "path. The lock-order graph records every mutex\nacquired while "
-            "another is held, through calls, and reports cycles with "
-            "per-edge\ninterprocedural chains. Signal-handler roots "
-            "(`sigaction`/`std::signal`\ninstalls) bound a reachability "
-            "sweep checked against the POSIX async-signal-\nsafe allowlist "
-            "plus lock-free atomic methods.\n\n";
-    }
     os << "| rule | summary | fix-it |\n";
     os << "| --- | --- | --- |\n";
     for (const auto& rule : kRules) {
       if (rule.family != family) continue;
-      os << "| `" << rule.id << "` | " << rule.summary;
-      if (!rule.effects.empty()) {
-        os << " *(effect: `" << rule.effects << "`)*";
-      }
-      os << " | " << (rule.fixit.empty() ? std::string_view{"-"} : rule.fixit)
+      os << "| `" << rule.id << "` | " << rule.summary << " | "
+         << (rule.fixit.empty() ? std::string_view{"-"} : rule.fixit)
          << " |\n";
     }
   }
@@ -4756,41 +2353,10 @@ std::string rules_doc_markdown() {
 }
 
 int usage() {
-  std::cerr << "usage: wild5g_lint [--json] [--sarif <path>] "
-               "[--baseline <sarif>]\n"
-               "                   [--list-rules] [--rules-doc] "
-               "<file-or-dir>...\n";
+  std::cerr << "usage: wild5g_lint [--json] [--sarif <path>] [--list-rules] "
+               "[--rules-doc]\n"
+               "                   <file-or-dir>...\n";
   return 2;
-}
-
-/// Loads the fingerprint multiset from a committed baseline SARIF log (one
-/// produced by --sarif). Results without a wild5gFingerprint/v1 entry are
-/// ignored — they can never match, so they simply do not ratchet.
-bool load_baseline(const std::string& path,
-                   std::map<std::string, int>& fingerprints) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  json::Value doc;
-  try {
-    doc = json::parse(buffer.str());
-  } catch (const std::exception&) {
-    return false;
-  }
-  const json::Value* runs = doc.find("runs");
-  if (runs == nullptr || !runs->is_array()) return false;
-  for (const json::Value& run : runs->as_array()) {
-    const json::Value* results = run.find("results");
-    if (results == nullptr || !results->is_array()) continue;
-    for (const json::Value& result : results->as_array()) {
-      const json::Value* prints = result.find("partialFingerprints");
-      if (prints == nullptr) continue;
-      const json::Value* fp = prints->find("wild5gFingerprint/v1");
-      if (fp != nullptr && fp->is_string()) ++fingerprints[fp->as_string()];
-    }
-  }
-  return true;
 }
 
 }  // namespace
@@ -4800,7 +2366,6 @@ int main(int argc, char** argv) {
   bool list_rules = false;
   bool rules_doc = false;
   std::string sarif_path;
-  std::string baseline_path;
   std::vector<fs::path> roots;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -4816,12 +2381,6 @@ int main(int argc, char** argv) {
         return usage();
       }
       sarif_path = argv[++i];
-    } else if (arg == "--baseline") {
-      if (i + 1 >= argc) {
-        std::cerr << "wild5g_lint: --baseline requires a SARIF path\n";
-        return usage();
-      }
-      baseline_path = argv[++i];
     } else if (arg == "--help" || arg == "-h") {
       return usage();
     } else if (!arg.empty() && arg[0] == '-') {
@@ -4871,46 +2430,7 @@ int main(int argc, char** argv) {
   std::vector<FileUnit> units;
   units.reserve(files.size());
   for (const auto& file : files) units.push_back(load_file(file));
-  std::vector<Finding> findings = run_checks(units);
-
-  // Ratchet mode: drop findings already recorded in the committed baseline
-  // (multiset semantics — a third copy of a twice-baselined finding is still
-  // new). The SARIF log, when also requested, keeps the full pre-filter set
-  // so regenerating the baseline from it never loses entries.
-  if (!baseline_path.empty()) {
-    std::map<std::string, int> baseline;
-    if (!load_baseline(baseline_path, baseline)) {
-      std::cerr << "wild5g_lint: cannot read baseline SARIF: "
-                << baseline_path << "\n";
-      return 2;
-    }
-    if (!sarif_path.empty()) {
-      std::ofstream out(sarif_path, std::ios::binary);
-      if (!out.good()) {
-        std::cerr << "wild5g_lint: cannot write SARIF log: " << sarif_path
-                  << "\n";
-        return 2;
-      }
-      out << json::dump(sarif_json(findings)) << "\n";
-      sarif_path.clear();
-    }
-    std::size_t matched = 0;
-    std::vector<Finding> fresh;
-    for (auto& f : findings) {
-      const auto it = baseline.find(f.fingerprint);
-      if (it != baseline.end() && it->second > 0) {
-        --it->second;
-        ++matched;
-      } else {
-        fresh.push_back(std::move(f));
-      }
-    }
-    findings = std::move(fresh);
-    if (matched != 0) {
-      std::cerr << "wild5g_lint: " << matched
-                << " finding(s) matched the baseline and were suppressed\n";
-    }
-  }
+  const std::vector<Finding> findings = run_checks(units);
 
   if (!sarif_path.empty()) {
     std::ofstream out(sarif_path, std::ios::binary);
