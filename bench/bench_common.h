@@ -16,6 +16,7 @@
 // src/engine — the engine itself is deterministic compute only.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -24,10 +25,12 @@
 #include <cstdlib>
 #include <exception>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -109,7 +112,10 @@ inline void on_signal(int sig) {
 /// or deadline) they break out, and exit_code() flushes the partial
 /// document — annotated with a top-level `"interrupted": true` key on
 /// signal — then exits 128+signo (signal), 0 (deadline), or 1 (write
-/// failure). Test hooks: WILD5G_DEADLINE_AFTER_YIELDS=N trips the deadline
+/// failure). A sweep opens its table in the document
+/// (`emitter.doc().open_table(...)`) and adds each row as the row
+/// completes, so the partial document carries every row finished before
+/// the stop. Test hooks: WILD5G_DEADLINE_AFTER_YIELDS=N trips the deadline
 /// deterministically at the Nth yield (no clock involved), and
 /// WILD5G_TEST_YIELD_DELAY_MS=M dwells M ms per yield to widen the
 /// signal-delivery window the regression tests race against.
@@ -246,15 +252,45 @@ class MetricsEmitter {
     return injector_->plan();
   }
 
-  /// The metrics document this run accumulates into; engine-backed benches
-  /// hand it to their CampaignContext.
+  /// The metrics document this run accumulates into: sweeps open their
+  /// tables in it, and run_campaign() hands it to the CampaignContext.
   [[nodiscard]] engine::MetricsDocument& doc() { return *doc_; }
+
+  /// Builds the registered engine campaign `name` from the bench-specific
+  /// flags left in argv: each `--<param> N` (param one of `count_params`)
+  /// sets a positive integer param, and the `--faults` plan rides along. An
+  /// unknown flag, a bad count, or a request the factory rejects (a fault
+  /// plan with kinds the campaign does not model) is a usage error, exit 2.
+  [[nodiscard]] std::unique_ptr<engine::Campaign> make_campaign(
+      const std::string& name, int argc, char** argv,
+      std::initializer_list<std::string_view> count_params) const {
+    engine::CampaignRequest request;
+    request.campaign = name;
+    request.params = json::Value::object();
+    for (int i = 1; i < argc; ++i) {
+      const std::string flag = argv[i];
+      const std::string param = flag.rfind("--", 0) == 0 ? flag.substr(2) : "";
+      if (std::find(count_params.begin(), count_params.end(), param) ==
+          count_params.end()) {
+        usage_error("unknown flag '" + flag + "'");
+      }
+      if (i + 1 >= argc) usage_error(flag + " requires a count");
+      request.params.set(param, positive_count(flag, argv[++i]));
+    }
+    request.fault_plan = fault_plan();
+    engine::register_builtin_campaigns();
+    try {
+      return engine::make_campaign(request);
+    } catch (const Error& e) {
+      usage_error(e.what());
+    }
+  }
 
   /// Runs an engine campaign under this emitter's supervision (signals and
   /// deadline wired into the runner's yield points, tables printed to
   /// stdout as the batch benches always have) and returns the bench's exit
-  /// code. The engine-backed mains reduce to: build request, make_campaign,
-  /// `return emitter.run_campaign(*campaign);`.
+  /// code. The engine-backed mains reduce to `emitter.make_campaign(...)`
+  /// and `return emitter.run_campaign(*campaign);`.
   [[nodiscard]] int run_campaign(engine::Campaign& campaign) {
     engine::CampaignContext ctx{doc(), &std::cout};
     engine::RunControl control;
@@ -265,15 +301,6 @@ class MetricsEmitter {
     control.over_deadline = [this] { return deadline_hit_; };
     (void)engine::run_steps(campaign, ctx, control);
     return exit_code();
-  }
-
-  /// Public surface for bench-specific flag failures (an unparseable
-  /// `--ues`, a fault plan the campaign cannot honor): same clear-message +
-  /// exit-2 contract as the emitter's own flag parsing, so every usage
-  /// error looks identical to the caller regardless of which layer caught
-  /// it.
-  [[noreturn]] void fail_usage(const std::string& message) const {
-    usage_error(message);
   }
 
   /// Parses a strictly positive integer flag value (`--ues 100`); anything

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
   const auto ue = radio::pixel5();
   Rng rng(bench::kBenchSeed);
 
-  Table table("Single-connection goodput (Mbps), PX5 mmWave");
-  table.set_header({"region", "km", "UDP", "CUBIC tuned", "BBR",
-                    "BBR/CUBIC"});
+  Table& table = emitter.doc().open_table(
+      "Single-connection goodput (Mbps), PX5 mmWave",
+      {"region", "km", "UDP", "CUBIC tuned", "BBR", "BBR/CUBIC"});
   for (const auto& region : geo::azure_regions()) {
     if (!emitter.keep_going()) return emitter.exit_code();
     const double rtt =
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                    Table::num(cubic, 0), Table::num(bbr, 0),
                    Table::num(bbr / cubic, 2) + "x"});
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note(
       "BBR stays within a few percent of UDP at every distance, while CUBIC"

@@ -32,9 +32,9 @@ int main(int argc, char** argv) {
   // Horizontal handoffs are cheap (intra-tech signaling burst ~ 0.3 s).
   const double horizontal_j = 0.35 * 0.3;
 
-  Table table("Per-drive switch energy (mean of 4 drives)");
-  table.set_header({"setting", "vertical", "horizontal",
-                    "switch energy J", "J per km"});
+  Table& table = emitter.doc().open_table(
+      "Per-drive switch energy (mean of 4 drives)",
+      {"setting", "vertical", "horizontal", "switch energy J", "J per km"});
   for (const auto setting :
        {mobility::BandSetting::kSaOnly, mobility::BandSetting::kNsaPlusLte,
         mobility::BandSetting::kLteOnly, mobility::BandSetting::kSaPlusLte,
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
                    Table::num(horizontal, 1), Table::num(energy, 1),
                    Table::num(energy / 10.0, 2)});
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note(
       "NSA's vertical-handoff storm costs an order of magnitude more switch"

@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
   const auto corpus = web::generate_corpus(300, rng);
   const auto device = power::DevicePowerProfile::s10();
 
-  Table table("Corpus means (300 sites, 2 loads each)");
-  table.set_header({"radio", "protocol", "mean PLT s", "p90 PLT s",
-                    "mean energy J"});
+  Table& table = emitter.doc().open_table(
+      "Corpus means (300 sites, 2 loads each)",
+      {"radio", "protocol", "mean PLT s", "p90 PLT s", "mean energy J"});
   for (const bool is_5g : {true, false}) {
     if (!emitter.keep_going()) return emitter.exit_code();
     for (const bool multiplexed : {false, true}) {
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
                      Table::num(energy / (2.0 * corpus.size()), 2)});
     }
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note(
       "multiplexing compresses the 4G-vs-5G PLT gap on small pages and"

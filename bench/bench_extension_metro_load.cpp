@@ -4,8 +4,8 @@
 // when a corridor of cells serves a whole population — by sweeping the
 // configured background load and the number of sharers per cell.
 //
-// Engine-backed (src/engine/): the main assembles a CampaignRequest for the
-// registered "metro_load" campaign and runs it under the emitter's
+// Engine-backed (src/engine/): the emitter builds the registered
+// "metro_load" campaign from the flags below and runs it under its
 // supervision, so the sweep inherits SIGINT/SIGTERM partial flushes and
 // --deadline-ms for free. The emitted document is byte-identical to the
 // pre-engine monolithic main — the committed golden gates that.
@@ -14,44 +14,16 @@
 //   --cells N   corridor length in cells   (default 12)
 //   --ues N     UEs per cell               (default 100)
 #include <iostream>
-#include <string>
 
 #include "bench_common.h"
-#include "engine/campaign.h"
-#include "metro/metro.h"
 
 using namespace wild5g;
 
 int main(int argc, char** argv) {
   bench::MetricsEmitter emitter(argc, argv, "extension_metro_load");
 
-  engine::CampaignRequest request;
-  request.campaign = "metro_load";
-  request.params = json::Value::object();
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--cells") {
-      if (i + 1 >= argc) emitter.fail_usage("--cells requires a count");
-      request.params.set("cells",
-                         emitter.positive_count("--cells", argv[++i]));
-    } else if (arg == "--ues") {
-      if (i + 1 >= argc) emitter.fail_usage("--ues requires a count");
-      request.params.set("ues", emitter.positive_count("--ues", argv[++i]));
-    } else {
-      emitter.fail_usage("unknown flag '" + arg + "'");
-    }
-  }
-  if (emitter.faults() != nullptr) {
-    const auto bad = metro::unsupported_fault_kinds(emitter.faults()->plan());
-    if (!bad.empty()) {
-      emitter.fail_usage(
-          std::string("--faults: plan contains '") +
-          faults::to_string(bad.front()) +
-          "' windows, which the metro campaign does not model (radio kinds "
-          "only: mmwave_blockage, nr_to_lte_outage, radio_outage)");
-    }
-    request.fault_plan = emitter.fault_plan();
-  }
+  const auto campaign =
+      emitter.make_campaign("metro_load", argc, argv, {"cells", "ues"});
 
   bench::banner("Extension",
                 "Metro-scale shared-cell contention: per-user throughput vs"
@@ -62,8 +34,6 @@ int main(int argc, char** argv) {
       " every attached user, so per-user throughput is governed by cell"
       " load, not peak capacity.");
 
-  engine::register_builtin_campaigns();
-  const auto campaign = engine::make_campaign(request);
   const int code = emitter.run_campaign(*campaign);
 
   bench::measured_note(

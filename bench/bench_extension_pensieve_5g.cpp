@@ -38,8 +38,9 @@ int main(int argc, char** argv) {
   options.chunk_count = 60;
   const auto video = abr::video_ladder_5g();
 
-  Table table("Held-out mmWave evaluation (121 traces)");
-  table.set_header({"policy", "training data", "norm. bitrate", "stall %"});
+  Table& table = emitter.doc().open_table(
+      "Held-out mmWave evaluation (121 traces)",
+      {"policy", "training data", "norm. bitrate", "stall %"});
 
   abr::PensieveLikeAbr trained_4g;
   {
@@ -75,7 +76,7 @@ int main(int argc, char** argv) {
     if (row.algorithm == &trained_4g) stall_4g_trained = q.mean_stall_percent;
     if (row.algorithm == &trained_5g) stall_5g_trained = q.mean_stall_percent;
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note(
       "retraining on 5G traces cuts the learned policy's stall rate by " +

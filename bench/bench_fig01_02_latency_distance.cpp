@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
                   radio::DeploymentMode::kNsa}},
   };
 
-  Table table("Fig. 2 [Verizon] RTT (ms, 5th pct of 10 tests) vs distance");
-  table.set_header({"server", "km", "mmWave", "Low-Band", "LTE/4G"});
+  Table& table = emitter.doc().open_table(
+      "Fig. 2 [Verizon] RTT (ms, 5th pct of 10 tests) vs distance",
+      {"server", "km", "mmWave", "Low-Band", "LTE/4G"});
 
   std::vector<double> distances;
   std::vector<std::vector<double>> rtts(radios.size());
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
     distances.push_back(km);
     table.add_row(std::move(row));
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   // Headline comparisons.
   const auto fit_mm = stats::linear_fit(distances, rtts[0]);

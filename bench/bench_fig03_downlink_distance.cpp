@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
            geo::haversine_km(config.ue_location, b.location);
   });
 
-  Table table("Downlink (Mbps, p95 of 10) vs distance");
-  table.set_header({"server", "km", "multi-conn", "single-conn", "RTT ms"});
+  Table& table = emitter.doc().open_table(
+      "Downlink (Mbps, p95 of 10) vs distance",
+      {"server", "km", "multi-conn", "single-conn", "RTT ms"});
   Rng rng(bench::kBenchSeed);
 
   // Server sweep: one task per server, two substreams forked up front
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
     if (km < 100.0) single_near = single.downlink_mbps;
     single_far = single.downlink_mbps;  // last (farthest) after sort
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note("multi-conn minimum across servers = " +
                        Table::num(multi_min, 0) +

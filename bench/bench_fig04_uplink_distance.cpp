@@ -30,8 +30,9 @@ int main(int argc, char** argv) {
            geo::haversine_km(config.ue_location, b.location);
   });
 
-  Table table("Uplink (Mbps, p95 of 10) vs distance");
-  table.set_header({"server", "km", "multi-conn", "single-conn"});
+  Table& table = emitter.doc().open_table(
+      "Uplink (Mbps, p95 of 10) vs distance",
+      {"server", "km", "multi-conn", "single-conn"});
   Rng rng(bench::kBenchSeed);
 
   // Server sweep: one task per server, per-task substreams forked up front;
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
                    Table::num(results[i].single.uplink_mbps, 0)});
     peak = std::max(peak, results[i].multi.uplink_mbps);
   }
-  emitter.report(table);
+  table.print(std::cout);
   bench::measured_note("peak uplink = " + Table::num(peak, 0) +
                        " Mbps (paper: ~220 Mbps)");
   return emitter.exit_code();

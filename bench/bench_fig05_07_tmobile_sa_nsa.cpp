@@ -38,9 +38,10 @@ int main(int argc, char** argv) {
   const auto nsa = make_harness(radio::DeploymentMode::kNsa);
   const auto sa = make_harness(radio::DeploymentMode::kSa);
 
-  Table table("T-Mobile low-band, p95 of 10 tests (multi-conn)");
-  table.set_header({"server", "km", "NSA rtt", "SA rtt", "NSA dl", "SA dl",
-                    "NSA ul", "SA ul"});
+  Table& table = emitter.doc().open_table(
+      "T-Mobile low-band, p95 of 10 tests (multi-conn)",
+      {"server", "km", "NSA rtt", "SA rtt", "NSA dl", "SA dl", "NSA ul",
+       "SA ul"});
   Rng rng(bench::kBenchSeed);
 
   double dl_ratio = 0.0;
@@ -65,7 +66,7 @@ int main(int argc, char** argv) {
     rtt_gap += r_sa.rtt_ms - r_nsa.rtt_ms;
     ++rows;
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note("mean SA/NSA downlink ratio = " +
                        Table::num(dl_ratio / rows, 2) + " (paper: ~0.5)");

@@ -25,10 +25,11 @@ int main(int argc, char** argv) {
       {mobility::BandSetting::kAllBands, 64},
   };
 
-  Table table("Handoffs per 10 km / 600 s drive (mean of 4 drives: 2x per"
-              " direction)");
-  table.set_header({"setting", "total", "horizontal", "vertical",
-                    "%time 4G", "%time NSA-5G", "%time SA-5G", "paper total"});
+  Table& table = emitter.doc().open_table(
+      "Handoffs per 10 km / 600 s drive (mean of 4 drives: 2x per"
+      " direction)",
+      {"setting", "total", "horizontal", "vertical", "%time 4G", "%time NSA-5G",
+       "%time SA-5G", "paper total"});
 
   // Drive campaign: every (band setting, drive) pair is an independent
   // seeded trial, so the whole grid fans out at once; per-setting means are
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
                    Table::num(100.0 * f_sa / drives, 0),
                    std::to_string(paper_total)});
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   // One representative timeline, as in the figure's horizontal bars.
   Rng rng(bench::kBenchSeed);

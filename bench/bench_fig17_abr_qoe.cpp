@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
   std::vector<abr::AbrAlgorithm*> algorithms{&bba, &rb,      &bola, &fast,
                                              &pensieve, &robust, &festive};
 
-  Table table("Per-algorithm QoE (means over 121 5G / 175 4G traces)");
-  table.set_header({"algorithm", "5G bitrate", "5G stall%", "4G bitrate",
-                    "4G stall%", "stall increase"});
+  Table& table = emitter.doc().open_table(
+      "Per-algorithm QoE (means over 121 5G / 175 4G traces)",
+      {"algorithm", "5G bitrate", "5G stall%", "4G bitrate", "4G stall%",
+       "stall increase"});
 
   // Session fan-out: each algorithm streams its full 5G + 4G trace set in
   // its own task (algorithm objects are stateful, so one owner per task);
@@ -107,7 +108,7 @@ int main(int argc, char** argv) {
       best_5g = algorithms[i]->name();
     }
   }
-  emitter.report(table);
+  table.print(std::cout);
   emitter.metric("mean_bitrate_drop_pp", 100.0 * bitrate_drop / 7.0);
   emitter.metric("mean_stall_increase_pp", stall_increase / 7.0);
   emitter.metric("better_qoe_5g_count", better_qoe_5g);

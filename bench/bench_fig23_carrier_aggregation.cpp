@@ -20,9 +20,9 @@ int main(int argc, char** argv) {
   const net::SpeedtestServer server{.name = "Verizon, Minneapolis",
                                     .location = {44.98, -93.26},
                                     .carrier_hosted = true};
-  Table table("Downlink Mbps vs UE (nearest server, p95 of 10)");
-  table.set_header({"UE", "modem", "DL CCs", "single-conn", "multi-conn",
-                    "RTT ms"});
+  Table& table = emitter.doc().open_table(
+      "Downlink Mbps vs UE (nearest server, p95 of 10)",
+      {"UE", "modem", "DL CCs", "single-conn", "multi-conn", "RTT ms"});
 
   double px5_multi = 0.0;
   double s20_multi = 0.0;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
     if (ue.name == "PX5") px5_multi = multi.downlink_mbps;
     if (ue.name == "S20U") s20_multi = multi.downlink_mbps;
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note("S20U over PX5 = +" +
                        Table::num(100.0 * (s20_multi - px5_multi) / px5_multi,

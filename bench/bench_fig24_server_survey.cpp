@@ -26,8 +26,9 @@ int main(int argc, char** argv) {
   config.faults = emitter.faults();
   net::SpeedtestHarness harness(config);
 
-  Table table("Downlink (Mbps, p95 of 10, multi-conn) per server");
-  table.set_header({"#", "server", "port cap", "downlink"});
+  Table& table = emitter.doc().open_table(
+      "Downlink (Mbps, p95 of 10, multi-conn) per server",
+      {"#", "server", "port cap", "downlink"});
   Rng rng(bench::kBenchSeed);
   const auto servers = net::minnesota_server_pool();
   // Server sweep fans out one task per server, each on its own substream
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
       best_name = servers[i].name;
     }
   }
-  emitter.report(table);
+  table.print(std::cout);
   if (emitter.faults() != nullptr) {
     // Only faulted runs carry an error tally: the default document must
     // stay byte-identical to the committed golden.

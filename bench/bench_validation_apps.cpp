@@ -65,10 +65,10 @@ int main(int argc, char** argv) {
   Rng split(bench::kBenchSeed + 1);
   model.fit(samples, split);
 
-  Table table("Estimated vs measured radio energy");
-  table.set_header({"application", "runs", "mean measured J",
-                    "mean estimated J", "avg relative error %",
-                    "paper error %"});
+  Table& table = emitter.doc().open_table(
+      "Estimated vs measured radio energy",
+      {"application", "runs", "mean measured J", "mean estimated J",
+       "avg relative error %", "paper error %"});
 
   // --- Video streaming (robustMPC over generated mmWave traces). ---
   {
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
                    Table::num(estimated_sum / n, 2),
                    Table::num(100.0 * rel_err_sum / n, 2), "2.1"});
   }
-  emitter.report(table);
+  table.print(std::cout);
 
   bench::measured_note(
       "the data-driven model transfers from the walking campaign to unseen"

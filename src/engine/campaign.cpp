@@ -11,9 +11,15 @@
 
 namespace wild5g::engine {
 
-void CampaignContext::report(const Table& table) {
+void CampaignContext::print(const Table& table) const {
   if (console != nullptr) table.print(*console);
-  doc.record(table);
+}
+
+json::Value Campaign::checkpoint_state() const { return {}; }
+
+void Campaign::restore_state(const json::Value& state) {
+  require(state.is_null(),
+          "campaign state: this campaign has no cross-step state");
 }
 
 // --- registry --------------------------------------------------------------

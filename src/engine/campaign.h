@@ -10,9 +10,10 @@
 //     entering the step), so the engine can pause after any step;
 //   - between steps the supervising layer (bench_common.h, wild5g_serve)
 //     may stream a frame, write a checkpoint, or stop the run;
-//   - a campaign's mutable state is exactly what checkpoint_state()
-//     serializes, so restore_state() + "run the remaining steps" is
-//     byte-identical to never having stopped.
+//   - tables and metrics go straight into the MetricsDocument, which
+//     checkpoints itself; a campaign's checkpoint_state() serializes only
+//     its cross-step state (an Rng stream, accumulators), so restore_state()
+//     + "run the remaining steps" is byte-identical to never having stopped.
 //
 // Everything in src/engine is deterministic compute: no clocks, no signals,
 // no filesystem (tools/wild5g_lint rule engine-blocking-call enforces that;
@@ -56,16 +57,15 @@ struct CampaignRequest {
   std::optional<faults::FaultPlan> fault_plan;
 };
 
-/// Where a campaign's output goes. `doc` accumulates the metrics document;
+/// Where a campaign's output goes. `doc` owns the run's tables and metrics;
 /// `console` (null in service mode) receives the human-readable tables the
 /// batch benches have always printed.
 struct CampaignContext {
   MetricsDocument& doc;
   std::ostream* console = nullptr;
 
-  /// Prints the table when a console is attached, and records it in the
-  /// document either way — the engine twin of MetricsEmitter::report.
-  void report(const Table& table);
+  /// Prints a finished table when a console is attached.
+  void print(const Table& table) const;
 };
 
 /// A campaign sliced into total_steps() sequential steps. Implementations
@@ -80,18 +80,21 @@ class Campaign {
   [[nodiscard]] virtual std::size_t total_steps() const = 0;
 
   /// Executes step `index` (indices arrive strictly in order, starting
-  /// from 0 or from a restored checkpoint's next step), recording tables
-  /// and metrics into `ctx`. Returns this step's frame payload — a small
+  /// from 0 or from a restored checkpoint's next step), appending its rows
+  /// and metrics to `ctx.doc`. Returns this step's frame payload — a small
   /// JSON object the service streams to the client as progress.
   [[nodiscard]] virtual json::Value execute_step(std::size_t index,
                                          CampaignContext& ctx) = 0;
 
-  /// The campaign's mutable state after the steps executed so far;
-  /// everything restore_state() needs to continue byte-identically.
-  [[nodiscard]] virtual json::Value checkpoint_state() const = 0;
+  /// The campaign's cross-step state after the steps executed so far:
+  /// what restore_state() needs, beyond the document, to continue
+  /// byte-identically. Override only for real cross-step state; the
+  /// default null means "none" (the steps only append to the document).
+  [[nodiscard]] virtual json::Value checkpoint_state() const;
   /// Inverse of checkpoint_state(); throws wild5g::Error on malformed
-  /// state. Called at most once, before any execute_step() call.
-  virtual void restore_state(const json::Value& state) = 0;
+  /// state. Called at most once, before any execute_step() call. The
+  /// default accepts only null.
+  virtual void restore_state(const json::Value& state);
 };
 
 /// Builds a campaign (throws wild5g::Error on bad params / fault plan).

@@ -7,6 +7,11 @@
 // document), and tools/wild5g_serve (which renders it as the final frame of
 // a campaign's metric stream).
 //
+// The document owns a run's tables: a caller opens a table, and each step
+// appends its row in place as the row completes. A run stopped part way
+// therefore keeps every completed row, in its partial document and in its
+// checkpoint, and no campaign carries checkpoint code for its rows.
+//
 // The emitted shape is byte-compatible with the pre-engine emitter — key
 // order bench, seed, [fault_plan], tolerance, [tolerances], tables,
 // metrics — because bench/golden/ baselines diff against it byte-for-byte.
@@ -16,7 +21,9 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <vector>
 
 #include "core/json.h"
 #include "core/table.h"
@@ -37,6 +44,14 @@ class MetricsDocument {
   void set_tolerance(double rel, double abs);
   /// Per-metric override, keyed by a metric name or a table title.
   void set_tolerance(const std::string& name, double rel, double abs);
+
+  /// Opens an empty table at the end of the document and returns it, so
+  /// rows are appended in place as they complete. When a table titled
+  /// `title` is already open (an earlier step, or restore_state(), opened
+  /// it) that table is returned instead; its header must match. The
+  /// reference stays valid until restore_state().
+  Table& open_table(const std::string& title,
+                    std::vector<std::string> header);
 
   /// Records a completed table.
   void record(const Table& table);
@@ -62,7 +77,9 @@ class MetricsDocument {
   /// replayed against a mismatched campaign silently.
   [[nodiscard]] json::Value checkpoint_state() const;
   /// Inverse of checkpoint_state(); throws wild5g::Error on malformed
-  /// state. Replaces all accumulated tables/metrics/tolerances/flags.
+  /// state (tables are rebuilt through Table, so a row whose arity does not
+  /// match its header is rejected). Replaces all accumulated
+  /// tables/metrics/tolerances/flags.
   void restore_state(const json::Value& state);
 
  private:
@@ -71,7 +88,7 @@ class MetricsDocument {
   std::string fault_plan_name_;
   double rel_ = 1e-6;
   double abs_ = 1e-9;
-  json::Value tables_;
+  std::deque<Table> tables_;  // deque: opening a table moves no other
   json::Value metrics_;
   json::Value tolerances_;
   json::Value flags_;

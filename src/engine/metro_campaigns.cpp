@@ -17,9 +17,9 @@ namespace wild5g::engine {
 
 namespace {
 
-/// Rejects plans with kinds the metro substrate does not model; same
-/// contract (and near-identical message) as the bench shells' exit-2 path,
-/// so a bad plan fails a service submit instead of wedging a campaign.
+/// Rejects plans with kinds the metro substrate does not model, so a bad
+/// plan fails a service submit (and exits a bench shell with a usage error)
+/// instead of wedging a campaign.
 void require_radio_plan(const faults::FaultPlan& plan,
                         const std::string& campaign) {
   const auto bad = metro::unsupported_fault_kinds(plan);
@@ -31,45 +31,18 @@ void require_radio_plan(const faults::FaultPlan& plan,
               "kinds only: mmwave_blockage, nr_to_lte_outage, radio_outage)");
 }
 
-/// Serializes a table's accumulated rows for a checkpoint.
-json::Value rows_to_json(const Table& table) {
-  json::Value rows = json::Value::array();
-  for (const auto& row : table.rows()) {
-    json::Value cells = json::Value::array();
-    for (const auto& cell : row) cells.push_back(cell);
-    rows.push_back(std::move(cells));
-  }
-  return rows;
-}
-
-/// Re-adds checkpointed rows to a freshly-built (empty) table.
-void rows_from_json(const json::Value& rows, Table& table,
-                    const std::string& what) {
-  require(rows.is_array(), what + ": rows state is not an array");
-  for (const json::Value& row : rows.as_array()) {
-    require(row.is_array(), what + ": row is not an array");
-    std::vector<std::string> cells;
-    for (const json::Value& cell : row.as_array()) {
-      require(cell.is_string(), what + ": cell is not a string");
-      cells.push_back(cell.as_string());
-    }
-    table.add_row(std::move(cells));
-  }
-}
-
-const json::Value& state_field(const json::Value& state, const char* key,
-                               const std::string& what) {
+const json::Value& state_field(const json::Value& state, const char* key) {
   const json::Value* value = state.find(key);
-  require(value != nullptr, what + ": state missing '" + key + "'");
+  require(value != nullptr,
+          std::string("drive_soak: state missing '") + key + "'");
   return *value;
 }
 
-std::uint64_t state_count(const json::Value& state, const char* key,
-                          const std::string& what) {
-  const json::Value& value = state_field(state, key, what);
+std::uint64_t state_count(const json::Value& state, const char* key) {
+  const json::Value& value = state_field(state, key);
   require(value.is_number() && value.as_number() >= 0.0 &&
               value.as_number() == std::floor(value.as_number()),
-          what + ": state field '" + std::string(key) +
+          std::string("drive_soak: state field '") + key +
               "' is not a non-negative integer");
   return static_cast<std::uint64_t>(value.as_number());
 }
@@ -81,21 +54,13 @@ class MetroLoadCampaign final : public Campaign {
   explicit MetroLoadCampaign(const CampaignRequest& request)
       : seed_(request.seed),
         cells_(param_positive_int(request.params, "cells", 12)),
-        ues_per_cell_(param_positive_int(request.params, "ues", 100)),
-        load_table_(load_title()),
-        sharer_table_(
-            "Same corridor, background load 0: per-user throughput vs"
-            " sharers") {
+        ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
     reject_unknown_params(request.params, {"cells", "ues"});
     if (request.fault_plan.has_value()) {
       require_radio_plan(*request.fault_plan, "metro_load");
       injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
                                                      request.seed);
     }
-    load_table_.set_header({"bg load", "mean/UE Mbps", "p50 Mbps",
-                            "p95 Mbps", "mean util", "handoffs"});
-    sharer_table_.set_header({"UEs/cell", "mean/UE Mbps", "p50 Mbps",
-                              "p95 Mbps", "step p5 Mbps"});
   }
 
   [[nodiscard]] std::size_t total_steps() const override {
@@ -110,7 +75,10 @@ class MetroLoadCampaign final : public Campaign {
       metro::MetroConfig config = base_config();
       config.background_load = load;
       const auto result = metro::run_campaign(config, Rng(seed_));
-      load_table_.add_row(
+      Table& table = ctx.doc.open_table(
+          load_title(), {"bg load", "mean/UE Mbps", "p50 Mbps", "p95 Mbps",
+                         "mean util", "handoffs"});
+      table.add_row(
           {Table::num(load, 1), Table::num(result.per_ue_mean_mbps.mean(), 3),
            Table::num(result.per_ue_mean_mbps.median(), 3),
            Table::num(result.per_ue_mean_mbps.p95(), 3),
@@ -123,7 +91,7 @@ class MetroLoadCampaign final : public Campaign {
                        static_cast<double>(result.peak_cell_active));
         ctx.doc.metric("attach_ops", static_cast<double>(result.attach_ops));
       }
-      if (index + 1 == kLoadGrid.size()) ctx.report(load_table_);
+      if (index + 1 == kLoadGrid.size()) ctx.print(table);
       frame.set("grid", "background_load");
       frame.set("bg_load", load);
       frame.set("mean_ue_mbps", result.per_ue_mean_mbps.mean());
@@ -134,33 +102,22 @@ class MetroLoadCampaign final : public Campaign {
       config.ues_per_cell = sharers;
       config.background_load = 0.0;
       const auto result = metro::run_campaign(config, Rng(seed_));
-      sharer_table_.add_row(
+      Table& table = ctx.doc.open_table(
+          "Same corridor, background load 0: per-user throughput vs sharers",
+          {"UEs/cell", "mean/UE Mbps", "p50 Mbps", "p95 Mbps",
+           "step p5 Mbps"});
+      table.add_row(
           {Table::num(static_cast<double>(sharers), 0),
            Table::num(result.per_ue_mean_mbps.mean(), 3),
            Table::num(result.per_ue_mean_mbps.median(), 3),
            Table::num(result.per_ue_mean_mbps.p95(), 3),
            Table::num(result.step_throughput_mbps.percentile(5.0), 3)});
-      if (index + 1 == total_steps()) ctx.report(sharer_table_);
+      if (index + 1 == total_steps()) ctx.print(table);
       frame.set("grid", "sharers");
       frame.set("ues_per_cell", sharers);
       frame.set("mean_ue_mbps", result.per_ue_mean_mbps.mean());
     }
     return frame;
-  }
-
-  [[nodiscard]] json::Value checkpoint_state() const override {
-    json::Value state = json::Value::object();
-    state.set("load_rows", rows_to_json(load_table_));
-    state.set("sharer_rows", rows_to_json(sharer_table_));
-    return state;
-  }
-
-  void restore_state(const json::Value& state) override {
-    require(state.is_object(), "metro_load: state is not an object");
-    rows_from_json(state_field(state, "load_rows", "metro_load"), load_table_,
-                   "metro_load");
-    rows_from_json(state_field(state, "sharer_rows", "metro_load"),
-                   sharer_table_, "metro_load");
   }
 
  private:
@@ -186,8 +143,6 @@ class MetroLoadCampaign final : public Campaign {
   int cells_;
   int ues_per_cell_;
   std::unique_ptr<faults::Injector> injector_;
-  Table load_table_;
-  Table sharer_table_;
 };
 
 // --- metro_qoe --------------------------------------------------------------
@@ -197,17 +152,13 @@ class MetroQoeCampaign final : public Campaign {
   explicit MetroQoeCampaign(const CampaignRequest& request)
       : seed_(request.seed),
         cells_(param_positive_int(request.params, "cells", 12)),
-        ues_per_cell_(param_positive_int(request.params, "ues", 100)),
-        table_(title()) {
+        ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
     reject_unknown_params(request.params, {"cells", "ues"});
     if (request.fault_plan.has_value()) {
       require_radio_plan(*request.fault_plan, "metro_qoe");
       injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
                                                      request.seed);
     }
-    table_.set_header({"activity", "mean/UE Mbps", "rebuffer mean",
-                       "rebuffer p95", "handoffs", "ping-pongs",
-                       "peak storm"});
   }
 
   [[nodiscard]] std::size_t total_steps() const override {
@@ -220,7 +171,10 @@ class MetroQoeCampaign final : public Campaign {
     metro::MetroConfig config = base_config();
     config.activity = activity;
     const auto result = metro::run_campaign(config, Rng(seed_));
-    table_.add_row(
+    Table& table = ctx.doc.open_table(
+        title(), {"activity", "mean/UE Mbps", "rebuffer mean", "rebuffer p95",
+                  "handoffs", "ping-pongs", "peak storm"});
+    table.add_row(
         {Table::num(activity, 2), Table::num(result.per_ue_mean_mbps.mean(), 3),
          Table::num(result.per_ue_rebuffer_fraction.mean(), 4),
          Table::num(result.per_ue_rebuffer_fraction.p95(), 4),
@@ -234,25 +188,13 @@ class MetroQoeCampaign final : public Campaign {
                      static_cast<double>(result.peak_step_handoffs));
       ctx.doc.metric("busy_hour_pingpongs",
                      static_cast<double>(result.pingpongs));
-      ctx.report(table_);
+      ctx.print(table);
     }
     json::Value frame = json::Value::object();
     frame.set("activity", activity);
     frame.set("rebuffer_mean", result.per_ue_rebuffer_fraction.mean());
     frame.set("peak_storm", static_cast<double>(result.peak_step_handoffs));
     return frame;
-  }
-
-  [[nodiscard]] json::Value checkpoint_state() const override {
-    json::Value state = json::Value::object();
-    state.set("rows", rows_to_json(table_));
-    return state;
-  }
-
-  void restore_state(const json::Value& state) override {
-    require(state.is_object(), "metro_qoe: state is not an object");
-    rows_from_json(state_field(state, "rows", "metro_qoe"), table_,
-                   "metro_qoe");
   }
 
  private:
@@ -281,7 +223,6 @@ class MetroQoeCampaign final : public Campaign {
   int cells_;
   int ues_per_cell_;
   std::unique_ptr<faults::Injector> injector_;
-  Table table_;
 };
 
 // --- drive_soak -------------------------------------------------------------
@@ -294,19 +235,13 @@ class DriveSoakCampaign final : public Campaign {
         interval_s_(param_positive_int(request.params, "interval_s", 30)),
         cells_(param_positive_int(request.params, "cells", 4)),
         ues_per_cell_(param_positive_int(request.params, "ues", 25)),
-        rng_(request.seed),
-        table_(std::to_string(intervals_) + " intervals x " +
-               std::to_string(interval_s_) + " s, " + std::to_string(cells_) +
-               " cells x " + std::to_string(ues_per_cell_) +
-               " UEs/cell: long-haul drive soak") {
+        rng_(request.seed) {
     reject_unknown_params(request.params,
                           {"intervals", "interval_s", "cells", "ues"});
     if (request.fault_plan.has_value()) {
       require_radio_plan(*request.fault_plan, "drive_soak");
       plan_ = *request.fault_plan;
     }
-    table_.set_header({"interval", "mean/UE Mbps", "p50 Mbps", "handoffs",
-                       "peak storm"});
   }
 
   [[nodiscard]] std::size_t total_steps() const override {
@@ -339,14 +274,20 @@ class DriveSoakCampaign final : public Campaign {
     handoffs_ += result.handoffs;
     pingpongs_ += result.pingpongs;
     peak_storm_ = std::max(peak_storm_, result.peak_step_handoffs);
-    table_.add_row({Table::num(static_cast<double>(index), 0),
+    Table& table = ctx.doc.open_table(
+        std::to_string(intervals_) + " intervals x " +
+            std::to_string(interval_s_) + " s, " + std::to_string(cells_) +
+            " cells x " + std::to_string(ues_per_cell_) +
+            " UEs/cell: long-haul drive soak",
+        {"interval", "mean/UE Mbps", "p50 Mbps", "handoffs", "peak storm"});
+    table.add_row({Table::num(static_cast<double>(index), 0),
                     Table::num(result.per_ue_mean_mbps.mean(), 3),
                     Table::num(result.per_ue_mean_mbps.median(), 3),
                     Table::num(static_cast<double>(result.handoffs), 0),
                     Table::num(static_cast<double>(result.peak_step_handoffs),
                                0)});
     if (index + 1 == total_steps()) {
-      ctx.report(table_);
+      ctx.print(table);
       ctx.doc.metric("rollup_mean_ue_mbps", ue_mean_.mean());
       ctx.doc.metric("rollup_p50_step_mbps", throughput_.median());
       ctx.doc.metric("rollup_p5_step_mbps", throughput_.percentile(5.0));
@@ -367,7 +308,6 @@ class DriveSoakCampaign final : public Campaign {
   [[nodiscard]] json::Value checkpoint_state() const override {
     json::Value state = json::Value::object();
     state.set("rng", rng_.serialize_state());
-    state.set("rows", rows_to_json(table_));
     state.set("throughput", throughput_.to_json());
     state.set("ue_mean", ue_mean_.to_json());
     state.set("handoffs", static_cast<double>(handoffs_));
@@ -378,21 +318,14 @@ class DriveSoakCampaign final : public Campaign {
 
   void restore_state(const json::Value& state) override {
     require(state.is_object(), "drive_soak: state is not an object");
-    const json::Value& rng = state_field(state, "rng", "drive_soak");
-    require(rng.is_string(), "drive_soak: rng state is not a string");
-    rng_ = Rng::deserialize_state(rng.as_string());
-    rows_from_json(state_field(state, "rows", "drive_soak"), table_,
-                   "drive_soak");
-    throughput_ = stats::SampleAccumulator::from_json(
-        state_field(state, "throughput", "drive_soak"));
-    ue_mean_ = stats::SampleAccumulator::from_json(
-        state_field(state, "ue_mean", "drive_soak"));
-    handoffs_ =
-        static_cast<long long>(state_count(state, "handoffs", "drive_soak"));
-    pingpongs_ =
-        static_cast<long long>(state_count(state, "pingpongs", "drive_soak"));
-    peak_storm_ =
-        static_cast<int>(state_count(state, "peak_storm", "drive_soak"));
+    rng_ = Rng::deserialize_state(state_field(state, "rng").as_string());
+    throughput_ =
+        stats::SampleAccumulator::from_json(state_field(state, "throughput"));
+    ue_mean_ =
+        stats::SampleAccumulator::from_json(state_field(state, "ue_mean"));
+    handoffs_ = static_cast<long long>(state_count(state, "handoffs"));
+    pingpongs_ = static_cast<long long>(state_count(state, "pingpongs"));
+    peak_storm_ = static_cast<int>(state_count(state, "peak_storm"));
   }
 
  private:
@@ -427,7 +360,6 @@ class DriveSoakCampaign final : public Campaign {
   int ues_per_cell_;
   std::optional<faults::FaultPlan> plan_;
   Rng rng_;
-  Table table_;
   stats::SampleAccumulator throughput_;
   stats::SampleAccumulator ue_mean_;
   long long handoffs_ = 0;

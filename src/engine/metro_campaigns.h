@@ -3,11 +3,13 @@
 // metro_load and metro_qoe are the existing metro bench campaigns sliced
 // into engine steps — one grid point per step — producing byte-identical
 // documents to the pre-engine monolithic mains (the committed goldens gate
-// that). drive_soak is the long-running service workload: a sequence of
-// metro intervals threaded through one sequential Rng (split() per
-// interval) with rollup SampleAccumulators that spill into sketch mode, so
-// checkpoint/resume must round-trip genuinely sequential state — engine
-// position, sketch buckets — not just a step counter.
+// that). Each step appends its row to a table the MetricsDocument owns, so
+// the two have no cross-step state and override neither checkpoint hook.
+// drive_soak is the long-running service workload: a sequence of metro
+// intervals threaded through one sequential Rng (split() per interval) with
+// rollup SampleAccumulators that spill into sketch mode. Its checkpoint
+// holds exactly that cross-step state — the Rng, the two accumulators and
+// the counters — and its rows, like every campaign's, live in the document.
 #pragma once
 
 #include <memory>

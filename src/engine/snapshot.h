@@ -3,9 +3,10 @@
 // A Snapshot captures everything needed to continue a supervised campaign
 // byte-identically: the original request (campaign name, seed as a decimal
 // string, params, the fault plan embedded *by value*), the index of the
-// next step to execute, the campaign's serialized mutable state, and the
-// partially-built metrics document. Nothing in it references the machine it
-// was written on — a snapshot written on one host resumes on another.
+// next step to execute, the campaign's serialized cross-step state, and the
+// partially-built metrics document with its tables. Nothing in it
+// references the machine it was written on — a snapshot written on one host
+// resumes on another.
 //
 // This module is the single sanctioned file-I/O site inside src/engine
 // (tools/wild5g_lint rule engine-blocking-call exempts snapshot.{h,cpp});
@@ -24,20 +25,24 @@
 namespace wild5g::engine {
 
 /// Bump when the snapshot document shape changes; load_snapshot rejects
-/// any other version rather than guessing.
-inline constexpr int kSnapshotVersion = 1;
+/// any other version rather than guessing. Version 2 moved every table row
+/// from campaign_state into document_state: a version-1 snapshot would
+/// resume into a document missing its earlier rows.
+inline constexpr int kSnapshotVersion = 2;
 
 struct Snapshot {
   CampaignRequest request;
   /// Index of the first step the resumed run should execute.
   std::size_t next_step = 0;
-  /// Campaign::checkpoint_state() at the yield point.
+  /// Campaign::checkpoint_state() at the yield point: cross-step state
+  /// only, null for a campaign that has none.
   json::Value campaign_state;
-  /// MetricsDocument::checkpoint_state() at the yield point.
+  /// MetricsDocument::checkpoint_state() at the yield point, including
+  /// every table row completed so far.
   json::Value document_state;
 
   /// Document shape:
-  ///   { "format": "wild5g-snapshot", "version": 1,
+  ///   { "format": "wild5g-snapshot", "version": 2,
   ///     "request": {...}, "next_step": N,
   ///     "campaign_state": {...}, "document_state": {...} }
   [[nodiscard]] json::Value to_json() const;

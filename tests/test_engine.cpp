@@ -8,6 +8,8 @@
 // run — at --threads 1 and 8, with and without a fault plan. Everything a
 // campaign's state touches (Rng text state, SampleAccumulator sketches, the
 // partially-built document) must round-trip losslessly for this to hold.
+// The same campaigns stopped by a deadline must keep every completed row:
+// each partial table is a row-prefix of its completed twin.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -113,6 +115,33 @@ TEST(engine, snapshot_rejects_wrong_version_and_format) {
   json::Value doc2 = snapshot.to_json();
   doc2.set("format", "not-a-snapshot");
   EXPECT_THROW((void)engine::Snapshot::from_json(doc2), Error);
+
+  // A version-1 metro_load snapshot: its rows ride in campaign_state and
+  // its document_state holds no tables. Resuming it would lose those rows,
+  // so the version check must refuse it.
+  json::Value row = json::Value::array();
+  for (const char* cell : {"0.0", "1.000", "1.000", "1.000", "1.000", "0"}) {
+    row.push_back(cell);
+  }
+  json::Value rows = json::Value::array();
+  rows.push_back(row);
+  json::Value v1_state = json::Value::object();
+  v1_state.set("load_rows", rows);
+  v1_state.set("sharer_rows", json::Value::array());
+  snapshot.next_step = 1;
+  snapshot.campaign_state = v1_state;
+  snapshot.document_state = engine::MetricsDocument("metro_load", 1)
+                                .checkpoint_state();
+  json::Value v1 = snapshot.to_json();
+  v1.set("version", 1);
+  try {
+    (void)engine::Snapshot::from_json(v1);
+    ADD_FAILURE() << "a version-1 snapshot was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(engine, document_restore_replaces_state_byte_identically) {
@@ -123,15 +152,103 @@ TEST(engine, document_restore_replaces_state_byte_identically) {
   table.add_row({"1"});
   doc.record(table);
   doc.set_flag("interrupted");
+  doc.open_table("U", {"b", "c"}).add_row({"2", "3"});
   engine::MetricsDocument other("unit", 1);
   other.metric("junk", 9.0);  // must be discarded by restore
   other.restore_state(doc.checkpoint_state());
   EXPECT_EQ(json::dump(doc.document()), json::dump(other.document()));
+  // A restored table is found again by title and keeps growing in place.
+  other.open_table("U", {"b", "c"}).add_row({"4", "5"});
+  doc.open_table("U", {"b", "c"}).add_row({"4", "5"});
+  EXPECT_EQ(json::dump(doc.document()), json::dump(other.document()));
+}
+
+TEST(engine, document_open_table_appends_in_place_in_open_order) {
+  engine::MetricsDocument doc("unit", 1);
+  Table& first = doc.open_table("first", {"a"});
+  first.add_row({"1"});
+  Table complete("recorded");
+  complete.set_header({"x"});
+  doc.record(complete);
+  Table& again = doc.open_table("first", {"a"});
+  EXPECT_EQ(&again, &first);
+  again.add_row({"2"});
+  const json::Value document = doc.document();
+  const json::Value& tables = *document.find("tables");
+  ASSERT_EQ(tables.as_array().size(), 2u);
+  EXPECT_EQ(tables.as_array()[0].find("title")->as_string(), "first");
+  EXPECT_EQ(tables.as_array()[0].find("rows")->as_array().size(), 2u);
+  EXPECT_EQ(tables.as_array()[1].find("title")->as_string(), "recorded");
+  EXPECT_THROW((void)doc.open_table("first", {"b"}), Error);
+  EXPECT_THROW(first.add_row({"1", "2"}), Error);
+}
+
+/// A document state whose "tables" entry is replaced by `tables_text`.
+json::Value document_state_with_tables(const std::string& tables_text) {
+  json::Value state = engine::MetricsDocument("unit", 1).checkpoint_state();
+  state.set("tables", json::parse(tables_text));
+  return state;
+}
+
+TEST(engine, document_restore_rejects_malformed_tables) {
+  // The snapshot part of the malformed-input corpus: every entry is a
+  // document state a resume could read from a corrupted or hand-edited
+  // snapshot, and each must be refused rather than passed into the result.
+  const std::vector<std::string> corpus = {
+      R"({"title":"T","header":["a"],"rows":[]})",        // not an array
+      R"([5])",                                           // non-object table
+      R"([["T"]])",                                       // non-object table
+      R"([{"header":["a"],"rows":[]}])",                  // missing title
+      R"([{"title":7,"header":["a"],"rows":[]}])",        // non-string title
+      R"([{"title":"T","rows":[]}])",                     // missing header
+      R"([{"title":"T","header":"a","rows":[]}])",        // header not a list
+      R"([{"title":"T","header":["a",1],"rows":[]}])",    // non-string header
+      R"([{"title":"T","header":["a"]}])",                // missing rows
+      R"([{"title":"T","header":["a"],"rows":{}}])",      // rows not a list
+      R"([{"title":"T","header":["a"],"rows":["1"]}])",   // row not a list
+      R"([{"title":"T","header":["a"],"rows":[[1]]}])",   // non-string cell
+      R"([{"title":"T","header":["a"],"rows":[[null]]}])",  // non-string cell
+      R"([{"title":"T","header":["a","b"],"rows":[["1"]]}])",  // short row
+      R"([{"title":"T","header":["a"],"rows":[["1","2"]]}])",  // long row
+      R"([{"title":"T","header":[],"rows":[[]]}])",       // row, no header
+  };
+  for (const std::string& tables : corpus) {
+    engine::MetricsDocument doc("unit", 1);
+    doc.open_table("kept", {"a"}).add_row({"1"});
+    const std::string before = json::dump(doc.document());
+    EXPECT_THROW(doc.restore_state(document_state_with_tables(tables)), Error)
+        << tables;
+    EXPECT_EQ(json::dump(doc.document()), before)
+        << "a rejected restore changed the document: " << tables;
+  }
+  // The well-formed neighbour of the corpus restores.
+  engine::MetricsDocument doc("unit", 1);
+  EXPECT_NO_THROW(doc.restore_state(document_state_with_tables(
+      R"([{"title":"T","header":["a","b"],"rows":[["1","2"]]}])")));
+}
+
+TEST(engine, stateless_campaigns_reject_non_null_state) {
+  engine::register_builtin_campaigns();
+  for (const char* name : {"metro_load", "metro_qoe"}) {
+    engine::CampaignRequest request;
+    request.campaign = name;
+    auto campaign = engine::make_campaign(request);
+    EXPECT_TRUE(campaign->checkpoint_state().is_null()) << name;
+    EXPECT_NO_THROW(campaign->restore_state(json::Value{})) << name;
+    // The version-1 shape of metro_qoe's state: rows that now belong in
+    // the document.
+    json::Value v1_state = json::Value::object();
+    v1_state.set("rows", json::Value::array());
+    EXPECT_THROW(campaign->restore_state(v1_state), Error) << name;
+    EXPECT_THROW(campaign->restore_state(json::Value::object()), Error)
+        << name;
+  }
 }
 
 // --- runner semantics -------------------------------------------------------
 
-/// A minimal campaign recording which steps ran.
+/// A minimal campaign recording which steps ran; it has no cross-step
+/// state, so it keeps the default checkpoint hooks.
 class CountingCampaign : public engine::Campaign {
  public:
   explicit CountingCampaign(std::size_t steps) : steps_(steps) {}
@@ -143,10 +260,6 @@ class CountingCampaign : public engine::Campaign {
     frame.set("i", static_cast<std::uint64_t>(index));
     return frame;
   }
-  [[nodiscard]] json::Value checkpoint_state() const override {
-    return json::Value::object();
-  }
-  void restore_state(const json::Value&) override {}
 
   std::vector<std::size_t> executed;
 
@@ -352,6 +465,74 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(registered_campaigns()),
                        ::testing::Values(std::size_t{1}, std::size_t{8})),
     [](const ::testing::TestParamInfo<EngineResume::ParamType>& info) {
+      return std::get<0>(info.param) + "_threads" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+/// Runs the campaign until the deterministic deadline stops it before step
+/// `stop_at` and returns the partial document.
+json::Value run_partial(const engine::CampaignRequest& request,
+                        std::size_t stop_at) {
+  engine::MetricsDocument doc(request.campaign, request.seed);
+  engine::CampaignContext ctx{doc, nullptr};
+  auto campaign = engine::make_campaign(request);
+  engine::RunControl control;
+  control.deadline_steps = stop_at;
+  EXPECT_EQ(engine::run_steps(*campaign, ctx, control).status,
+            engine::RunStatus::kDeadline);
+  return doc.document();
+}
+
+class EnginePartial : public EngineResume {};
+
+TEST_P(EnginePartial, partial_tables_are_row_prefixes_of_the_completed_ones) {
+  const auto& [campaign, threads] = GetParam();
+  engine::register_builtin_campaigns();
+  parallel::set_thread_count(threads);
+  const engine::CampaignRequest request =
+      small_request(campaign, /*with_faults=*/false);
+  const std::size_t total = engine::make_campaign(request)->total_steps();
+  const json::Value completed = json::parse(run_uninterrupted(request));
+  const auto& completed_tables = completed.find("tables")->as_array();
+  for (const std::size_t stop_at : {std::size_t{1}, total / 2, total - 1}) {
+    const json::Value partial = run_partial(request, stop_at);
+    const auto& tables = partial.find("tables")->as_array();
+    // Every finished step computed at least one row; a stopped run must
+    // keep it.
+    EXPECT_FALSE(tables.empty())
+        << campaign << " stopped before step " << stop_at
+        << " lost every completed row";
+    for (const json::Value& table : tables) {
+      const std::string& title = table.find("title")->as_string();
+      const json::Value* match = nullptr;
+      for (const json::Value& full : completed_tables) {
+        if (full.find("title")->as_string() == title) match = &full;
+      }
+      ASSERT_NE(match, nullptr) << campaign << ": no completed table '"
+                                << title << "'";
+      EXPECT_EQ(json::dump(*table.find("header")),
+                json::dump(*match->find("header")));
+      const auto& rows = table.find("rows")->as_array();
+      const auto& full_rows = match->find("rows")->as_array();
+      EXPECT_FALSE(rows.empty()) << campaign << ": empty table '" << title
+                                 << "' at step " << stop_at;
+      ASSERT_LE(rows.size(), full_rows.size()) << title;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        EXPECT_EQ(json::dump(rows[r]), json::dump(full_rows[r]))
+            << campaign << ": row " << r << " of '" << title
+            << "' differs after a stop at step " << stop_at << " at "
+            << threads << " thread(s)";
+      }
+    }
+  }
+  parallel::set_thread_count(0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCampaigns, EnginePartial,
+    ::testing::Combine(::testing::ValuesIn(registered_campaigns()),
+                       ::testing::Values(std::size_t{1}, std::size_t{8})),
+    [](const ::testing::TestParamInfo<EnginePartial::ParamType>& info) {
       return std::get<0>(info.param) + "_threads" +
              std::to_string(std::get<1>(info.param));
     });

@@ -435,6 +435,82 @@ TEST(soak, deadline_steps_ends_in_deadline_partial_with_a_result) {
   expect_uptime_invariant(events);
 }
 
+TEST(soak, deadline_partial_result_carries_every_completed_row) {
+  // metro_qoe adds one row per step; stopped after 3 of its 4 steps, the
+  // partial result document must carry those 3 rows.
+  ServeClient serve;
+  serve.send(
+      "{\"op\":\"submit\",\"id\":\"q\",\"campaign\":\"metro_qoe\","
+      "\"params\":{\"cells\":2,\"ues\":4},\"deadline_steps\":3}");
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0);
+  const std::vector<json::Value> events = parse_all(lines);
+
+  const json::Value* done = find_event(events, "done", "q");
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->find("status")->as_string(), "deadline_partial");
+  const json::Value* result = find_event(events, "result", "q");
+  ASSERT_NE(result, nullptr);
+  const auto& tables = result->find("document")->find("tables")->as_array();
+  ASSERT_EQ(tables.size(), 1u);
+  EXPECT_EQ(tables[0].find("rows")->as_array().size(), 3u);
+  expect_uptime_invariant(events);
+}
+
+TEST(soak, resume_from_a_malformed_snapshot_is_an_error_event) {
+  // Each snapshot is well-formed JSON of the current version whose state a
+  // restore must refuse: a stateless campaign handed a campaign_state, and
+  // a document_state whose table row does not match its header. The service
+  // answers each resume with an error event and keeps serving.
+  const std::string request =
+      "\"request\":{\"campaign\":\"metro_qoe\",\"seed\":\"1\","
+      "\"params\":{\"cells\":2,\"ues\":4}},\"next_step\":1,";
+  const std::string empty_doc =
+      "{\"rel\":1e-06,\"abs\":1e-09,\"tolerances\":{},\"tables\":[],"
+      "\"metrics\":{},\"flags\":{}}";
+  const std::string bad_doc =
+      "{\"rel\":1e-06,\"abs\":1e-09,\"tolerances\":{},\"tables\":[{\"title\":"
+      "\"T\",\"header\":[\"a\",\"b\"],\"rows\":[[\"1\"]]}],\"metrics\":{},"
+      "\"flags\":{}}";
+  const std::vector<std::string> snapshots = {
+      "{\"format\":\"wild5g-snapshot\",\"version\":2," + request +
+          "\"campaign_state\":{\"rows\":[]},\"document_state\":" + empty_doc +
+          "}",
+      "{\"format\":\"wild5g-snapshot\",\"version\":2," + request +
+          "\"campaign_state\":null,\"document_state\":" + bad_doc + "}",
+  };
+  ServeClient serve;
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    paths.push_back(::testing::TempDir() + "wild5g_soak_bad_" +
+                    std::to_string(::getpid()) + "_" + std::to_string(i) +
+                    ".ckpt");
+    FILE* file = std::fopen(paths.back().c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fputs(snapshots[i].c_str(), file);
+    std::fclose(file);
+    serve.send("{\"op\":\"resume\",\"id\":\"bad" + std::to_string(i) +
+               "\",\"snapshot_path\":\"" + paths.back() + "\"}");
+  }
+  serve.send(sleeper_submit("j1", /*steps=*/2));
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0) << "a malformed snapshot crashed the service";
+  for (const auto& path : paths) std::remove(path.c_str());
+  const std::vector<json::Value> events = parse_all(lines);
+
+  for (std::size_t i = 0; i < snapshots.size(); ++i) {
+    const std::string id = "bad" + std::to_string(i);
+    EXPECT_NE(find_event(events, "error", id), nullptr) << id;
+    EXPECT_EQ(find_event(events, "accepted", id), nullptr) << id;
+  }
+  const json::Value* done = find_event(events, "done", "j1");
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->find("status")->as_string(), "completed");
+  expect_uptime_invariant(events);
+}
+
 TEST(soak, watchdog_reaps_stuck_campaign_and_the_service_survives) {
   ServeClient serve({"--watchdog-ms", "100"});
   // "stuck": every step dwells 600 ms, six times the watchdog budget.

@@ -9,7 +9,8 @@
 //     the partial document carries a "deadline_hit" metric, exit code 0.
 //     The WILD5G_DEADLINE_AFTER_YIELDS env hook trips the same path after
 //     a fixed yield count, making the partial document deterministic;
-//   - garbage / non-positive --deadline-ms values exit 2 (usage error).
+//   - garbage / non-positive --deadline-ms values exit 2 (usage error);
+//   - a stopped sweep's partial document keeps every row it completed.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -217,6 +218,28 @@ TEST(supervision, engine_backed_bench_honors_deadline_hook) {
   const json::Value* metrics = doc.find("metrics");
   ASSERT_NE(metrics, nullptr);
   EXPECT_NE(metrics->find("deadline_hit"), nullptr);
+}
+
+TEST(supervision, deadline_partial_keeps_the_rows_completed_before_the_stop) {
+  // fig23 yields once per UE: the deadline at the second yield stops it
+  // after exactly one row, and that row must be in the partial document,
+  // byte-equal to the completed run's first row.
+  const RunResult run = run_bench("bench_fig23_carrier_aggregation", {},
+                                  {"WILD5G_DEADLINE_AFTER_YIELDS=2"});
+  EXPECT_EQ(run.exit_code, 0);
+  ASSERT_FALSE(run.document.empty());
+  const json::Value golden = json::parse(read_file(
+      std::string(WILD5G_GOLDEN_DIR) + "/bench_fig23_carrier_aggregation.json"));
+  const json::Value doc = json::parse(run.document);
+  const auto& tables = doc.find("tables")->as_array();
+  ASSERT_EQ(tables.size(), 1u) << run.document;
+  const json::Value& golden_table = golden.find("tables")->as_array().at(0);
+  EXPECT_EQ(tables[0].find("title")->as_string(),
+            golden_table.find("title")->as_string());
+  const auto& rows = tables[0].find("rows")->as_array();
+  ASSERT_EQ(rows.size(), 1u) << run.document;
+  EXPECT_EQ(json::dump(rows[0]),
+            json::dump(golden_table.find("rows")->as_array().at(0)));
 }
 
 }  // namespace

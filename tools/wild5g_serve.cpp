@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -105,9 +106,8 @@ struct Job {
   std::string checkpoint_path;  // empty: no checkpoints
   std::size_t deadline_steps = 0;
   std::int64_t deadline_ms = 0;
-  std::size_t start_step = 0;           // > 0 for resumed jobs
-  json::Value document_state;           // restored document, resumed jobs
-  bool resumed = false;
+  std::size_t start_step = 0;                  // > 0 for resumed jobs
+  std::optional<engine::MetricsDocument> doc;  // restored for resumed jobs
   std::size_t total_steps = 0;
   std::atomic<bool> cancel{false};
   std::string state = "queued";
@@ -238,25 +238,31 @@ class Service {
     const std::string id = require_id(request);
     auto job = std::make_shared<Job>();
     job->id = id;
+    engine::Snapshot snapshot;
     if (resume) {
       const json::Value* path = request.find("snapshot_path");
       require(path != nullptr && path->is_string(),
               "resume needs a string 'snapshot_path'");
-      const engine::Snapshot snapshot =
-          engine::load_snapshot(path->as_string());
+      snapshot = engine::load_snapshot(path->as_string());
       job->request = snapshot.request;
-      job->campaign = engine::make_campaign(job->request);
-      job->campaign->restore_state(snapshot.campaign_state);
-      job->document_state = snapshot.document_state;
-      job->start_step = snapshot.next_step;
-      job->next_step = snapshot.next_step;
-      job->resumed = true;
     } else {
       // The submit message itself carries the request fields
       // (campaign/seed/params/fault_plan); extra protocol keys are ignored
       // by request_from_json.
       job->request = engine::request_from_json(request);
-      job->campaign = engine::make_campaign(job->request);
+    }
+    job->campaign = engine::make_campaign(job->request);
+    job->doc.emplace(job->request.campaign, job->request.seed,
+                     job->request.fault_plan.has_value()
+                         ? job->request.fault_plan->name
+                         : std::string{});
+    if (resume) {
+      // Both restores run here, so a malformed snapshot is answered with an
+      // error event before the job is accepted.
+      job->campaign->restore_state(snapshot.campaign_state);
+      job->doc->restore_state(snapshot.document_state);
+      job->start_step = snapshot.next_step;
+      job->next_step = snapshot.next_step;
     }
     if (const json::Value* path = request.find("checkpoint_path")) {
       require(path->is_string(), "'checkpoint_path' must be a string");
@@ -383,11 +389,7 @@ class Service {
   }
 
   void run_job(Job& job) {
-    engine::MetricsDocument doc(
-        job.request.campaign, job.request.seed,
-        job.request.fault_plan.has_value() ? job.request.fault_plan->name
-                                           : std::string{});
-    if (job.resumed) doc.restore_state(job.document_state);
+    engine::MetricsDocument& doc = *job.doc;
     engine::CampaignContext ctx{doc, nullptr};
 
     engine::RunControl control;
@@ -508,7 +510,9 @@ class Service {
 /// dwells `sleep_ms` of wall time (to widen cancellation windows and to
 /// simulate a stuck step for the watchdog) and draws one value from a
 /// checkpointed Rng stream, so its frame stream still has real state to
-/// prove resume byte-identity with. Registered only by wild5g_serve.
+/// prove resume byte-identity with. The Rng and the running sum are
+/// cross-step state the document does not hold, so it keeps both checkpoint
+/// hooks. Registered only by wild5g_serve.
 class SleeperCampaign : public engine::Campaign {
  public:
   SleeperCampaign(const engine::CampaignRequest& request, int steps,
