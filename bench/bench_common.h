@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -304,9 +305,9 @@ class MetricsEmitter {
   }
 
   /// Parses a strictly positive integer flag value (`--ues 100`); anything
-  /// else — garbage, trailing junk, zero, negative — is a usage error
-  /// (exit 2). Campaign sizes of zero are always a typo, never a request
-  /// for an empty measurement.
+  /// else — garbage, trailing junk, zero, negative, above INT_MAX — is a
+  /// usage error (exit 2). Campaign sizes of zero are always a typo, never a
+  /// request for an empty measurement.
   [[nodiscard]] int positive_count(const std::string& flag,
                                    const std::string& text) const {
     std::size_t parsed = 0;
@@ -321,6 +322,10 @@ class MetricsEmitter {
     }
     if (value <= 0) {
       usage_error(flag + ": count must be >= 1, got '" + text + "'");
+    }
+    if (value > INT_MAX) {
+      usage_error(flag + ": count must be <= " + std::to_string(INT_MAX) +
+                  ", got '" + text + "'");
     }
     return static_cast<int>(value);
   }

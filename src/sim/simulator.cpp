@@ -16,59 +16,39 @@ constexpr EventId make_id(std::uint32_t generation, std::uint32_t slot) {
 
 }  // namespace
 
-Simulator::~Simulator() {
-  // Destroy payloads of never-fired events; the arena frees its chunks.
-  for (Slot& slot : slots_) {
-    if (slot.node != nullptr && slot.node->destroy != nullptr) {
-      slot.node->destroy(payload_of(slot.node));
-    }
-  }
-}
-
-EventId Simulator::enqueue(double at_ms, Node* node) {
-  std::uint32_t index;
-  if (!free_slots_.empty()) {
-    index = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    index = static_cast<std::uint32_t>(slots_.size());
+std::uint32_t Simulator::free_slot() {
+  if (free_slots_.empty()) {
+    free_slots_.push_back(static_cast<std::uint32_t>(slots_.size()));
     slots_.emplace_back();
   }
-  Slot& slot = slots_[index];
-  slot.node = node;
+  return free_slots_.back();
+}
+
+EventId Simulator::claim_slot(std::uint32_t index, double at_ms) {
+  free_slots_.pop_back();
   ++live_;
-  const EventId id = make_id(slot.generation, index);
+  const EventId id = make_id(slots_[index].generation, index);
   queue_.push(Event{at_ms, next_seq_++, id});
   return id;
 }
 
-Simulator::Slot* Simulator::live_slot(EventId id) {
+bool Simulator::is_live(EventId id) const {
   const std::uint32_t index = slot_of(id);
-  if (index >= slots_.size()) return nullptr;
-  Slot& slot = slots_[index];
-  if (slot.node == nullptr || slot.generation != generation_of(id)) {
-    return nullptr;
-  }
-  return &slot;
-}
-
-void Simulator::release_node(Node* node) {
-  if (node->destroy != nullptr) node->destroy(payload_of(node));
-  arena_.recycle(node, node->bytes);
+  if (index >= slots_.size()) return false;
+  const Slot& slot = slots_[index];
+  return slot.handler && slot.generation == generation_of(id);
 }
 
 void Simulator::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.node = nullptr;
+  slot.handler = nullptr;
   ++slot.generation;  // stale ids (and a wrapped 0) can never match again
   free_slots_.push_back(index);
   --live_;
 }
 
 void Simulator::cancel(EventId id) {
-  Slot* slot = live_slot(id);
-  if (slot == nullptr) return;
-  release_node(slot->node);
+  if (!is_live(id)) return;
   release_slot(slot_of(id));
   // The queue entry stays behind; pop_next() skips it by generation check.
 }
@@ -77,7 +57,7 @@ bool Simulator::pop_next(Event& out) {
   while (!queue_.empty()) {
     const Event top = queue_.top();
     queue_.pop();
-    if (live_slot(top.id) != nullptr) {
+    if (is_live(top.id)) {
       out = top;
       return true;
     }
@@ -87,19 +67,14 @@ bool Simulator::pop_next(Event& out) {
 }
 
 void Simulator::dispatch(const Event& event) {
-  Slot* slot = live_slot(event.id);
-  Node* node = slot->node;
-  // Release before invoking: the running handler must not be cancellable
-  // (self-cancel is a no-op) and must not count as pending.
-  release_slot(slot_of(event.id));
-  // The node itself survives the call — the handler executes from arena
-  // memory — and is recycled afterwards even if it throws.
-  struct NodeGuard {
-    Simulator* simulator;
-    Node* node;
-    ~NodeGuard() { simulator->release_node(node); }
-  } guard{this, node};
-  node->invoke(payload_of(node));
+  const std::uint32_t index = slot_of(event.id);
+  // Move the handler out first: a nested schedule_* may reuse the released
+  // slot or reallocate the table, so the running handler must not live
+  // there. Releasing before the call makes self-cancel a no-op and keeps
+  // the running event out of pending_count().
+  const Handler handler = std::move(slots_[index].handler);
+  release_slot(index);
+  handler();
 }
 
 void Simulator::run() {

@@ -4,22 +4,17 @@
 // (inactivity timers, DRX cycles, chunk downloads). Events scheduled for the
 // same instant fire in scheduling order, so runs are fully deterministic.
 //
-// Hot-path layout: handlers are stored as type-erased nodes in a core::Arena
-// (bump chunks + size-class free lists) and looked up through a
-// generation-checked slot table, so steady-state schedule/fire/cancel churn
-// performs zero heap allocations and no hashing. A handler whose captures
-// fit the node is stored inline in arena memory; std::function only appears
-// if a caller passes one explicitly.
+// Layout: each pending handler is a std::function in a generation-checked
+// slot table; released slots go on a free list and are reused, so steady
+// schedule/fire/cancel churn never grows the table and needs no hashing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/arena.h"
 #include "core/error.h"
 
 namespace wild5g::sim {
@@ -31,50 +26,28 @@ using EventId = std::uint64_t;
 
 class Simulator {
  public:
-  /// Callers may still traffic in std::function; any callable works.
   using Handler = std::function<void()>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-  ~Simulator();
 
   /// Current simulated time in milliseconds.
   [[nodiscard]] double now_ms() const { return now_ms_; }
 
   /// Schedules `handler` at absolute simulated time `at_ms` (>= now). The
-  /// callable is moved into an arena-backed node; callables convertible to
-  /// bool (function pointers, std::function) are null-checked here.
-  template <typename F,
-            typename = std::enable_if_t<std::is_invocable_v<std::decay_t<F>&>>>
+  /// callable is assigned straight into a free slot; an empty handler
+  /// (nullptr, an empty std::function) is rejected.
+  template <typename F>
   EventId schedule_at(double at_ms, F&& handler) {
     WILD5G_REQUIRE(at_ms >= now_ms_,
                    "Simulator::schedule_at: time in the past");
-    using Fn = std::decay_t<F>;
-    if constexpr (std::is_constructible_v<bool, const Fn&>) {
-      WILD5G_REQUIRE(static_cast<bool>(handler),
-                     "Simulator::schedule_at: null handler");
-    }
-    Node* node = static_cast<Node*>(
-        arena_.allocate(kPayloadOffset + sizeof(Fn)));
-    node->invoke = [](void* payload) { (*static_cast<Fn*>(payload))(); };
-    if constexpr (std::is_trivially_destructible_v<Fn>) {
-      node->destroy = nullptr;
-    } else {
-      node->destroy = [](void* payload) { static_cast<Fn*>(payload)->~Fn(); };
-    }
-    node->bytes = static_cast<std::uint32_t>(kPayloadOffset + sizeof(Fn));
-    ::new (payload_of(node)) Fn(std::forward<F>(handler));
-    return enqueue(at_ms, node);
-  }
-
-  /// nullptr is not a handler; kept as an overload so the error is thrown
-  /// at schedule time rather than failing to compile in a template context.
-  EventId schedule_at(double at_ms, std::nullptr_t) {
-    WILD5G_REQUIRE(at_ms >= now_ms_,
-                   "Simulator::schedule_at: time in the past");
-    WILD5G_REQUIRE(false, "Simulator::schedule_at: null handler");
-    return 0;
+    const std::uint32_t index = free_slot();
+    Handler& stored = slots_[index].handler;
+    stored = std::forward<F>(handler);
+    WILD5G_REQUIRE(static_cast<bool>(stored),
+                   "Simulator::schedule_at: null handler");
+    return claim_slot(index, at_ms);
   }
 
   /// Schedules `handler` `delay_ms` from now (delay >= 0).
@@ -109,33 +82,17 @@ class Simulator {
   /// Number of scheduled-but-not-yet-fired (and not cancelled) events.
   [[nodiscard]] std::size_t pending_count() const { return live_; }
 
-  /// Heap bytes retained by the event arena; event churn must reach a
-  /// steady state here (asserted by tests), never grow per event.
-  [[nodiscard]] std::size_t arena_bytes_reserved() const {
-    return arena_.bytes_reserved();
-  }
+  /// Size of the handler slot table (live plus free slots); event churn
+  /// must reach a steady state here (asserted by tests), never grow per
+  /// event.
+  [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
 
  private:
-  /// Type-erased handler node living in the arena; the callable's bytes
-  /// start at kPayloadOffset so any fundamental alignment works.
-  struct Node {
-    void (*invoke)(void* payload);
-    void (*destroy)(void* payload);  // nullptr when trivially destructible
-    std::uint32_t bytes;             // whole block size, for recycle()
-  };
-  static constexpr std::size_t kPayloadOffset = 32;
-  static_assert(sizeof(Node) <= kPayloadOffset);
-  static_assert(kPayloadOffset % Arena::kQuantum == 0,
-                "payload must keep the arena's alignment");
-
-  static void* payload_of(Node* node) {
-    return reinterpret_cast<unsigned char*>(node) + kPayloadOffset;
-  }
-
-  /// Handler registry slot; a slot is live while `node` is set, and its
-  /// generation advances on every release so stale EventIds miss.
+  /// Handler registry slot; a slot is live while it is claimed and holds a
+  /// handler, and its generation advances on every release so stale
+  /// EventIds miss.
   struct Slot {
-    Node* node = nullptr;
+    Handler handler;
     std::uint32_t generation = 1;
   };
 
@@ -151,17 +108,22 @@ class Simulator {
     }
   };
 
-  EventId enqueue(double at_ms, Node* node);
-  /// The slot for a live id, or nullptr (fired/cancelled/unknown).
-  [[nodiscard]] Slot* live_slot(EventId id);
-  /// Destroys the payload and recycles the node's arena block.
-  void release_node(Node* node);
-  /// Frees the slot for reuse and bumps its generation.
+  /// The slot the next schedule fills: the most recently released one, or
+  /// a new slot. It stays on the free list until claim_slot(), so a handler
+  /// that throws on assignment or is empty leaves no slot half-claimed.
+  std::uint32_t free_slot();
+  /// Takes `index` (the free_slot() just filled) off the free list and
+  /// queues its event.
+  EventId claim_slot(std::uint32_t index, double at_ms);
+  /// False for fired, cancelled and unknown ids.
+  [[nodiscard]] bool is_live(EventId id) const;
+  /// Destroys the slot's handler, frees it for reuse and bumps its
+  /// generation.
   void release_slot(std::uint32_t index);
   /// Pops the next live event; returns false when the queue is empty.
   bool pop_next(Event& out);
-  /// Fires `event`: releases the slot (self-cancel is a no-op), invokes the
-  /// handler in place, then recycles the node even on unwind.
+  /// Fires `event`: moves the handler out of its slot, releases the slot
+  /// (self-cancel is a no-op), then invokes the moved-out handler.
   void dispatch(const Event& event);
 
   double now_ms_ = 0.0;
@@ -170,7 +132,6 @@ class Simulator {
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  Arena arena_;
 };
 
 }  // namespace wild5g::sim

@@ -468,6 +468,7 @@ TEST(chaos, bench_metro_rejects_degenerate_campaign_sizes) {
     EXPECT_EQ(bench_exit_code(bench, "--cells 0"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--ues -3"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--ues 1x"), 2) << bench;
+    EXPECT_EQ(bench_exit_code(bench, "--ues 4294967297"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--ues"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--frobnicate"), 2) << bench;
   }

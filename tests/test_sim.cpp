@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
@@ -305,28 +308,28 @@ TEST(Simulator, TimerRestartPattern) {
 
 TEST(Simulator, ArenaReachesSteadyStateUnderEventChurn) {
   // The hot-path contract: after warmup, schedule/fire/cancel churn reuses
-  // recycled arena blocks and never grows the reservation.
+  // released slots and never grows the slot table.
   Simulator sim;
   int fired = 0;
   for (int i = 0; i < 200; ++i) {
     sim.schedule_in(static_cast<double>(i % 13), [&fired] { ++fired; });
   }
   sim.run();
-  const std::size_t reserved = sim.arena_bytes_reserved();
+  const std::size_t reserved = sim.slot_count();
   EXPECT_GT(reserved, 0u);
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 200; ++i) {
       sim.schedule_in(static_cast<double>(i % 13), [&fired] { ++fired; });
     }
     sim.run();
-    ASSERT_EQ(sim.arena_bytes_reserved(), reserved) << "round " << round;
+    ASSERT_EQ(sim.slot_count(), reserved) << "round " << round;
   }
   EXPECT_EQ(fired, 200 * 201);
 }
 
 TEST(Simulator, ArenaSteadyStateAcrossRunUntilAndCancel) {
   // Interleave run_until windows with cancellations (the fault-injector
-  // arm()/disarm() pattern): cancelled handlers recycle their blocks too.
+  // arm()/disarm() pattern): cancelled handlers release their slots too.
   Simulator sim;
   int fired = 0;
   // Warmup round establishes the working-set reservation.
@@ -341,10 +344,10 @@ TEST(Simulator, ArenaSteadyStateAcrossRunUntilAndCancel) {
     for (const auto id : victims) sim.cancel(id);
     sim.run_until(sim.now_ms() + 10.0);
     if (round == 0) {
-      reserved = sim.arena_bytes_reserved();
+      reserved = sim.slot_count();
       EXPECT_GT(reserved, 0u);
     } else {
-      ASSERT_EQ(sim.arena_bytes_reserved(), reserved) << "round " << round;
+      ASSERT_EQ(sim.slot_count(), reserved) << "round " << round;
     }
   }
   EXPECT_EQ(sim.pending_count(), 0u);
@@ -368,11 +371,54 @@ TEST(Simulator, CancelledHandlerCaptureIsDestroyed) {
   EXPECT_EQ(token.use_count(), 1) << "teardown must destroy live captures";
 }
 
+TEST(Simulator, HandlerSurvivesTheSlotTableGrowingUnderIt) {
+  // A running handler schedules 1,000 events on a fresh simulator, which
+  // refills its own released slot and reallocates the slot table mid-call,
+  // and then reads its captures. Dispatch moved the handler out of its slot
+  // before the call, so both cases pass; invoked in place from the table,
+  // each would be a heap-use-after-free under ASan.
+  {
+    // Stored out of line by std::function: freed when the first nested
+    // schedule refills the released slot.
+    Simulator sim;
+    int fired = 0;
+    const std::string label(256, 'x');
+    const auto token = std::make_shared<int>(7);
+    std::size_t read_back = 0;
+    sim.schedule_at(1.0, [&sim, &fired, &read_back, label, token] {
+      for (int i = 0; i < 1000; ++i) {
+        sim.schedule_in(1.0, [&fired] { ++fired; });
+      }
+      read_back = label.size() + static_cast<std::size_t>(*token);
+    });
+    sim.run();
+    EXPECT_EQ(read_back, 263u);
+    EXPECT_EQ(fired, 1000);
+    EXPECT_EQ(token.use_count(), 1) << "fired handler's capture leaked";
+    EXPECT_GE(sim.slot_count(), 1000u);
+  }
+  {
+    // Two references are stored inside the std::function itself: they move
+    // with the table when it reallocates.
+    Simulator sim;
+    int fired = 0;
+    sim.schedule_at(1.0, [&sim, &fired] {
+      for (int i = 0; i < 1000; ++i) {
+        sim.schedule_in(1.0, [&fired] { ++fired; });
+      }
+      ++fired;
+    });
+    sim.run();
+    EXPECT_EQ(fired, 1001);
+    EXPECT_GE(sim.slot_count(), 1000u);
+  }
+}
+
 TEST(Simulator, OversizedCapturesStillFire) {
-  // Captures larger than the arena's small-block classes take the
-  // dedicated-chunk path; semantics must not change.
+  // A 3.2 KB capture is stored out of line by std::function; semantics
+  // must not change.
   Simulator sim;
-  std::array<double, 400> payload{};  // > kMaxSmallBytes when captured
+  std::array<double, 400> payload{};
   payload[0] = 1.0;
   payload[399] = 2.0;
   double sum = 0.0;
@@ -381,9 +427,97 @@ TEST(Simulator, OversizedCapturesStillFire) {
   EXPECT_DOUBLE_EQ(sum, 3.0);
 }
 
-// --- same-instant multi-actor scheduling (the metro campaign pattern: N
-// UEs share one step boundary, so whole cohorts of events land on the same
-// at_ms and their relative order must be pinned) ------------------------
+// --- slot table: a handler leaves its slot before it runs, and a released
+// slot is reused under a new generation ---------------------------------
+
+TEST(Simulator, FiredHandlerCaptureIsDestroyedBeforeTheNextEvent) {
+  // Dispatch moves the handler out of its slot and drops it once it
+  // returns: by the next event nothing holds the fired handler's captures.
+  auto token = std::make_shared<int>(7);
+  Simulator sim;
+  long count_in_next = -1;
+  sim.schedule_at(1.0, [token] { (void)*token; });
+  sim.schedule_at(2.0, [&count_in_next, &token] {
+    count_in_next = token.use_count();
+  });
+  EXPECT_EQ(token.use_count(), 2);
+  sim.run();
+  EXPECT_EQ(count_in_next, 1);
+}
+
+TEST(Simulator, StaleIdMissesTheEventThatReusedItsSlot) {
+  // A fired event's slot goes back on the free list and the next schedule
+  // takes it; the old id carries the old generation, so cancelling it must
+  // leave the new occupant alone.
+  Simulator sim;
+  const auto first = sim.schedule_at(1.0, [] {});
+  sim.run();
+  bool second_fired = false;
+  const auto second = sim.schedule_at(2.0, [&] { second_fired = true; });
+  EXPECT_EQ(sim.slot_count(), 1u) << "released slot was not reused";
+  EXPECT_NE(first, second);
+  sim.cancel(first);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  sim.run();
+  EXPECT_TRUE(second_fired);
+}
+
+TEST(Simulator, SelfReschedulingTimerKeepsOneSlot) {
+  // The re-arming timer pattern: each firing schedules its successor from
+  // inside the handler. The running handler already released its slot, so
+  // the successor takes that slot and the table never grows past one.
+  Simulator sim;
+  int ticks = 0;
+  std::function<void()> tick = [&] {
+    if (++ticks < 100) sim.schedule_in(10.0, tick);
+  };
+  sim.schedule_in(10.0, tick);
+  sim.run();
+  EXPECT_EQ(ticks, 100);
+  EXPECT_DOUBLE_EQ(sim.now_ms(), 1000.0);
+  EXPECT_EQ(sim.slot_count(), 1u);
+  EXPECT_EQ(sim.pending_count(), 0u);
+}
+
+TEST(Simulator, RejectedHandlerClaimsNoSlot) {
+  // An empty handler is refused after it was assigned into a free slot; the
+  // slot must stay free, so nothing is pending and the next schedule
+  // reuses it.
+  Simulator sim;
+  const Simulator::Handler empty;
+  EXPECT_THROW(sim.schedule_at(1.0, empty), wild5g::Error);
+  EXPECT_THROW(sim.schedule_in(1.0, nullptr), wild5g::Error);
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_EQ(sim.slot_count(), 1u);
+  bool fired = false;
+  sim.schedule_at(1.0, [&] { fired = true; });
+  EXPECT_EQ(sim.slot_count(), 1u);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  sim.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Simulator, ThrowingHandlerLeavesTheRestOfTheQueueRunnable) {
+  // A handler that throws propagates out of run(). Its slot was released
+  // before the call, so the bookkeeping stays exact and a second run()
+  // fires what is left.
+  Simulator sim;
+  int fired = 0;
+  sim.schedule_at(1.0, [] { throw std::runtime_error("handler failed"); });
+  sim.schedule_at(2.0, [&] { ++fired; });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_DOUBLE_EQ(sim.now_ms(), 1.0);
+  EXPECT_EQ(sim.pending_count(), 1u);
+  EXPECT_EQ(fired, 0);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.pending_count(), 0u);
+  EXPECT_EQ(sim.slot_count(), 2u);
+}
+
+// --- same-instant multi-actor scheduling (N actors share one step
+// boundary, so whole cohorts of events land on the same at_ms and their
+// relative order must be pinned) ----------------------------------------
 
 TEST(Simulator, ManyActorsAtOneInstantFireInSchedulingOrder) {
   Simulator sim;

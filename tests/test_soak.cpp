@@ -13,14 +13,20 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -67,7 +73,7 @@ class ServeClient {
     ::close(to_child[0]);
     ::close(from_child[1]);
     stdin_fd_ = to_child[1];
-    stdout_ = ::fdopen(from_child[0], "r");
+    stdout_fd_ = from_child[0];
   }
 
   ServeClient(const ServeClient&) = delete;
@@ -75,7 +81,7 @@ class ServeClient {
 
   ~ServeClient() {
     close_stdin();
-    if (stdout_ != nullptr) std::fclose(stdout_);
+    if (stdout_fd_ >= 0) ::close(stdout_fd_);
     if (pid_ > 0 && !reaped_) {
       ::kill(pid_, SIGKILL);
       int status = 0;
@@ -96,18 +102,35 @@ class ServeClient {
     }
   }
 
-  /// Blocking read of the next event line; false on EOF (service exited).
-  bool read_line(std::string* line) {
-    char* raw = nullptr;
-    std::size_t cap = 0;
-    const ssize_t n = ::getline(&raw, &cap, stdout_);
-    if (n <= 0) {
-      std::free(raw);
-      return false;
+  /// Reads the next event line; false on EOF (service exited) or, given a
+  /// `deadline`, when it passes with no complete line. Unbuffered fd reads
+  /// keep poll() exact: no line can sit in a stdio buffer unseen.
+  bool read_line(std::string* line,
+                 std::optional<std::chrono::steady_clock::time_point>
+                     deadline = std::nullopt) {
+    std::size_t newline = pending_.find('\n');
+    while (newline == std::string::npos) {
+      int wait_ms = -1;
+      if (deadline) {
+        wait_ms = static_cast<int>(std::max<std::int64_t>(
+            0, std::chrono::duration_cast<std::chrono::milliseconds>(
+                   *deadline - std::chrono::steady_clock::now())
+                   .count()));
+      }
+      pollfd ready{stdout_fd_, POLLIN, 0};
+      const int polled = ::poll(&ready, 1, wait_ms);
+      if (polled < 0 && errno == EINTR) continue;
+      if (polled <= 0) return false;
+      char buffer[4096];
+      const ssize_t n = ::read(stdout_fd_, buffer, sizeof(buffer));
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      const std::size_t scanned = pending_.size();
+      pending_.append(buffer, static_cast<std::size_t>(n));
+      newline = pending_.find('\n', scanned);
     }
-    line->assign(raw, static_cast<std::size_t>(n));
-    while (!line->empty() && line->back() == '\n') line->pop_back();
-    std::free(raw);
+    line->assign(pending_, 0, newline);
+    pending_.erase(0, newline + 1);
     return true;
   }
 
@@ -148,7 +171,8 @@ class ServeClient {
  private:
   pid_t pid_ = -1;
   int stdin_fd_ = -1;
-  FILE* stdout_ = nullptr;
+  int stdout_fd_ = -1;
+  std::string pending_;  // bytes read past the last returned line
   bool reaped_ = false;
 };
 
@@ -410,6 +434,89 @@ TEST(soak, sigkill_mid_campaign_then_resume_is_byte_identical) {
     expect_uptime_invariant(events);
   }
   std::remove(ckpt.c_str());
+}
+
+TEST(soak, status_answers_while_a_checkpoint_write_blocks) {
+  // A checkpoint write that blocks (slow disk, full pipe) must not stall
+  // the protocol thread. save_snapshot writes `<path>.tmp` first; making
+  // that a FIFO blocks its open until a reader appears. The job's status
+  // reports next_step 1 only after on_yield has recorded the step under
+  // the service mutex, i.e. once the compute thread is headed into the
+  // blocked write. Answering that status (and a second one) within a
+  // bounded wait proves the mutex is not held across the write.
+  const std::string ckpt = ::testing::TempDir() + "wild5g_soak_fifo_" +
+                           std::to_string(::getpid()) + ".ckpt";
+  const std::string tmp = ckpt + ".tmp";
+  std::remove(ckpt.c_str());
+  std::remove(tmp.c_str());
+  ASSERT_EQ(::mkfifo(tmp.c_str(), 0600), 0) << std::strerror(errno);
+
+  ServeClient serve;
+  serve.send(
+      "{\"op\":\"submit\",\"id\":\"j1\",\"campaign\":\"sleeper\","
+      "\"seed\":\"11\",\"params\":{\"steps\":2},\"checkpoint_path\":\"" +
+      ckpt + "\"}");
+  std::vector<std::string> lines;
+  serve.read_until_event("accepted", &lines);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  // Reads up to the next status event; false if the service stays silent
+  // until the deadline.
+  const auto next_status = [&](json::Value* status) {
+    std::string line;
+    while (serve.read_line(&line, deadline)) {
+      lines.push_back(line);
+      *status = json::parse(line);
+      if (status->find("event")->as_string() == "status") return true;
+    }
+    return false;
+  };
+  bool yielded = false;
+  bool answered = false;
+  json::Value status;
+  while (!yielded) {
+    serve.send("{\"op\":\"status\",\"id\":\"j1\"}");
+    if (!next_status(&status)) break;
+    yielded = status.find("next_step")->as_number() >= 1.0;
+  }
+  if (yielded) {
+    serve.send("{\"op\":\"status\"}");
+    answered = next_status(&status);
+  }
+  EXPECT_TRUE(yielded && answered)
+      << "status went unanswered for 10 s while a checkpoint write blocked";
+  for (const auto& line : lines) {
+    EXPECT_NE(json::parse(line).find("event")->as_string(), "ckpt")
+        << "the checkpoint finished before its FIFO had a reader";
+  }
+
+  // Let the blocked write finish: read the snapshot out of the FIFO.
+  const int fifo = ::open(tmp.c_str(), O_RDONLY);
+  ASSERT_GE(fifo, 0) << std::strerror(errno);
+  std::string snapshot;
+  char buffer[4096];
+  for (ssize_t n; (n = ::read(fifo, buffer, sizeof(buffer))) > 0;) {
+    snapshot.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fifo);
+  EXPECT_NE(snapshot.find("wild5g-snapshot"), std::string::npos) << snapshot;
+
+  serve.close_stdin();
+  for (const auto& line : serve.read_to_eof()) lines.push_back(line);
+  EXPECT_EQ(serve.wait(), 0);
+  std::remove(ckpt.c_str());
+  std::remove(tmp.c_str());
+  const std::vector<json::Value> events = parse_all(lines);
+  std::size_t ckpts = 0;
+  for (const auto& event : events) {
+    if (event.find("event")->as_string() == "ckpt") ++ckpts;
+  }
+  EXPECT_EQ(ckpts, 2u);
+  const json::Value* done = find_event(events, "done", "j1");
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->find("status")->as_string(), "completed");
+  expect_uptime_invariant(events);
 }
 
 TEST(soak, deadline_steps_ends_in_deadline_partial_with_a_result) {

@@ -183,7 +183,8 @@ TEST(supervision, garbage_deadline_values_are_usage_errors) {
        {std::vector<std::string>{"--deadline-ms", "soon"},
         std::vector<std::string>{"--deadline-ms", "0"},
         std::vector<std::string>{"--deadline-ms", "-5"},
-        std::vector<std::string>{"--deadline-ms", "10x"}}) {
+        std::vector<std::string>{"--deadline-ms", "10x"},
+        std::vector<std::string>{"--deadline-ms", "4294967296"}}) {
     const RunResult run = run_bench(kSweepBench, args, {});
     EXPECT_EQ(run.exit_code, 2) << args[1];
     EXPECT_TRUE(run.document.empty())

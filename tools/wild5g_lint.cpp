@@ -7,9 +7,8 @@
 // flowing into each figure carry the physical unit their name claims. This
 // tool makes both contracts machine-checked: a hand-rolled tokenizer (no
 // libclang dependency) feeds a semantic layer — a preprocessor-lite include
-// graph, a cross-file function-signature index, and a function-body index —
-// and a rule engine runs over src/, bench/, tools/, and examples/, failing
-// the build on violations.
+// graph and a cross-file function-signature index — and a rule engine runs
+// over src/, bench/, tools/, and examples/, failing the build on violations.
 //
 // Rule families (see --list-rules, --rules-doc, docs/LINT_RULES.md):
 //   determinism  ban-random-device, ban-c-rand, ban-wall-clock,
@@ -23,21 +22,20 @@
 //                bindings whose suffixes disagree must route through a
 //                units.h conversion helper, and redundant conversions are
 //                flagged.
-//   concurrency  lock-held-blocking-call — a blocking call reached while a
-//                mutex is held, directly or through free-function calls.
 //   layering     layering, include-cycle — the include DAG flows strictly
 //                downward (src/core depends on nothing outside core, src/sim
 //                sits below radio/net/abr/web, bench/ headers are never
 //                included from src/) and cycles are findings.
 //   hygiene      float-equality, printf-float, catch-swallow,
-//                bench-sample-hoard, engine-blocking-call, arena-escape.
+//                bench-sample-hoard, engine-blocking-call.
 //   meta         allow-needs-justification, unknown-rule.
 //
 // Only rules no runtime gate can check live here. Parallel-Rng discipline,
 // shared-state races, lock order, condition-variable waits, signal-handler
-// safety, and checkpoint/restore symmetry are enforced by the test suites
-// that run the code (the 1-vs-8-thread determinism gate, the TSan lane, the
-// engine resume tests); DESIGN.md section 8 maps each to its gate.
+// safety, checkpoint/restore symmetry, and locks held across blocking calls
+// are enforced by the test suites that run the code (the 1-vs-8-thread
+// determinism gate, the TSan lane, the engine resume tests, the soak
+// suite); DESIGN.md section 8 maps each to its gate.
 //
 // Suppression: a finding is waived by a directive comment — on the same line
 // as the finding, or on its own line(s) directly above it — of the form
@@ -84,7 +82,7 @@ struct RuleInfo {
   std::string_view fixit;  // generic mechanical-fix hint; empty if contextual
 };
 
-constexpr std::array<RuleInfo, 19> kRules = {{
+constexpr std::array<RuleInfo, 17> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -141,20 +139,6 @@ constexpr std::array<RuleInfo, 19> kRules = {{
      "redundant units.h conversion: the argument is already in the target "
      "unit, or an inverse pair cancels out",
      "drop the redundant conversion call(s)"},
-    {"arena-escape", "hygiene",
-     "a pointer obtained from a core/arena.h allocation is stored into "
-     "storage that outlives the handler scope (member, global, long-lived "
-     "container) or returned; arena recycling makes this a latent "
-     "use-after-free",
-     "keep arena pointers handler-local; hand out EventIds or copy the "
-     "payload out instead"},
-    {"lock-held-blocking-call", "concurrency",
-     "a blocking call (filesystem, sleep, subprocess — the engine-blocking-"
-     "call identifier set) runs while a mutex is held, directly or through "
-     "a callee; every other thread contending that mutex stalls for the "
-     "full blocking duration",
-     "release the lock before blocking: copy what the call needs out under "
-     "the lock, unlock, then block"},
     {"layering", "layering",
      "include edge violates the layer DAG (core at the bottom, sim below "
      "radio/net/abr/web, bench/ never included from src/)",
@@ -168,9 +152,8 @@ constexpr std::array<RuleInfo, 19> kRules = {{
 }};
 
 // Family display order for --rules-doc and --list-rules grouping.
-constexpr std::array<std::string_view, 6> kFamilies = {
-    "determinism", "units",   "concurrency",
-    "layering",    "hygiene", "meta"};
+constexpr std::array<std::string_view, 5> kFamilies = {
+    "determinism", "units", "layering", "hygiene", "meta"};
 
 bool is_known_rule(std::string_view id) {
   return std::any_of(kRules.begin(), kRules.end(),
@@ -755,29 +738,21 @@ void check_sample_hoard(const std::vector<Token>& toks,
 /// sanctioned checkpoint writer; supervision sleeps and wall-clock waits
 /// belong to the layer driving the engine (bench_common.h, wild5g_serve).
 /// Clock reads are already covered by ban-wall-clock, so this rule only
-/// names the filesystem and sleep families.
-/// Identifier set shared by engine-blocking-call and lock-held-blocking-call:
-/// names whose presence marks a call that can block the calling thread for
-/// an unbounded or scheduler-scale time.
-const std::set<std::string>& blocking_idents() {
+/// names the filesystem, subprocess and sleep families.
+void check_engine_blocking(const std::vector<Token>& toks,
+                           const FileContext& ctx, const std::string& vpath,
+                           std::vector<Finding>& out) {
   static const std::set<std::string> kBlocking = {
       "ifstream",  "ofstream",    "fstream", "fopen",     "freopen",
       "tmpfile",   "fread",       "fwrite",  "system",    "popen",
       "sleep_for", "sleep_until", "usleep",  "nanosleep"};
-  return kBlocking;
-}
-
-void check_engine_blocking(const std::vector<Token>& toks,
-                           const FileContext& ctx, const std::string& vpath,
-                           std::vector<Finding>& out) {
   if (vpath.rfind("src/engine/", 0) != 0) return;
   if (vpath == "src/engine/snapshot.h" ||
       vpath == "src/engine/snapshot.cpp") {
     return;
   }
   for (const auto& tok : toks) {
-    if (tok.kind != Token::Kind::kIdent ||
-        blocking_idents().count(tok.text) == 0) {
+    if (tok.kind != Token::Kind::kIdent || kBlocking.count(tok.text) == 0) {
       continue;
     }
     out.push_back(
@@ -1377,274 +1352,6 @@ void check_unit_calls(const std::vector<Token>& toks, const FileContext& ctx,
 }
 
 // ---------------------------------------------------------------------------
-// Function-body index: every definition in the scanned set with its body
-// token range and local names (parameters and body declarations), keyed by
-// (name, arity) for call resolution. arena-escape reads the bodies;
-// lock-held-blocking-call follows free-function calls through the index.
-
-struct FuncDef {
-  std::string name;
-  std::string file;
-  int line = 0;
-  std::size_t body_open = 0;
-  std::size_t body_close = 0;
-  int arity = 0;
-  std::size_t name_tok = 0;      // token index of the name
-  std::set<std::string> locals;  // params + body-declared names
-};
-
-/// Container/member operations that mutate their receiver; used to spot
-/// arena pointers stored into non-local containers.
-const std::set<std::string>& mutating_methods() {
-  static const std::set<std::string> kMut = {
-      "push_back", "emplace_back", "insert", "emplace", "erase",
-      "clear",     "resize",       "assign", "pop_back", "reset",
-      "store"};
-  return kMut;
-}
-
-/// Names declared inside a block [open, close): `Type name =|(|{|;|:` after
-/// optional cv/ref tokens. The over-approximation (type names occasionally
-/// land in the set) only ever silences checks, never fires them.
-std::set<std::string> collect_block_locals(const std::vector<Token>& toks,
-                                           std::size_t open,
-                                           std::size_t close) {
-  std::set<std::string> locals;
-  for (std::size_t k = open + 1; k + 1 < close; ++k) {
-    if (toks[k].kind != Token::Kind::kIdent ||
-        non_type_keywords().count(toks[k].text) != 0) {
-      continue;
-    }
-    std::size_t m = k + 1;
-    while (m < close && (toks[m].text == "&" || toks[m].text == "*" ||
-                         toks[m].text == "const")) {
-      ++m;
-    }
-    if (m < close && toks[m].kind == Token::Kind::kIdent && m + 1 < close &&
-        (toks[m + 1].text == "=" || toks[m + 1].text == "(" ||
-         toks[m + 1].text == "{" || toks[m + 1].text == ";" ||
-         toks[m + 1].text == ":")) {
-      locals.insert(toks[m].text);
-    }
-  }
-  return locals;
-}
-
-/// Function definitions: `name(params) [const|noexcept|...]* [-> type] {`.
-/// The same triple gating as the signature index (declaration-shaped
-/// parameters, plausible return-type context) keeps call sites out.
-void collect_function_defs(const std::vector<Token>& toks,
-                           const FileContext& ctx,
-                           std::vector<FuncDef>& out) {
-  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::kIdent || toks[i + 1].text != "(") {
-      continue;
-    }
-    const std::string& name = toks[i].text;
-    if (non_type_keywords().count(name) != 0) continue;
-    const Token& prev = toks[i - 1];
-    const bool prev_ok =
-        (prev.kind == Token::Kind::kIdent &&
-         non_type_keywords().count(prev.text) == 0) ||
-        (prev.kind == Token::Kind::kPunct &&
-         (prev.text == "&" || prev.text == "*" || prev.text == ">" ||
-          prev.text == "::"));
-    if (!prev_ok) continue;
-    if (prev.text == "::" && i >= 2 && toks[i - 2].text == "std") continue;
-    const std::size_t close = find_match(toks, i + 1, "(", ")", toks.size());
-    if (close == kNpos || close + 1 >= toks.size()) continue;
-
-    FuncDef def;
-    bool shaped = true;
-    if (close > i + 2) {
-      for (const auto& [cb, ce] : split_args(toks, i + 2, close)) {
-        std::string pname;
-        std::string punit;
-        if (cb >= ce || !decl_chunk(toks, cb, ce, &pname, &punit)) {
-          shaped = false;
-          break;
-        }
-        ++def.arity;
-        if (!pname.empty()) def.locals.insert(pname);
-      }
-    }
-    if (!shaped) continue;
-    // Walk past trailing specifiers to the body brace; a ';' means this was
-    // only a declaration.
-    std::size_t j = close + 1;
-    while (j < toks.size() && toks[j].kind == Token::Kind::kIdent &&
-           (toks[j].text == "const" || toks[j].text == "noexcept" ||
-            toks[j].text == "override" || toks[j].text == "final" ||
-            toks[j].text == "mutable")) {
-      ++j;
-    }
-    if (j < toks.size() && toks[j].text == "->") {
-      const std::size_t cap = std::min(toks.size(), j + 24);
-      while (j < cap && toks[j].text != "{" && toks[j].text != ";") ++j;
-    }
-    if (j >= toks.size() || toks[j].text != "{") continue;
-    def.body_open = j;
-    def.body_close = find_match(toks, j, "{", "}", toks.size());
-    if (def.body_close == kNpos) continue;
-    def.name = name;
-    def.name_tok = i;
-    def.file = ctx.display_path;
-    def.line = toks[i].line;
-    const std::set<std::string> body_locals =
-        collect_block_locals(toks, def.body_open, def.body_close);
-    def.locals.insert(body_locals.begin(), body_locals.end());
-    out.push_back(std::move(def));
-  }
-}
-
-// name -> arity -> definitions.
-using FuncIndex = std::map<std::string, std::map<int, std::vector<FuncDef*>>>;
-
-std::vector<FuncDef*> resolve_callee(const FuncIndex& index,
-                                     const std::string& name, int argc) {
-  const auto slot = index.find(name);
-  if (slot == index.end()) return {};
-  const auto exact = slot->second.find(argc);
-  if (exact != slot->second.end()) return exact->second;
-  std::vector<FuncDef*> all;  // arity mismatch (default args): merge all
-  for (const auto& [arity, defs] : slot->second) {
-    (void)arity;
-    all.insert(all.end(), defs.begin(), defs.end());
-  }
-  return all;
-}
-
-/// arena-escape: a pointer produced by `<arena>.allocate(...)` stored into
-/// anything that outlives the enclosing function scope — member, global, or
-/// non-local container — or returned. Arena recycling makes every such
-/// store a latent use-after-free that no runtime gate sees: the arena hands
-/// the recycled block out again without poisoning it, so ASan reads it as
-/// live memory and the stale read is deterministic.
-void check_arena_escape(const std::vector<Token>& toks,
-                        const FileContext& ctx, const std::string& vpath,
-                        const std::vector<FuncDef>& funcs,
-                        std::vector<Finding>& out) {
-  // Sanctioned owners: the arena itself and the simulator event loop, which
-  // recycles nodes in lockstep with dispatch and is audited by test_sim's
-  // lifetime tests.
-  static constexpr std::array<std::string_view, 3> kArenaOwners = {
-      "src/core/arena.h", "src/sim/simulator.h", "src/sim/simulator.cpp"};
-  for (const auto owner : kArenaOwners) {
-    if (vpath == owner) return;
-  }
-  // Receivers that look like arenas: declared `Arena x` / `core::Arena x`
-  // in this file, or any identifier mentioning "arena".
-  std::set<std::string> arena_objs;
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind == Token::Kind::kIdent && toks[i].text == "Arena" &&
-        toks[i + 1].kind == Token::Kind::kIdent) {
-      arena_objs.insert(toks[i + 1].text);
-    }
-  }
-  const auto is_arena = [&](const std::string& id) {
-    return arena_objs.count(id) != 0 ||
-           id.find("arena") != std::string::npos ||
-           id.find("Arena") != std::string::npos;
-  };
-  const std::string_view fixit =
-      "keep arena-backed pointers handler-scoped; copy the payload out or "
-      "use an owned allocation for anything that outlives dispatch";
-  for (const FuncDef& def : funcs) {
-    // Pointers bound to an allocate() result in this body: walk back from
-    // the receiver, past casts, to the '=' and the name left of it.
-    std::set<std::string> tracked;
-    for (std::size_t k = def.body_open + 1; k + 1 < def.body_close; ++k) {
-      if (toks[k].kind != Token::Kind::kIdent ||
-          toks[k].text != "allocate" || !next_is(toks, k, "(") || k < 2 ||
-          (toks[k - 1].text != "." && toks[k - 1].text != "->") ||
-          toks[k - 2].kind != Token::Kind::kIdent ||
-          !is_arena(toks[k - 2].text)) {
-        continue;
-      }
-      const std::size_t floor =
-          k - 2 > def.body_open + 26 ? k - 2 - 26 : def.body_open;
-      for (std::size_t j = k - 2; j > floor;) {
-        --j;
-        if (toks[j].kind != Token::Kind::kPunct) continue;
-        if (toks[j].text == ";") break;
-        if (toks[j].text == "=") {
-          if (j > 0 && toks[j - 1].kind == Token::Kind::kIdent) {
-            tracked.insert(toks[j - 1].text);
-          }
-          break;
-        }
-      }
-    }
-    if (tracked.empty()) continue;
-    for (std::size_t k = def.body_open + 1; k + 1 < def.body_close; ++k) {
-      const Token& t = toks[k];
-      // return p;
-      if (t.kind == Token::Kind::kIdent && t.text == "return" &&
-          toks[k + 1].kind == Token::Kind::kIdent &&
-          tracked.count(toks[k + 1].text) != 0 && k + 2 < def.body_close &&
-          toks[k + 2].text == ";") {
-        out.push_back(
-            {ctx.display_path, t.line, "arena-escape",
-             "'" + toks[k + 1].text + "' points into arena storage and is "
-             "returned from '" + def.name + "'; the arena recycles the slot "
-             "and the pointer dangles",
-             std::string(fixit)});
-        continue;
-      }
-      // <lvalue> = p ;  where the lvalue's base name is not function-local.
-      if (t.kind == Token::Kind::kPunct && t.text == "=" && k >= 1 &&
-          toks[k + 1].kind == Token::Kind::kIdent &&
-          tracked.count(toks[k + 1].text) != 0 &&
-          (k + 2 >= def.body_close || toks[k + 2].text == ";") &&
-          toks[k - 1].kind == Token::Kind::kIdent) {
-        std::size_t root = k - 1;
-        while (root >= def.body_open + 3 &&
-               (toks[root - 1].text == "." || toks[root - 1].text == "->") &&
-               toks[root - 2].kind == Token::Kind::kIdent) {
-          root -= 2;
-        }
-        const std::string& base = toks[root].text;
-        if (def.locals.count(base) != 0 && base != "this") continue;
-        out.push_back(
-            {ctx.display_path, t.line, "arena-escape",
-             "'" + toks[k + 1].text + "' points into arena storage and is "
-             "stored into '" + toks[k - 1].text + "', which outlives this "
-             "handler scope; the arena recycles the slot and the pointer "
-             "dangles",
-             std::string(fixit)});
-        continue;
-      }
-      // container.push_back(p) etc. on a non-local receiver.
-      if (t.kind == Token::Kind::kIdent &&
-          mutating_methods().count(t.text) != 0 && next_is(toks, k, "(") &&
-          k >= 2 && (toks[k - 1].text == "." || toks[k - 1].text == "->") &&
-          toks[k - 2].kind == Token::Kind::kIdent &&
-          def.locals.count(toks[k - 2].text) == 0) {
-        const std::size_t close =
-            find_match(toks, k + 1, "(", ")", def.body_close + 1);
-        if (close == kNpos || close <= k + 2) continue;
-        for (const auto& [ab, ae] : split_args(toks, k + 2, close)) {
-          std::size_t b = ab;
-          if (b < ae && toks[b].text == "&") ++b;
-          if (ae != b + 1 || toks[b].kind != Token::Kind::kIdent ||
-              tracked.count(toks[b].text) == 0) {
-            continue;
-          }
-          out.push_back(
-              {ctx.display_path, t.line, "arena-escape",
-               "'" + toks[b].text + "' points into arena storage and is "
-               "inserted into '" + toks[k - 2].text + "', which outlives "
-               "this handler scope; the arena recycles the slot and the "
-               "pointer dangles",
-               std::string(fixit)});
-          break;
-        }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Layering. The include DAG over src/ modules must flow strictly downward:
 // a module may include core, itself, and any module of strictly lower rank.
 // The ranks encode the ISSUE constraints (core at the bottom, sim below
@@ -1716,10 +1423,10 @@ std::string src_module_of(const std::string& vpath) {
 
 // ---------------------------------------------------------------------------
 // Driver: two passes over the tree. Pass 1 loads and lexes every file and
-// gathers per-file facts (includes, signatures, function bodies). Pass 2
-// runs the per-file checks against the global indexes, then the include
-// graph is checked for layering violations and cycles, and finally
-// suppression directives are applied per file.
+// gathers per-file facts (includes, signatures). Pass 2 runs the per-file
+// checks against the signature index, then the include graph is checked for
+// layering violations and cycles, and finally suppression directives are
+// applied per file.
 
 struct FileUnit {
   fs::path path;
@@ -1733,7 +1440,6 @@ struct FileUnit {
   std::string src_module;     // "core", "radio", ... ("" outside src/)
   std::vector<IncludeRef> includes;
   std::set<std::size_t> decl_sites;
-  std::vector<FuncDef> funcs;  // function-body index
   bool io_error = false;
 };
 
@@ -1781,273 +1487,7 @@ FileUnit load_file(const fs::path& path) {
   unit.src_module = src_module_of(unit.vpath);
   unit.ctx.in_bench = unit.vpath.rfind("bench/", 0) == 0;
   unit.includes = collect_includes(unit.lexed.tokens);
-  collect_function_defs(unit.lexed.tokens, unit.ctx, unit.funcs);
   return unit;
-}
-
-// ---------------------------------------------------------------------------
-// lock-held-blocking-call. Each body is walked for lexical lock segments: a
-// RAII guard (lock_guard/unique_lock/scoped_lock/shared_lock) holds from its
-// declaration to the end of its block; guard .unlock()/.lock() toggle it,
-// and toggles inside a nested block are undone when that block closes (the
-// early-return unlock idiom). A bare .lock()/.unlock() on a declared mutex
-// acts as a guard with the same rules. A blocking identifier inside a
-// segment is a finding, and so is a free-function call inside a segment to a
-// definition that blocks, directly or through further free-function calls
-// (a forward fixpoint over the body index). Member calls are not followed.
-
-const std::set<std::string>& guard_type_names() {
-  static const std::set<std::string> kGuards = {
-      "lock_guard", "unique_lock", "scoped_lock", "shared_lock"};
-  return kGuards;
-}
-
-/// Names declared with a mutex-family type anywhere in the file; a bare
-/// `name.lock()` on one of them opens a lock segment.
-void collect_mutex_names(const std::vector<Token>& toks,
-                         std::set<std::string>& out) {
-  static const std::set<std::string> kMutex = {
-      "mutex", "recursive_mutex", "shared_mutex", "timed_mutex",
-      "recursive_timed_mutex"};
-  for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind == Token::Kind::kIdent &&
-        kMutex.count(toks[i].text) != 0 &&
-        toks[i + 1].kind == Token::Kind::kIdent) {
-      out.insert(toks[i + 1].text);
-    }
-  }
-}
-
-/// One body's lock-relevant facts: blocking identifiers and free calls, each
-/// with the mutex held at that point ("" when none).
-struct LockWalk {
-  struct Site {
-    std::string name;  // blocking identifier or callee
-    int argc = 0;
-    int line = 0;
-    std::string held;
-  };
-  std::vector<Site> blockers;
-  std::vector<Site> calls;
-};
-
-LockWalk walk_locks(const std::vector<Token>& toks, const FuncDef& def,
-                    const std::set<std::string>& mutexes) {
-  struct Guard {
-    std::string mutex;  // display text of the guarded mutex
-    bool active = false;
-    int depth = 0;
-  };
-  std::map<std::string, Guard> guards;  // guard (or bare mutex) name -> state
-  std::vector<std::map<std::string, bool>> snaps;
-  int depth = 0;
-  const auto held_now = [&]() -> std::string {
-    for (const auto& [name, g] : guards) {
-      if (g.active) return g.mutex;
-    }
-    return {};
-  };
-  LockWalk walk;
-  const std::size_t end = std::min(def.body_close + 1, toks.size());
-  for (std::size_t j = def.body_open; j < end; ++j) {
-    const Token& t = toks[j];
-    if (t.kind == Token::Kind::kPunct) {
-      if (t.text == "{") {
-        ++depth;
-        std::map<std::string, bool> snap;
-        for (const auto& [name, g] : guards) snap[name] = g.active;
-        snaps.push_back(std::move(snap));
-      } else if (t.text == "}" && !snaps.empty()) {
-        const auto snap = std::move(snaps.back());
-        snaps.pop_back();
-        for (auto it = guards.begin(); it != guards.end();) {
-          if (it->second.depth >= depth) {
-            it = guards.erase(it);
-            continue;
-          }
-          const auto was = snap.find(it->first);
-          if (was != snap.end()) it->second.active = was->second;
-          ++it;
-        }
-        --depth;
-      }
-      continue;
-    }
-    if (t.kind != Token::Kind::kIdent) continue;
-
-    // Guard declaration: `lock_guard<...> name(mutex[, ...])`.
-    if (guard_type_names().count(t.text) != 0) {
-      std::size_t p = j + 1;
-      if (p < end && toks[p].text == "<") {
-        const std::size_t m = find_match(toks, p, "<", ">", p + 24);
-        if (m == kNpos) continue;
-        p = m + 1;
-      }
-      if (p + 1 >= end || toks[p].kind != Token::Kind::kIdent ||
-          (toks[p + 1].text != "(" && toks[p + 1].text != "{")) {
-        continue;
-      }
-      const bool paren = toks[p + 1].text == "(";
-      const std::size_t close =
-          find_match(toks, p + 1, paren ? "(" : "{", paren ? ")" : "}", end);
-      if (close == kNpos) continue;
-      Guard g;
-      g.depth = depth;
-      bool deferred = false;
-      for (const auto& [cb, ce] : split_args(toks, p + 2, close)) {
-        if (cb >= ce) continue;
-        std::string text;
-        for (std::size_t k = cb; k < ce; ++k) text += toks[k].text;
-        const std::string& last = toks[ce - 1].text;
-        if (last == "defer_lock" || last == "adopt_lock" ||
-            last == "try_to_lock") {
-          deferred = deferred || last == "defer_lock";
-        } else if (g.mutex.empty()) {
-          g.mutex = text;
-        }
-      }
-      g.active = !deferred && !g.mutex.empty();
-      guards[toks[p].text] = std::move(g);
-      j = close;
-      continue;
-    }
-
-    // `recv.lock()` / `recv.unlock()` on a guard or a declared mutex.
-    if (j + 3 < end && (toks[j + 1].text == "." || toks[j + 1].text == "->") &&
-        toks[j + 3].text == "(") {
-      const std::string& method = toks[j + 2].text;
-      const bool locks = method == "lock" || method == "try_lock" ||
-                         method == "lock_shared";
-      const bool unlocks = method == "unlock" || method == "unlock_shared";
-      const auto gi = guards.find(t.text);
-      if ((locks || unlocks) && gi != guards.end()) {
-        gi->second.active = locks;
-      } else if ((locks || unlocks) && mutexes.count(t.text) != 0) {
-        Guard& g = guards["\x01" + t.text];
-        if (locks && !g.active) g.depth = depth;
-        g.mutex = t.text;
-        g.active = locks;
-      }
-      continue;
-    }
-
-    if (blocking_idents().count(t.text) != 0) {
-      walk.blockers.push_back({t.text, 0, t.line, held_now()});
-    }
-    // Free call `callee(...)`: no `.`/`->` receiver.
-    if (next_is(toks, j, "(") && j != def.name_tok &&
-        toks[j - 1].text != "." && toks[j - 1].text != "->" &&
-        non_type_keywords().count(t.text) == 0) {
-      const std::size_t close = find_match(toks, j + 1, "(", ")", end);
-      if (close != kNpos) {
-        const int argc =
-            close > j + 2
-                ? static_cast<int>(split_args(toks, j + 2, close).size())
-                : 0;
-        walk.calls.push_back({t.text, argc, t.line, held_now()});
-      }
-    }
-  }
-  return walk;
-}
-
-void check_lock_held_blocking(std::vector<FileUnit>& units,
-                              const FuncIndex& index) {
-  std::set<std::string> mutexes;
-  for (const auto& unit : units) {
-    collect_mutex_names(unit.lexed.tokens, mutexes);
-  }
-  struct Node {
-    FileUnit* unit;
-    const FuncDef* def;
-    LockWalk walk;
-    // Blocking witness: the direct identifier, or the callee that blocks.
-    bool blocks = false;
-    std::string direct = {};
-    int line = 0;
-    const Node* via = nullptr;
-  };
-  std::vector<Node> nodes;
-  std::map<const FuncDef*, Node*> by_def;
-  for (auto& unit : units) {
-    for (const auto& def : unit.funcs) {
-      nodes.push_back({&unit, &def,
-                       walk_locks(unit.lexed.tokens, def, mutexes)});
-    }
-  }
-  for (auto& node : nodes) {
-    by_def[node.def] = &node;
-    if (!node.walk.blockers.empty()) {
-      node.blocks = true;
-      node.direct = node.walk.blockers.front().name;
-      node.line = node.walk.blockers.front().line;
-    }
-  }
-  const auto callees = [&](const LockWalk::Site& site) {
-    std::vector<Node*> out;
-    for (const FuncDef* d : resolve_callee(index, site.name, site.argc)) {
-      const auto it = by_def.find(d);
-      if (it != by_def.end()) out.push_back(it->second);
-    }
-    return out;
-  };
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (auto& node : nodes) {
-      if (node.blocks) continue;
-      for (const auto& site : node.walk.calls) {
-        for (const Node* callee : callees(site)) {
-          if (!callee->blocks) continue;
-          node.blocks = true;
-          node.line = site.line;
-          node.via = callee;
-          changed = true;
-          break;
-        }
-        if (node.blocks) break;
-      }
-    }
-  }
-
-  for (auto& node : nodes) {
-    std::vector<Finding>& out = node.unit->raw;
-    const std::string& file = node.unit->ctx.display_path;
-    for (const auto& b : node.walk.blockers) {
-      if (b.held.empty()) continue;
-      out.push_back(
-          {file, b.line, "lock-held-blocking-call",
-           "blocking call '" + b.name + "' runs while '" + b.held +
-               "' is held; every thread contending the lock stalls for the "
-               "full blocking duration",
-           "copy what the call needs out under the lock, unlock, then "
-           "block"});
-    }
-    for (const auto& site : node.walk.calls) {
-      if (site.held.empty()) continue;
-      for (const Node* cur : callees(site)) {
-        if (!cur->blocks) continue;
-        std::string chain = node.def->name + " (" + file + ":" +
-                            std::to_string(site.line) + ")";
-        for (std::set<const Node*> seen; cur != nullptr &&
-                                         seen.insert(cur).second;
-             cur = cur->via) {
-          chain += " -> " + cur->def->name + " (" + cur->def->file + ":" +
-                   std::to_string(cur->def->line) + ")";
-          if (cur->via == nullptr) {
-            chain += " -> blocks on '" + cur->direct + "' at " +
-                     cur->def->file + ":" + std::to_string(cur->line);
-          }
-        }
-        out.push_back(
-            {file, site.line, "lock-held-blocking-call",
-             "call to '" + site.name + "' blocks while '" + site.held +
-                 "' is held: " + chain,
-             "release the lock before the call, or hoist the blocking work "
-             "out of the callee"});
-        break;  // one finding per site
-      }
-    }
-  }
 }
 
 /// layering: per-file check of include edges against the module ranks. The
@@ -2154,10 +1594,8 @@ void check_cycles(std::vector<FileUnit>& units) {
 
 std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
   SignatureIndex index;
-  FuncIndex findex;
   for (auto& unit : units) {
     collect_signatures(unit.lexed.tokens, index, unit.decl_sites);
-    for (auto& def : unit.funcs) findex[def.name][def.arity].push_back(&def);
   }
 
   for (auto& unit : units) {
@@ -2173,10 +1611,8 @@ std::vector<Finding> run_checks(std::vector<FileUnit>& units) {
     check_unit_assign(toks, unit.ctx, unit.raw);
     check_unit_conversion_calls(toks, unit.ctx, unit.raw);
     check_unit_calls(toks, unit.ctx, index, unit.decl_sites, unit.raw);
-    check_arena_escape(toks, unit.ctx, unit.vpath, unit.funcs, unit.raw);
     check_layering(unit);
   }
-  check_lock_held_blocking(units, findex);
   check_cycles(units);
 
   std::vector<Finding> findings;
@@ -2335,9 +1771,9 @@ std::string rules_doc_markdown() {
         "GitHub code scanning).\n\n";
   os << "Invariants a runtime gate already checks (parallel Rng streams, "
         "shared-state\nraces, lock order, condition-variable waits, "
-        "signal-handler safety,\ncheckpoint/restore symmetry) have no rule "
-        "here; DESIGN.md section 8 maps each\nto the test that enforces "
-        "it.\n";
+        "signal-handler safety,\ncheckpoint/restore symmetry, locks held "
+        "across blocking calls) have no rule\nhere; DESIGN.md section 8 "
+        "maps each to the test that enforces it.\n";
   for (const auto& family : kFamilies) {
     os << "\n## " << family << "\n\n";
     os << "| rule | summary | fix-it |\n";
