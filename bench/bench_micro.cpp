@@ -151,7 +151,7 @@ void BM_MpcDecision(benchmark::State& state) {
   const auto video = abr::video_ladder_5g();
   abr::HarmonicMeanPredictor predictor;
   abr::ModelPredictiveAbr mpc(abr::ModelPredictiveAbr::Variant::kFast,
-                              predictor);
+                              predictor, static_cast<int>(state.range(0)));
   const std::vector<double> history{150.0, 90.0, 200.0, 120.0, 160.0};
   abr::AbrContext context;
   context.video = &video;
@@ -165,7 +165,8 @@ void BM_MpcDecision(benchmark::State& state) {
     benchmark::DoNotOptimize(mpc.choose_track(context));
   }
 }
-BENCHMARK(BM_MpcDecision);
+// Horizon 5 is the 4 s-chunk lookahead; 12 is the 1 s-chunk one.
+BENCHMARK(BM_MpcDecision)->Arg(5)->Arg(12);
 
 void BM_StreamingSession(benchmark::State& state) {
   Rng rng(6);
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
   inventory.add_row({"BM_PercentileStoreAll", "2"});
   inventory.add_row({"BM_PercentileSketch", "2"});
   inventory.add_row({"BM_ChannelProcess", "1"});
-  inventory.add_row({"BM_MpcDecision", "1"});
+  inventory.add_row({"BM_MpcDecision", "2"});
   inventory.add_row({"BM_StreamingSession", "1"});
   emitter.record(inventory);
   if (emitter.json_requested()) {

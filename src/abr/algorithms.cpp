@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "core/error.h"
 
@@ -102,14 +103,17 @@ void ModelPredictiveAbr::reset() {
 }
 
 double ModelPredictiveAbr::plan_qoe(const AbrContext& context, int first_track,
-                                    double predicted_mbps) const {
+                                    double predicted_mbps,
+                                    std::span<const double> reach,
+                                    double floor) const {
   const auto& video = *context.video;
   const double rebuffer_penalty = video.top_mbps();
+  const int top = video.track_count() - 1;
   const int steps =
       std::min(horizon_, context.chunk_count - context.next_chunk);
 
-  // Depth-first enumeration over track sequences with the first fixed.
-  double best = -std::numeric_limits<double>::infinity();
+  // Depth-first branch-and-bound over track sequences with the first fixed.
+  double best = floor;
   struct Frame {
     int depth;
     double buffer;
@@ -139,11 +143,24 @@ double ModelPredictiveAbr::plan_qoe(const AbrContext& context, int first_track,
       best = std::max(best, qoe);
       continue;
     }
-    // Prune: beyond the first step only consider one-level moves. Optimal
-    // plans are near-monotone in track, and the pruning keeps long horizons
-    // (needed for short chunks) tractable.
+    // Bound: k steps below this node a plan is at most at track+k, so its
+    // bitrate is at most reach[track+k], and the stall and switch terms it
+    // subtracts are never negative. Adding the reach terms in the order the
+    // QoE accumulates makes the bound exact in floating point too:
+    // round-to-nearest + and - are monotone, so no leaf below can exceed
+    // it. Pruning on <= drops only plans that at best tie `best`, and
+    // choose_track keeps the first track that strictly beats the floor.
+    double bound = qoe;
+    for (int k = 1; k < steps - frame.depth; ++k) {
+      bound += reach[static_cast<std::size_t>(
+          std::min(top, frame.next_track + k))];
+    }
+    if (bound <= best) continue;
+    // Plan model: the first chunk takes any track, and each later chunk
+    // moves at most one level from the chunk before it. The search covers
+    // every such plan; the bound above only skips ones that cannot win.
     const int lo = std::max(0, frame.next_track - 1);
-    const int hi = std::min(video.track_count() - 1, frame.next_track + 1);
+    const int hi = std::min(top, frame.next_track + 1);
     for (int track = lo; track <= hi; ++track) {
       stack.push_back({frame.depth + 1, buffer, bitrate, qoe, track});
     }
@@ -157,8 +174,8 @@ int ModelPredictiveAbr::choose_track(const AbrContext& context) {
     const double actual = context.past_chunk_mbps.back();
     const double err =
         std::abs(last_prediction_mbps_ - actual) / std::max(0.01, actual);
-    // Cap at 100%: one outage prediction miss should halve the estimate,
-    // not zero it for the next five chunks.
+    // Cap at 70%: one outage prediction miss should divide the estimate by
+    // at most 1.7, not zero it for the next five chunks.
     relative_errors_.push_back(std::min(err, 0.7));
     if (relative_errors_.size() > 5) relative_errors_.pop_front();
   }
@@ -171,10 +188,20 @@ int ModelPredictiveAbr::choose_track(const AbrContext& context) {
     predicted /= 1.0 + max_err;
   }
 
+  // reach[t]: the highest bitrate among tracks 0..t, the most a plan that
+  // can climb no higher than t earns in one step.
+  const auto& video = *context.video;
+  std::vector<double> reach(static_cast<std::size_t>(video.track_count()));
+  double highest = -std::numeric_limits<double>::infinity();
+  for (int track = 0; track < video.track_count(); ++track) {
+    highest = std::max(highest, video.bitrate(track));
+    reach[static_cast<std::size_t>(track)] = highest;
+  }
+
   int best_track = 0;
   double best_qoe = -std::numeric_limits<double>::infinity();
-  for (int track = 0; track < context.video->track_count(); ++track) {
-    const double qoe = plan_qoe(context, track, predicted);
+  for (int track = 0; track < video.track_count(); ++track) {
+    const double qoe = plan_qoe(context, track, predicted, reach, best_qoe);
     if (qoe > best_qoe) {
       best_qoe = qoe;
       best_track = track;

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <deque>
+#include <span>
 #include <string>
 
 #include "abr/predictor.h"
@@ -101,8 +102,12 @@ class ModelPredictiveAbr final : public AbrAlgorithm,
   std::deque<double> relative_errors_;
   double last_prediction_mbps_ = -1.0;
 
+  /// Best plan QoE over plans starting at first_track, or `floor` when no
+  /// plan beats it; `reach` is the running maximum of the ladder's bitrates.
   [[nodiscard]] double plan_qoe(const AbrContext& context, int first_track,
-                                double predicted_mbps) const;
+                                double predicted_mbps,
+                                std::span<const double> reach,
+                                double floor) const;
 };
 
 }  // namespace wild5g::abr

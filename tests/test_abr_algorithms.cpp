@@ -3,8 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "abr/predictor.h"
 #include "abr/video.h"
 #include "core/error.h"
+#include "core/rng.h"
 
 namespace wa = wild5g::abr;
 
@@ -165,6 +173,151 @@ TEST(Mpc, NamesDistinguishVariants) {
                                 predictor);
   EXPECT_EQ(fast.name(), "fastMPC");
   EXPECT_EQ(robust.name(), "robustMPC");
+}
+
+namespace {
+
+/// Predictor that returns whatever the test last set, so the oracle below
+/// can recompute fastMPC's prediction exactly.
+class FixedPredictor final : public wa::ThroughputPredictor {
+ public:
+  double mbps = 1.0;
+  [[nodiscard]] std::string name() const override { return "fixed"; }
+  [[nodiscard]] double predict_mbps(const wa::AbrContext&) override {
+    return mbps;
+  }
+};
+
+/// The MPC planner without any bound: every one-level-move plan of `steps`
+/// chunks starting at first_track, scored exactly as the planner scores it.
+double exhaustive_plan_qoe(const wa::AbrContext& context, int horizon,
+                           int first_track, double predicted_mbps) {
+  const auto& video = *context.video;
+  const double rebuffer_penalty = video.top_mbps();
+  const int steps =
+      std::min(horizon, context.chunk_count - context.next_chunk);
+  double best = -std::numeric_limits<double>::infinity();
+  struct Frame {
+    int depth;
+    double buffer;
+    double prev_bitrate;
+    double qoe;
+    int next_track;
+  };
+  std::vector<Frame> stack;
+  const double last_bitrate = context.last_track >= 0
+                                  ? video.bitrate(context.last_track)
+                                  : video.bitrate(first_track);
+  stack.push_back({0, context.buffer_s, last_bitrate, 0.0, first_track});
+  while (!stack.empty()) {
+    Frame frame = stack.back();
+    stack.pop_back();
+    const double bitrate = video.bitrate(frame.next_track);
+    const double download_s = bitrate * video.chunk_s / predicted_mbps;
+    const double stall = std::max(0.0, download_s - frame.buffer);
+    double buffer = std::max(0.0, frame.buffer - download_s) + video.chunk_s;
+    buffer = std::min(buffer, context.max_buffer_s);
+    const double qoe = frame.qoe + bitrate - rebuffer_penalty * stall -
+                       std::abs(bitrate - frame.prev_bitrate);
+    if (frame.depth + 1 >= steps) {
+      best = std::max(best, qoe);
+      continue;
+    }
+    const int lo = std::max(0, frame.next_track - 1);
+    const int hi = std::min(video.track_count() - 1, frame.next_track + 1);
+    for (int track = lo; track <= hi; ++track) {
+      stack.push_back({frame.depth + 1, buffer, bitrate, qoe, track});
+    }
+  }
+  return best;
+}
+
+/// fastMPC's decision by exhaustive enumeration: the first track whose best
+/// plan strictly beats every earlier track's.
+int exhaustive_choice(const wa::AbrContext& context, int horizon,
+                      double predicted_mbps) {
+  int best_track = 0;
+  double best_qoe = -std::numeric_limits<double>::infinity();
+  for (int track = 0; track < context.video->track_count(); ++track) {
+    const double qoe =
+        exhaustive_plan_qoe(context, horizon, track, predicted_mbps);
+    if (qoe > best_qoe) {
+      best_qoe = qoe;
+      best_track = track;
+    }
+  }
+  return best_track;
+}
+
+}  // namespace
+
+TEST(Mpc, BoundedSearchMatchesExhaustiveEnumeration) {
+  // A hand-built ladder that is not ascending: its top_mbps() (the stall
+  // penalty) is not its highest bitrate, and climbing a level can lower the
+  // bitrate.
+  wa::VideoProfile zigzag;
+  zigzag.chunk_s = 2.0;
+  zigzag.track_mbps = {3.0, 12.0, 7.5, 40.0, 25.0, 90.0, 60.0};
+  const std::vector<wa::VideoProfile> ladders{
+      wa::video_ladder_5g(4.0), wa::video_ladder_5g(1.0),
+      wa::video_ladder_4g(2.0), wa::video_ladder_4g(1.0), zigzag};
+
+  FixedPredictor predictor;
+  wild5g::Rng rng(20210823);
+  // Horizons 1..9 cycle through most contexts; a few run at 10..12, where
+  // the exhaustive oracle costs up to ~1M leaves per decision.
+  const std::vector<int> long_horizons{10, 10, 10, 11, 11, 11, 12, 12, 12};
+  const int contexts = 2000 + static_cast<int>(long_horizons.size());
+  for (int i = 0; i < contexts; ++i) {
+    const int horizon =
+        i < 2000 ? 1 + i % 9
+                 : long_horizons[static_cast<std::size_t>(i - 2000)];
+    const auto& video = ladders[static_cast<std::size_t>(i % 5)];
+    const int tracks = video.track_count();
+
+    wa::AbrContext context;
+    context.video = &video;
+    context.chunk_count = 60;
+    // One context in four ends the session inside the horizon.
+    const int remaining =
+        i % 4 == 0 ? static_cast<int>(rng.uniform_int(1, horizon)) : horizon;
+    context.next_chunk = context.chunk_count - remaining;
+    context.max_buffer_s = rng.uniform(4.0, 60.0);
+    // The horizon, ladder, remaining, buffer and last-track cases cycle with
+    // coprime moduli (9, 5, 4, 11, 7), and the prediction case advances once
+    // per horizon cycle, so every pairing of cases occurs.
+    switch (i % 11) {
+      case 0: context.buffer_s = 0.0; break;
+      case 1: context.buffer_s = context.max_buffer_s; break;
+      default: context.buffer_s = rng.uniform(0.0, context.max_buffer_s);
+    }
+    context.last_track =
+        i % 7 == 0 ? -1 : static_cast<int>(rng.uniform_int(0, tracks - 1));
+
+    // Predicted throughput: log-uniform over 0.05..2000 Mbps, or exactly a
+    // ladder bitrate, or halfway between two adjacent ones.
+    const int track = static_cast<int>(rng.uniform_int(0, tracks - 2));
+    switch (i / 9 % 3) {
+      case 0:
+        predictor.mbps =
+            std::exp(rng.uniform(std::log(0.05), std::log(2000.0)));
+        break;
+      case 1: predictor.mbps = video.bitrate(track); break;
+      default:
+        predictor.mbps =
+            0.5 * (video.bitrate(track) + video.bitrate(track + 1));
+    }
+
+    wa::ModelPredictiveAbr mpc(wa::ModelPredictiveAbr::Variant::kFast,
+                               predictor, horizon);
+    const int expected =
+        exhaustive_choice(context, horizon, std::max(0.05, predictor.mbps));
+    ASSERT_EQ(mpc.choose_track(context), expected)
+        << "context " << i << ": horizon " << horizon << ", remaining "
+        << remaining << ", buffer " << context.buffer_s << "/"
+        << context.max_buffer_s << ", last track " << context.last_track
+        << ", predicted " << predictor.mbps << " Mbps, ladder " << i % 5;
+  }
 }
 
 TEST(AllAlgorithms, AlwaysReturnValidTracks) {

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Perf-baseline driver: measure the tracked hot paths and write/check BENCH_*.json.
 
-Runs the google-benchmark microbenchmark binary plus three representative
-campaign benches from a Release build tree and either
+Runs the google-benchmark microbenchmark binary plus the tracked campaign
+benches (TRACKED_CAMPAIGNS) from a Release build tree and either
 
   * writes a baseline document (default), e.g. the committed
     BENCH_2026-08-07.json, or
-  * checks the current build against a committed baseline (--check) and
-    exits 1 if any tracked number regressed by more than --threshold
-    (default 20%).
+  * checks the current build against one or more committed baselines
+    (--check, repeatable) and exits 1 if any tracked number regressed by
+    more than --threshold (default 20%) against any of them.
 
 The committed document also freezes the pre-change numbers measured on the
 same machine immediately before the speed pass landed (PRE_CHANGE below), so
@@ -19,7 +19,8 @@ fresh run against a baseline from the *same* runner, not across machines.
 
 Usage:
   python3 tools/bench_baseline.py --build-dir build-rel --out BENCH_2026-08-07.json
-  python3 tools/bench_baseline.py --build-dir build-rel --check BENCH_2026-08-07.json
+  python3 tools/bench_baseline.py --build-dir build-rel \
+      --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json
 """
 
 import argparse
@@ -42,6 +43,8 @@ TRACKED_MICRO = [
     "BM_PercentileStoreAll/1000000",
     "BM_PercentileSketch/100000",
     "BM_PercentileSketch/1000000",
+    "BM_MpcDecision/5",
+    "BM_MpcDecision/12",
 ]
 
 # Representative campaign benches (binary name -> short key). Values land in
@@ -52,6 +55,8 @@ TRACKED_CAMPAIGNS = {
     "bench_fig19_20_web_qoe": "fig19_20_web_qoe",
     "bench_extension_metro_load": "extension_metro_load",
     "bench_extension_metro_qoe": "extension_metro_qoe",
+    "bench_fig18a_predictors": "fig18a_predictors",
+    "bench_fig18b_chunk_length": "fig18b_chunk_length",
 }
 
 # Pre-change numbers: Release (-O3 -DNDEBUG) on the development container,
@@ -61,17 +66,24 @@ TRACKED_CAMPAIGNS = {
 # The store-all percentile pattern had no pre-change kernel -- it is kept in
 # bench_micro as BM_PercentileStoreAll, so its current numbers double as the
 # baseline BM_PercentileSketch is compared to, back-to-back in one process.
+# The BM_MpcDecision and fig18a/fig18b entries were measured the same way
+# against the tree immediately before the MPC planner became an exact
+# branch-and-bound (BM_MpcDecision already taking the horizon argument).
 PRE_CHANGE = {
     "micro_ns": {
         "BM_SimulatorEventChurn/1000": 172144,
         "BM_SimulatorEventChurn/10000": 2671604,
         "BM_WaveformSynthesis/1000": 5766914,
         "BM_WaveformSynthesis/5000": 30086545,
+        "BM_MpcDecision/5": 4197,
+        "BM_MpcDecision/12": 3997191,
     },
     "campaign_s": {
         "fig24_server_survey": 0.679,
         "fig15_16_power_models": 0.377,
         "fig19_20_web_qoe": 0.361,
+        "fig18a_predictors": 0.991,
+        "fig18b_chunk_length": 161.932,
     },
 }
 
@@ -215,7 +227,11 @@ def main():
     parser.add_argument("--build-dir", default="build-rel")
     parser.add_argument("--out", help="write a fresh baseline document here")
     parser.add_argument(
-        "--check", help="compare against this committed baseline; exit 1 on regression"
+        "--check",
+        action="append",
+        default=[],
+        help="compare against this committed baseline (repeatable); exit 1 "
+        "on a regression against any of them",
     )
     parser.add_argument("--threshold", type=float, default=0.20)
     args = parser.parse_args()
@@ -228,8 +244,12 @@ def main():
             json.dump(current, handle, indent=2, sort_keys=False)
             handle.write("\n")
         print(f"bench_baseline: wrote {args.out}")
-    if args.check:
-        sys.exit(check(args.check, current, args.threshold))
+    # One fresh measurement, gated against every baseline given.
+    status = 0
+    for baseline_path in args.check:
+        print(f"bench_baseline: checking against {baseline_path}")
+        status |= check(baseline_path, current, args.threshold)
+    sys.exit(status)
 
 
 if __name__ == "__main__":
