@@ -1,7 +1,7 @@
 // wild5g/core: tolerance-aware comparison of golden-metrics documents.
 //
-// A golden baseline is the JSON a bench binary emits at kBenchSeed via
-// `--json`. compare() walks a fresh run against the committed baseline and
+// A golden baseline is the JSON `wild5g_run <id>` emits at the default seed
+// via `--json`. compare() walks a fresh run against the committed baseline and
 // reports every field that drifted beyond its tolerance — the per-field
 // report is what makes a failed `golden.*` test actionable.
 #pragma once

@@ -1,6 +1,6 @@
 // wild5g/core: deterministic parallel campaign runner.
 //
-// Every bench reproduces a paper campaign by iterating over independent
+// Every figure reproduces a paper campaign by iterating over independent
 // seeded trials (speedtest repeats, drive runs, web page loads, ABR
 // sessions). `parallel_map` / `parallel_for` turn those loops into a
 // parallel primitive whose contract is **bit-identical output regardless of
@@ -20,7 +20,7 @@
 // or the WILD5G_THREADS environment variable; the default is the hardware
 // concurrency and `1` restores fully serial execution on the calling
 // thread. The determinism gate (tests/test_golden_determinism.cpp) asserts
-// byte-identical bench JSON at `--threads 1` and `--threads 8`.
+// byte-identical figure JSON at `--threads 1` and `--threads 8`.
 //
 // Nested parallel regions execute serially inline on the worker that
 // reaches them: campaign loops parallelize at the outermost level and the

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/error.h"
+#include "engine/figures/figure.h"
 #include "engine/metro_campaigns.h"
 
 namespace wild5g::engine {
@@ -82,8 +83,53 @@ std::vector<std::string> campaign_names() {
 }
 
 void register_builtin_campaigns() {
-  register_campaign("metro_load", make_metro_load_campaign);
-  register_campaign("metro_qoe", make_metro_qoe_campaign);
+  using namespace figures;
+  // Every figure and table, under its golden's document id.
+  register_campaign("table1_campaign", figure<table1_campaign>);
+  register_campaign("fig01_02_latency_distance",
+                    figure<fig01_02_latency_distance>);
+  register_campaign("fig03_downlink_distance", figure<fig03_downlink_distance>);
+  register_campaign("fig04_uplink_distance", figure<fig04_uplink_distance>);
+  register_campaign("fig05_07_tmobile_sa_nsa", figure<fig05_07_tmobile_sa_nsa>);
+  register_campaign("fig08_transport_tuning", figure<fig08_transport_tuning>);
+  register_campaign("fig09_handoffs", figure<fig09_handoffs>);
+  register_campaign("fig10_25_rrc_probe", figure<fig10_25_rrc_probe, 6>);
+  register_campaign("table7_rrc_params", figure<table7_rrc_params, 6>);
+  register_campaign("table2_transition_power",
+                    figure<table2_transition_power, 6>);
+  register_campaign("fig11_throughput_power",
+                    figure<fig11_throughput_power, 2>);
+  register_campaign("fig12_energy_efficiency",
+                    figure<fig12_energy_efficiency, 2>);
+  register_campaign("fig13_14_rsrp_power", figure<fig13_14_rsrp_power, 2>);
+  register_campaign("fig15_16_power_models", figure<fig15_16_power_models>);
+  register_campaign("table3_9_sw_monitor", figure<table3_9_sw_monitor, 8>);
+  register_campaign("table8_slopes", figure<table8_slopes>);
+  register_campaign("fig17_abr_qoe", figure<fig17_abr_qoe>);
+  register_campaign("fig18a_predictors", figure<fig18a_predictors>);
+  register_campaign("fig18b_chunk_length", figure<fig18b_chunk_length>);
+  register_campaign("fig18c_table4_interface", figure<fig18c_table4_interface>);
+  register_campaign("fig19_20_web_qoe", figure<fig19_20_web_qoe>);
+  register_campaign("fig21_penalty_saving", figure<fig21_penalty_saving>);
+  register_campaign("table6_fig22_selector", figure<table6_fig22_selector>);
+  register_campaign("fig23_carrier_aggregation",
+                    figure<fig23_carrier_aggregation>);
+  register_campaign("fig24_server_survey", figure<fig24_server_survey>);
+  register_campaign("fig26_27_s10_power", figure<fig26_27_s10_power, 2>);
+  register_campaign("validation_apps", figure<validation_apps>);
+  register_campaign("baseline_2019", figure<baseline_2019>);
+  register_campaign("ablation_handoff", figure<ablation_handoff>);
+  register_campaign("ablation_transport", figure<ablation_transport, 8>);
+  register_campaign("ablation_abr", figure<ablation_abr>);
+  register_campaign("ablation_power_model", figure<ablation_power_model>);
+  register_campaign("extension_bbr", figure<extension_bbr, 8>);
+  register_campaign("extension_pensieve_5g", figure<extension_pensieve_5g>);
+  register_campaign("extension_drive_energy",
+                    figure<extension_drive_energy, 5>);
+  register_campaign("extension_http2", figure<extension_http2>);
+  register_campaign("extension_metro_load", make_metro_load_campaign);
+  register_campaign("extension_metro_qoe", make_metro_qoe_campaign);
+  // The long-haul service workload; not a figure.
   register_campaign("drive_soak", make_drive_soak_campaign);
 }
 

@@ -8,7 +8,7 @@
 //
 //   - each step is a pure function of (request, step index, campaign state
 //     entering the step), so the engine can pause after any step;
-//   - between steps the supervising layer (bench_common.h, wild5g_serve)
+//   - between steps the supervising layer (wild5g_run, wild5g_serve)
 //     may stream a frame, write a checkpoint, or stop the run;
 //   - tables and metrics go straight into the MetricsDocument, which
 //     checkpoints itself; a campaign's checkpoint_state() serializes only
@@ -36,15 +36,16 @@
 
 namespace wild5g::engine {
 
-/// The default campaign seed; equals bench::kBenchSeed (SIGCOMM'21 opening
-/// day) so engine-backed bench runs reproduce the committed goldens.
+/// The default campaign seed (SIGCOMM'21 opening day); the committed
+/// goldens are generated at it.
 inline constexpr std::uint64_t kDefaultSeed = 20210823;
 
 /// Everything needed to (re)construct a campaign deterministically. The
 /// request is what a snapshot embeds, what the service protocol submits,
-/// and what the bench shells assemble from argv.
+/// and what `wild5g_run` assembles from argv.
 struct CampaignRequest {
-  /// Registry name ("metro_load", "metro_qoe", "drive_soak", ...).
+  /// Registry name ("fig24_server_survey", "extension_metro_load",
+  /// "drive_soak", ...).
   std::string campaign;
   std::uint64_t seed = kDefaultSeed;
   /// Campaign-specific parameters as a JSON object (may be null for "all
@@ -59,7 +60,7 @@ struct CampaignRequest {
 
 /// Where a campaign's output goes. `doc` owns the run's tables and metrics;
 /// `console` (null in service mode) receives the human-readable tables the
-/// batch benches have always printed.
+/// figures print to stdout under `wild5g_run`.
 struct CampaignContext {
   MetricsDocument& doc;
   std::ostream* console = nullptr;
@@ -115,14 +116,16 @@ void register_campaign(const std::string& name, CampaignFactory factory);
 /// Registered names in registration order (for the service hello frame).
 [[nodiscard]] std::vector<std::string> campaign_names();
 
-/// Registers the built-in campaigns (metro_load, metro_qoe, drive_soak).
-/// Idempotent; every entry point that touches the registry calls it first.
+/// Registers the built-in campaigns: every paper figure and table under its
+/// golden's document id (engine/figures/), the two metro extensions, and
+/// drive_soak. Idempotent; every entry point that touches the registry
+/// calls it first.
 void register_builtin_campaigns();
 
 // --- request (de)serialization ---------------------------------------------
 
 /// Request document shape (also the snapshot's "request" section):
-///   { "campaign": "metro_load", "seed": "20210823",
+///   { "campaign": "extension_metro_load", "seed": "20210823",
 ///     "params": {...}, "fault_plan": {...} }
 /// The seed is a decimal *string* so full 64-bit seeds survive the JSON
 /// number path (doubles lose integers above 2^53).

@@ -1,11 +1,10 @@
 // wild5g/engine: the metrics document a campaign accumulates into.
 //
-// Extracted from bench/bench_common.h's MetricsEmitter so the same
-// document-building logic serves three callers: the batch bench binaries
-// (which wrap it back into a MetricsEmitter), the campaign engine's
-// checkpoint/resume (which snapshots and restores the partially-built
-// document), and tools/wild5g_serve (which renders it as the final frame of
-// a campaign's metric stream).
+// One document-building surface serves three callers: batch runs
+// (bench/bench_common.h's MetricsEmitter, behind wild5g_run), the campaign
+// engine's checkpoint/resume (which snapshots and restores the
+// partially-built document), and tools/wild5g_serve (which renders it as the
+// final frame of a campaign's metric stream).
 //
 // The document owns a run's tables: a caller opens a table, and each step
 // appends its row in place as the row completes. A run stopped part way

@@ -10,6 +10,7 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/table.h"
+#include "engine/figures/figure.h"
 #include "faults/injector.h"
 #include "metro/metro.h"
 
@@ -57,7 +58,7 @@ class MetroLoadCampaign final : public Campaign {
         ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
     reject_unknown_params(request.params, {"cells", "ues"});
     if (request.fault_plan.has_value()) {
-      require_radio_plan(*request.fault_plan, "metro_load");
+      require_radio_plan(*request.fault_plan, "extension_metro_load");
       injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
                                                      request.seed);
     }
@@ -69,6 +70,17 @@ class MetroLoadCampaign final : public Campaign {
 
   [[nodiscard]] json::Value execute_step(std::size_t index,
                                  CampaignContext& ctx) override {
+    if (index == 0 && ctx.console != nullptr) {
+      figures::banner(*ctx.console, "Extension",
+                      "Metro-scale shared-cell contention: per-user "
+                      "throughput vs cell load");
+      figures::paper_note(
+          *ctx.console,
+          "Sec. 3 measures 1-2 UEs on effectively unloaded mid-band cells"
+          " (~640 Mbps DL); commercial deployments schedule that capacity"
+          " across every attached user, so per-user throughput is governed"
+          " by cell load, not peak capacity.");
+    }
     json::Value frame = json::Value::object();
     if (index < kLoadGrid.size()) {
       const double load = kLoadGrid[index];
@@ -112,7 +124,16 @@ class MetroLoadCampaign final : public Campaign {
            Table::num(result.per_ue_mean_mbps.median(), 3),
            Table::num(result.per_ue_mean_mbps.p95(), 3),
            Table::num(result.step_throughput_mbps.percentile(5.0), 3)});
-      if (index + 1 == total_steps()) ctx.print(table);
+      if (index + 1 == total_steps() && ctx.console != nullptr) {
+        table.print(*ctx.console);
+        figures::measured_note(
+            *ctx.console,
+            "per-user throughput falls monotonically with both dials: the"
+            " background-load sweep shrinks every user's airtime share, and"
+            " the sharer sweep splits the same cell capacity ever thinner —"
+            " the unloaded single-UE numbers the paper reports are the best"
+            " case, not the expectation.");
+      }
       frame.set("grid", "sharers");
       frame.set("ues_per_cell", sharers);
       frame.set("mean_ue_mbps", result.per_ue_mean_mbps.mean());
@@ -155,7 +176,7 @@ class MetroQoeCampaign final : public Campaign {
         ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
     reject_unknown_params(request.params, {"cells", "ues"});
     if (request.fault_plan.has_value()) {
-      require_radio_plan(*request.fault_plan, "metro_qoe");
+      require_radio_plan(*request.fault_plan, "extension_metro_qoe");
       injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
                                                      request.seed);
     }
@@ -167,6 +188,17 @@ class MetroQoeCampaign final : public Campaign {
 
   [[nodiscard]] json::Value execute_step(std::size_t index,
                                  CampaignContext& ctx) override {
+    if (index == 0 && ctx.console != nullptr) {
+      figures::banner(*ctx.console, "Extension",
+                      "Metro-scale busy hour: co-moving QoE degradation and"
+                      " handoff storms");
+      figures::paper_note(
+          *ctx.console,
+          "Sec. 5 streams 4K video (~25 Mbps demand) to one driving UE; at"
+          " busy hour every vehicle on the corridor streams at once, and"
+          " co-moving UEs cross cell edges together — handoffs arrive in"
+          " storms, not one at a time.");
+    }
     const double activity = kActivityGrid[index];
     metro::MetroConfig config = base_config();
     config.activity = activity;
@@ -188,7 +220,16 @@ class MetroQoeCampaign final : public Campaign {
                      static_cast<double>(result.peak_step_handoffs));
       ctx.doc.metric("busy_hour_pingpongs",
                      static_cast<double>(result.pingpongs));
-      ctx.print(table);
+      if (ctx.console != nullptr) {
+        table.print(*ctx.console);
+        figures::measured_note(
+            *ctx.console,
+            "rebuffering grows with the activity dial even though demand per"
+            " UE is constant — more simultaneously active sharers shrink each"
+            " share below the 25 Mbps demand line — and the co-moving"
+            " population turns cell edges into handoff storms dozens deep in"
+            " a single step.");
+      }
     }
     json::Value frame = json::Value::object();
     frame.set("activity", activity);

@@ -1,7 +1,8 @@
 // wild5g/engine: the built-in stepped campaigns.
 //
-// metro_load and metro_qoe are the existing metro bench campaigns sliced
-// into engine steps — one grid point per step — producing byte-identical
+// extension_metro_load and extension_metro_qoe are the metro extension
+// figures, registered under their goldens' document ids and sliced into
+// engine steps — one grid point per step — producing byte-identical
 // documents to the pre-engine monolithic mains (the committed goldens gate
 // that). Each step appends its row to a table the MetricsDocument owns, so
 // the two have no cross-step state and override neither checkpoint hook.

@@ -55,7 +55,7 @@ struct RunControl {
   std::function<bool()> over_deadline;
 
   /// Called after each executed step with the step's frame payload (the
-  /// service streams it; the benches ignore it).
+  /// service streams it; batch runs ignore it).
   std::function<void(std::size_t step, const json::Value& frame)> on_frame;
   /// Called after each executed step with the index of the *next* step —
   /// the heartbeat / checkpoint hook. A checkpoint written here with

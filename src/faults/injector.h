@@ -27,7 +27,7 @@ namespace wild5g::faults {
 
 class Injector {
  public:
-  /// `campaign_seed` is typically bench::kBenchSeed; the plan's seed_salt
+  /// `campaign_seed` is the campaign request's seed; the plan's seed_salt
   /// is mixed in so the same seed can drive differently-salted plans.
   Injector(FaultPlan plan, std::uint64_t campaign_seed);
 

@@ -1,6 +1,6 @@
 // Chaos suite (`ctest -R chaos`): sweeps seeded fault plans over the
-// measurement harnesses and representative benches, asserting that the
-// substrate degrades gracefully — campaigns finish with exit 0 and
+// measurement harnesses and representative figure campaigns, asserting that
+// the substrate degrades gracefully — campaigns finish with exit 0 and
 // parseable metrics (json::parse rejects NaN/Inf, so parse success is the
 // no-NaN gate), invariants hold (rebuffer time never negative, throughput
 // zero across a full outage window), and the determinism contract extends
@@ -280,7 +280,7 @@ TEST(chaos, trace_reader_lenient_mode_is_noop_on_clean_input) {
   EXPECT_EQ(strict[0].mbps, lenient[0].mbps);
 }
 
-// --- bench sweep: seeded plans over real binaries ---------------------------
+// --- campaign sweep: seeded plans over real wild5g_run runs ------------------
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -290,16 +290,16 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-/// Runs `bench --json <tmp> [--faults <plan>] [extra]`, asserts exit 0, and
-/// returns the metrics document text.
-std::string run_bench(const std::string& bench, const std::string& tag,
+/// Runs `wild5g_run <campaign> --json <tmp> [--faults <plan>] [extra]`,
+/// asserts exit 0, and returns the metrics document text.
+std::string run_bench(const std::string& campaign, const std::string& tag,
                       const std::string& plan = "",
                       const std::string& extra = "") {
   const std::string out_path =
-      ::testing::TempDir() + "wild5g_chaos_" + bench + "_" + tag + ".json";
+      ::testing::TempDir() + "wild5g_chaos_" + campaign + "_" + tag + ".json";
   std::remove(out_path.c_str());
   std::string command =
-      std::string(WILD5G_BENCH_DIR) + "/" + bench + " --json " + out_path;
+      std::string(WILD5G_RUN_BIN) + " " + campaign + " --json " + out_path;
   if (!plan.empty()) {
     command += " --faults " + std::string(WILD5G_FAULT_PLAN_DIR) + "/" + plan;
   }
@@ -326,31 +326,31 @@ void expect_valid_metrics(const std::string& text, const std::string& plan) {
 
 TEST(chaos, bench_server_survey_under_mixed_plan_is_deterministic) {
   const std::string first =
-      run_bench("bench_fig24_server_survey", "a", "chaos_mixed.json");
+      run_bench("fig24_server_survey", "a", "chaos_mixed.json");
   const std::string second =
-      run_bench("bench_fig24_server_survey", "b", "chaos_mixed.json");
+      run_bench("fig24_server_survey", "b", "chaos_mixed.json");
   expect_valid_metrics(first, "chaos_mixed");
   EXPECT_EQ(first, second) << "faulted run is not run-to-run deterministic";
   // Faults must actually perturb the measurement (and the document must be
   // distinguishable from the committed golden via fault_plan).
-  const std::string clean = run_bench("bench_fig24_server_survey", "clean");
+  const std::string clean = run_bench("fig24_server_survey", "clean");
   EXPECT_NE(first, clean) << "fault plan had no observable effect";
   EXPECT_EQ(clean.find("fault_plan"), std::string::npos)
       << "default run must not mention faults (golden byte-identity)";
 }
 
 TEST(chaos, bench_server_survey_faulted_is_thread_count_invariant) {
-  const std::string serial = run_bench("bench_fig24_server_survey", "t1",
-                                       "chaos_mixed.json", "--threads 1");
-  const std::string threaded = run_bench("bench_fig24_server_survey", "t8",
-                                         "chaos_mixed.json", "--threads 8");
+  const std::string serial =
+      run_bench("fig24_server_survey", "t1", "chaos_mixed.json", "--threads 1");
+  const std::string threaded =
+      run_bench("fig24_server_survey", "t8", "chaos_mixed.json", "--threads 8");
   expect_valid_metrics(serial, "chaos_mixed");
   EXPECT_EQ(serial, threaded)
       << "faulted output depends on thread count";
 }
 
 TEST(chaos, bench_server_survey_survives_total_unreachability) {
-  const std::string text = run_bench("bench_fig24_server_survey", "dead",
+  const std::string text = run_bench("fig24_server_survey", "dead",
                                      "chaos_outage_total.json");
   expect_valid_metrics(text, "chaos_outage_total");
   // Every trial fails, yet the bench exits 0 with a parseable document and
@@ -365,17 +365,17 @@ TEST(chaos, bench_server_survey_survives_total_unreachability) {
 
 TEST(chaos, bench_abr_qoe_under_stall_plan) {
   const std::string first =
-      run_bench("bench_fig17_abr_qoe", "a", "chaos_abr_stall.json");
+      run_bench("fig17_abr_qoe", "a", "chaos_abr_stall.json");
   const std::string second =
-      run_bench("bench_fig17_abr_qoe", "b", "chaos_abr_stall.json");
+      run_bench("fig17_abr_qoe", "b", "chaos_abr_stall.json");
   expect_valid_metrics(first, "chaos_abr_stall");
   EXPECT_EQ(first, second);
-  const std::string clean = run_bench("bench_fig17_abr_qoe", "clean");
+  const std::string clean = run_bench("fig17_abr_qoe", "clean");
   EXPECT_NE(first, clean) << "stall plan had no observable effect";
 }
 
 TEST(chaos, bench_web_qoe_under_object_failure_plan) {
-  const std::string text = run_bench("bench_fig19_20_web_qoe", "objfail",
+  const std::string text = run_bench("fig19_20_web_qoe", "objfail",
                                      "chaos_web_objectfail.json");
   expect_valid_metrics(text, "chaos_web_objectfail");
   json::Value doc = json::parse(text);
@@ -393,20 +393,21 @@ TEST(chaos, bench_rejects_malformed_fault_plan) {
     std::ofstream out(plan_path);
     out << R"({"windows": [{"kind": "nope", "start_s": 0, "duration_s": 1}]})";
   }
-  const std::string command = std::string(WILD5G_BENCH_DIR) +
-                              "/bench_fig24_server_survey --faults " +
-                              plan_path + " > /dev/null 2>&1";
+  const std::string command = std::string(WILD5G_RUN_BIN) +
+                              " fig24_server_survey --faults " + plan_path +
+                              " > /dev/null 2>&1";
   const int rc = std::system(command.c_str());
   EXPECT_NE(rc, 0) << "bench accepted a malformed fault plan";
   std::remove(plan_path.c_str());
 }
 
-// --- metro campaign benches: fault sweep + argument edges -------------------
+// --- metro campaigns: fault sweep + argument edges ---------------------------
 
-/// Runs `bench <args>` and returns its exit code (usage errors exit 2; the
-/// contract is a *clean refusal*, never a crash or a half-run campaign).
-int bench_exit_code(const std::string& bench, const std::string& args) {
-  const std::string command = std::string(WILD5G_BENCH_DIR) + "/" + bench +
+/// Runs `wild5g_run <campaign> <args>` and returns its exit code (usage
+/// errors exit 2; the contract is a *clean refusal*, never a crash or a
+/// half-run campaign).
+int bench_exit_code(const std::string& campaign, const std::string& args) {
+  const std::string command = std::string(WILD5G_RUN_BIN) + " " + campaign +
                               " " + args + " > /dev/null 2>&1";
   const int rc = std::system(command.c_str());
   EXPECT_TRUE(WIFEXITED(rc)) << "bench crashed: " << command;
@@ -414,23 +415,23 @@ int bench_exit_code(const std::string& bench, const std::string& args) {
 }
 
 TEST(chaos, bench_metro_load_under_radio_plan_is_deterministic) {
-  const std::string first = run_bench("bench_extension_metro_load", "a",
+  const std::string first = run_bench("extension_metro_load", "a",
                                       "chaos_metro_radio.json");
-  const std::string second = run_bench("bench_extension_metro_load", "b",
+  const std::string second = run_bench("extension_metro_load", "b",
                                        "chaos_metro_radio.json");
   expect_valid_metrics(first, "chaos_metro_radio");
   EXPECT_EQ(first, second) << "faulted run is not run-to-run deterministic";
-  const std::string clean = run_bench("bench_extension_metro_load", "clean");
+  const std::string clean = run_bench("extension_metro_load", "clean");
   EXPECT_NE(first, clean) << "radio fault plan had no observable effect";
   EXPECT_EQ(clean.find("fault_plan"), std::string::npos)
       << "default run must not mention faults (golden byte-identity)";
 }
 
 TEST(chaos, bench_metro_qoe_faulted_is_thread_count_invariant) {
-  const std::string serial = run_bench("bench_extension_metro_qoe", "t1",
+  const std::string serial = run_bench("extension_metro_qoe", "t1",
                                        "chaos_metro_radio.json",
                                        "--threads 1");
-  const std::string threaded = run_bench("bench_extension_metro_qoe", "t8",
+  const std::string threaded = run_bench("extension_metro_qoe", "t8",
                                          "chaos_metro_radio.json",
                                          "--threads 8");
   expect_valid_metrics(serial, "chaos_metro_radio");
@@ -441,7 +442,7 @@ TEST(chaos, bench_metro_rejects_plans_with_unsupported_kinds) {
   // chaos_mixed carries transport/net kinds the metro campaign does not
   // model; running anyway would silently measure a half-applied plan.
   for (const char* bench :
-       {"bench_extension_metro_load", "bench_extension_metro_qoe"}) {
+       {"extension_metro_load", "extension_metro_qoe"}) {
     EXPECT_EQ(bench_exit_code(bench,
                               "--faults " + std::string(WILD5G_FAULT_PLAN_DIR) +
                                   "/chaos_mixed.json"),
@@ -454,7 +455,7 @@ TEST(chaos, bench_rejects_zero_and_garbage_thread_counts) {
   // `--threads 0` silently meaning "auto" would mislabel recorded timings;
   // the contract is exit 2 with a clear message, on every bench.
   for (const char* bench :
-       {"bench_extension_metro_load", "bench_fig24_server_survey"}) {
+       {"extension_metro_load", "fig24_server_survey"}) {
     EXPECT_EQ(bench_exit_code(bench, "--threads 0"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--threads nope"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--threads"), 2) << bench;
@@ -463,7 +464,7 @@ TEST(chaos, bench_rejects_zero_and_garbage_thread_counts) {
 
 TEST(chaos, bench_metro_rejects_degenerate_campaign_sizes) {
   for (const char* bench :
-       {"bench_extension_metro_load", "bench_extension_metro_qoe"}) {
+       {"extension_metro_load", "extension_metro_qoe"}) {
     EXPECT_EQ(bench_exit_code(bench, "--ues 0"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--cells 0"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--ues -3"), 2) << bench;
@@ -478,14 +479,14 @@ TEST(chaos, bench_metro_faults_compose_with_multi_ue_flags) {
   // `--faults` + `--ues/--cells` + `--threads` together: still exit 0,
   // still deterministic, still perturbed by the plan.
   const std::string args = "--ues 20 --cells 6";
-  const std::string faulted = run_bench("bench_extension_metro_load", "fx",
+  const std::string faulted = run_bench("extension_metro_load", "fx",
                                         "chaos_metro_radio.json", args);
-  const std::string faulted2 = run_bench("bench_extension_metro_load", "fy",
+  const std::string faulted2 = run_bench("extension_metro_load", "fy",
                                          "chaos_metro_radio.json", args);
   expect_valid_metrics(faulted, "chaos_metro_radio");
   EXPECT_EQ(faulted, faulted2);
   const std::string clean =
-      run_bench("bench_extension_metro_load", "fclean", "", args);
+      run_bench("extension_metro_load", "fclean", "", args);
   EXPECT_NE(faulted, clean) << "plan had no effect on the sized-down run";
 }
 

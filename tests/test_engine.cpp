@@ -2,7 +2,8 @@
 // contract (DESIGN.md section 12) plus the serialization plumbing under it.
 //
 // The heart of the suite is resume byte-identity: checkpoint every
-// registered campaign at several different yield points, restore each
+// registered campaign with two or more steps (the multi-step figures
+// included) at several different yield points, restore each
 // snapshot into a fresh campaign, run the remaining steps, and require the
 // final metrics document to be byte-for-byte identical to an uninterrupted
 // run — at --threads 1 and 8, with and without a fault plan. Everything a
@@ -96,7 +97,7 @@ TEST(engine, accumulator_rejects_malformed_state) {
 
 TEST(engine, request_round_trips_full_64_bit_seed) {
   engine::CampaignRequest request;
-  request.campaign = "metro_load";
+  request.campaign = "extension_metro_load";
   request.seed = 0xFFFFFFFFFFFFFFFFULL;  // unrepresentable as a double
   request.params = json::Value::object();
   request.params.set("cells", 4);
@@ -108,7 +109,7 @@ TEST(engine, request_round_trips_full_64_bit_seed) {
 
 TEST(engine, snapshot_rejects_wrong_version_and_format) {
   engine::Snapshot snapshot;
-  snapshot.request.campaign = "metro_load";
+  snapshot.request.campaign = "extension_metro_load";
   json::Value doc = snapshot.to_json();
   doc.set("version", engine::kSnapshotVersion + 1);
   EXPECT_THROW((void)engine::Snapshot::from_json(doc), Error);
@@ -130,8 +131,8 @@ TEST(engine, snapshot_rejects_wrong_version_and_format) {
   v1_state.set("sharer_rows", json::Value::array());
   snapshot.next_step = 1;
   snapshot.campaign_state = v1_state;
-  snapshot.document_state = engine::MetricsDocument("metro_load", 1)
-                                .checkpoint_state();
+  snapshot.document_state =
+      engine::MetricsDocument("extension_metro_load", 1).checkpoint_state();
   json::Value v1 = snapshot.to_json();
   v1.set("version", 1);
   try {
@@ -228,8 +229,11 @@ TEST(engine, document_restore_rejects_malformed_tables) {
 }
 
 TEST(engine, stateless_campaigns_reject_non_null_state) {
+  // Every campaign but drive_soak — every figure included — carries no
+  // cross-step state: its rows live in the document.
   engine::register_builtin_campaigns();
-  for (const char* name : {"metro_load", "metro_qoe"}) {
+  for (const std::string& name : engine::campaign_names()) {
+    if (name == "drive_soak") continue;
     engine::CampaignRequest request;
     request.campaign = name;
     auto campaign = engine::make_campaign(request);
@@ -352,6 +356,8 @@ faults::FaultPlan radio_plan() {
   return plan;
 }
 
+/// The campaign at its smallest: the metro campaigns and drive_soak are
+/// sized down by params; figures take none and run at their own size.
 engine::CampaignRequest small_request(const std::string& campaign,
                                       bool with_faults) {
   engine::CampaignRequest request;
@@ -363,7 +369,7 @@ engine::CampaignRequest small_request(const std::string& campaign,
     request.params.set("interval_s", 20);
     request.params.set("cells", 3);
     request.params.set("ues", 8);
-  } else {
+  } else if (campaign.rfind("extension_metro_", 0) == 0) {
     request.params.set("cells", 4);
     request.params.set("ues", 12);
   }
@@ -428,11 +434,19 @@ std::string run_with_checkpoint_at(const engine::CampaignRequest& request,
   return json::dump(doc.document());
 }
 
-/// Every registered campaign, so a new campaign gets resume coverage (and a
-/// restore_state that drops a key fails here) without touching this file.
-std::vector<std::string> registered_campaigns() {
+/// Every registered campaign with an interior yield point (two or more
+/// steps), so a new one gets resume coverage (and a restore_state that
+/// drops a key fails here) without touching this file. A one-step campaign
+/// has nothing to resume.
+std::vector<std::string> multi_step_campaigns() {
   engine::register_builtin_campaigns();
-  return engine::campaign_names();
+  std::vector<std::string> names;
+  for (const std::string& name : engine::campaign_names()) {
+    if (engine::make_campaign(small_request(name, false))->total_steps() >= 2) {
+      names.push_back(name);
+    }
+  }
+  return names;
 }
 
 class EngineResume
@@ -462,7 +476,7 @@ TEST_P(EngineResume, resumes_byte_identically_at_every_yield_point) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCampaigns, EngineResume,
-    ::testing::Combine(::testing::ValuesIn(registered_campaigns()),
+    ::testing::Combine(::testing::ValuesIn(multi_step_campaigns()),
                        ::testing::Values(std::size_t{1}, std::size_t{8})),
     [](const ::testing::TestParamInfo<EngineResume::ParamType>& info) {
       return std::get<0>(info.param) + "_threads" +
@@ -530,7 +544,7 @@ TEST_P(EnginePartial, partial_tables_are_row_prefixes_of_the_completed_ones) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllCampaigns, EnginePartial,
-    ::testing::Combine(::testing::ValuesIn(registered_campaigns()),
+    ::testing::Combine(::testing::ValuesIn(multi_step_campaigns()),
                        ::testing::Values(std::size_t{1}, std::size_t{8})),
     [](const ::testing::TestParamInfo<EnginePartial::ParamType>& info) {
       return std::get<0>(info.param) + "_threads" +
@@ -540,7 +554,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(engine, snapshot_file_round_trip_and_atomic_write) {
   engine::register_builtin_campaigns();
   const engine::CampaignRequest request =
-      small_request("metro_qoe", /*with_faults=*/false);
+      small_request("extension_metro_qoe", /*with_faults=*/false);
   engine::MetricsDocument doc(request.campaign, request.seed);
   engine::CampaignContext ctx{doc, nullptr};
   auto campaign = engine::make_campaign(request);
@@ -566,13 +580,14 @@ TEST(engine, snapshot_file_round_trip_and_atomic_write) {
 
 TEST(engine, factories_reject_unknown_params_and_unsupported_faults) {
   engine::register_builtin_campaigns();
-  engine::CampaignRequest request;
-  request.campaign = "metro_load";
-  request.params = json::Value::object();
-  request.params.set("cels", 4);  // typo must fail, not silently default
-  EXPECT_THROW((void)engine::make_campaign(request), Error);
+  for (const std::string& name : engine::campaign_names()) {
+    engine::CampaignRequest request = small_request(name, false);
+    request.params.set("cels", 4);  // typo must fail, not silently default
+    EXPECT_THROW((void)engine::make_campaign(request), Error) << name;
+  }
 
-  engine::CampaignRequest faulted = small_request("metro_load", false);
+  engine::CampaignRequest faulted =
+      small_request("extension_metro_load", false);
   faults::FaultPlan plan;
   plan.name = "bad_kinds";
   plan.windows = {{faults::FaultKind::kChunkStall, 0.0, 5.0, 0.5}};

@@ -1,21 +1,29 @@
-// Determinism gate: a bench binary invoked twice at kBenchSeed must produce
+// Determinism gate: a figure run twice at the default seed must produce
 // byte-identical JSON metrics documents. This is what lets the committed
 // goldens in bench/golden/ act as regression baselines at all — any hidden
 // nondeterminism (unseeded RNG, iteration over pointer-keyed maps, time- or
 // address-dependent output) shows up here as a byte diff.
 //
-// WILD5G_BENCH_DIR is injected by tests/CMakeLists.txt and points at the
-// build tree's bench/ output directory.
+// WILD5G_RUN_BIN, WILD5G_MICRO_BIN and WILD5G_GOLDEN_DIR are injected by
+// tests/CMakeLists.txt. Every figure is a registered engine campaign that
+// `wild5g_run <id>` runs; bench_micro is the one golden outside the
+// registry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "engine/campaign.h"
+
 namespace {
+
+constexpr const char* kMicro = "bench_micro";
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -25,14 +33,18 @@ std::string read_file(const std::string& path) {
   return buffer.str();
 }
 
-std::string run_bench_json(const std::string& bench, const std::string& tag,
+/// Runs the golden `name` ("bench_<id>") with --json and returns the
+/// document: `wild5g_run <id>` for a figure, bench_micro for its inventory.
+std::string run_bench_json(const std::string& name, const std::string& tag,
                            const std::string& extra_args = "") {
   const std::string out_path =
-      ::testing::TempDir() + "wild5g_determinism_" + bench + "_" + tag +
+      ::testing::TempDir() + "wild5g_determinism_" + name + "_" + tag +
       ".json";
   std::remove(out_path.c_str());
-  const std::string command = std::string(WILD5G_BENCH_DIR) + "/" + bench +
-                              " --json " + out_path +
+  const std::string binary =
+      name == kMicro ? std::string(WILD5G_MICRO_BIN)
+                     : std::string(WILD5G_RUN_BIN) + " " + name.substr(6);
+  const std::string command = binary + " --json " + out_path +
                               (extra_args.empty() ? "" : " " + extra_args) +
                               " > /dev/null";
   const int rc = std::system(command.c_str());
@@ -42,15 +54,26 @@ std::string run_bench_json(const std::string& bench, const std::string& tag,
   return content;
 }
 
-void expect_two_runs_identical(const std::string& bench) {
-  const std::string first = run_bench_json(bench, "a");
-  const std::string second = run_bench_json(bench, "b");
+void expect_two_runs_identical(const std::string& name) {
+  const std::string first = run_bench_json(name, "a");
+  const std::string second = run_bench_json(name, "b");
   ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second) << bench << " is not run-to-run deterministic";
+  EXPECT_EQ(first, second) << name << " is not run-to-run deterministic";
   // Sanity: the document is a real metrics document, not an error page.
   EXPECT_NE(first.find("\"bench\""), std::string::npos);
   EXPECT_NE(first.find("\"seed\""), std::string::npos);
   EXPECT_NE(first.find("\"tables\""), std::string::npos);
+}
+
+/// The registered figure campaigns: every campaign but the drive_soak
+/// service workload.
+std::vector<std::string> registered_figures() {
+  wild5g::engine::register_builtin_campaigns();
+  std::vector<std::string> figures;
+  for (const auto& name : wild5g::engine::campaign_names()) {
+    if (name != "drive_soak") figures.push_back(name);
+  }
+  return figures;
 }
 
 }  // namespace
@@ -63,21 +86,37 @@ TEST(GoldenDeterminism, AbrQoeBenchIsByteIdentical) {
   expect_two_runs_identical("bench_fig17_abr_qoe");
 }
 
+TEST(GoldenDeterminism, RegistryMatchesGoldens) {
+  // The golden.* gate comes from the golden files and the thread gate below
+  // from the registry; equal sets mean a new figure cannot skip either.
+  std::set<std::string> goldens;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(WILD5G_GOLDEN_DIR)) {
+    const std::string stem = entry.path().stem().string();
+    if (entry.path().extension() == ".json" && stem.rfind("bench_", 0) == 0 &&
+        stem != kMicro) {
+      goldens.insert(stem.substr(6));
+    }
+  }
+  const std::vector<std::string> figures = registered_figures();
+  EXPECT_EQ(std::set<std::string>(figures.begin(), figures.end()), goldens);
+}
+
 // The parallel campaign runner's contract: thread count is a pure
 // performance knob. One worker vs eight must emit byte-identical metrics
 // documents (per-task forked Rng substreams, index-ordered reduction). The
-// gate runs every bench WILD5G_BENCHES names, so each parallel_map call site
-// a bench reaches, in bench/ or in src/, runs at both counts; under TSan the
+// gate runs every registered figure plus bench_micro, so each parallel_map
+// call site a figure reaches runs at both counts; under TSan the
 // eight-worker run also reports any race between its tasks.
 class GoldenDeterminismThreads : public ::testing::TestWithParam<std::string> {
 };
 
 TEST_P(GoldenDeterminismThreads, OneAndEightWorkersEmitIdenticalBytes) {
-  const std::string& bench = GetParam();
-  const std::string serial = run_bench_json(bench, "t1", "--threads 1");
-  const std::string threaded = run_bench_json(bench, "t8", "--threads 8");
+  const std::string& name = GetParam();
+  const std::string serial = run_bench_json(name, "t1", "--threads 1");
+  const std::string threaded = run_bench_json(name, "t8", "--threads 8");
   ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, threaded) << bench << " output depends on thread count";
+  EXPECT_EQ(serial, threaded) << name << " output depends on thread count";
   // The document must not record the thread count, or byte-identity across
   // --threads values could never hold.
   EXPECT_EQ(serial.find("threads"), std::string::npos);
@@ -85,12 +124,11 @@ TEST_P(GoldenDeterminismThreads, OneAndEightWorkersEmitIdenticalBytes) {
 
 namespace {
 
+/// Golden names ("bench_<id>") of every registered figure, and bench_micro.
 std::vector<std::string> thread_gate_benches() {
   std::vector<std::string> benches;
-  std::stringstream list(WILD5G_BENCHES);
-  for (std::string name; std::getline(list, name, ',');) {
-    benches.push_back(name);
-  }
+  for (const auto& id : registered_figures()) benches.push_back("bench_" + id);
+  benches.push_back(kMicro);
   return benches;
 }
 
@@ -113,5 +151,5 @@ TEST(GoldenDeterminism, ThreadCountEnvVarDoesNotChangeBytes) {
     return out;
   }();
   EXPECT_EQ(flagged, via_env)
-      << "bench_fig09_handoffs output depends on WILD5G_THREADS";
+      << "fig09_handoffs output depends on WILD5G_THREADS";
 }

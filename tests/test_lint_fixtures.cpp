@@ -121,8 +121,15 @@ TEST(lint, fixture_catch_swallow) {
 
 TEST(lint, fixture_bench_sample_hoard) {
   // Virtual path maps tests/lint_fixtures/bench/... to bench/..., so the
-  // store-all percentile pattern trips the bench-only rule.
+  // store-all percentile pattern trips the bench/figure rule.
   expect_only_rule("bench/bad_sample_hoard.cpp", "bench-sample-hoard");
+}
+
+TEST(lint, fixture_figure_sample_hoard) {
+  // The figure campaigns moved from bench/ to src/engine/figures/; the rule
+  // follows them there.
+  expect_only_rule("src/engine/figures/bad_sample_hoard.cpp",
+                   "bench-sample-hoard");
 }
 
 TEST(lint, fixture_allow_needs_justification) {
@@ -197,7 +204,8 @@ TEST(lint, every_bad_fixture_has_a_test) {
       "bad_unit_assign.cpp",      "bad_unit_call.cpp",
       "bad_unit_double_conversion.cpp", "src/core/bad_layering.cpp",
       "src/sim/bad_include_cycle.h", "bad_line_splice.cpp",
-      "bench/bad_sample_hoard.cpp", "src/engine/bad_engine_blocking.cpp",
+      "bench/bad_sample_hoard.cpp", "src/engine/figures/bad_sample_hoard.cpp",
+      "src/engine/bad_engine_blocking.cpp",
       "src/engine/snapshot.cpp",  "good_allow.cpp",
       "good_clean.cpp",           "good_tokenizer_edges.cpp"};
   const LintRun listing =

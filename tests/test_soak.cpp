@@ -25,6 +25,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <set>
@@ -264,6 +267,22 @@ std::string sleeper_submit(const std::string& id, int steps,
          "\",\"campaign\":\"sleeper\",\"seed\":\"11\",\"params\":{\"steps\":" +
          std::to_string(steps) +
          ",\"sleep_ms\":" + std::to_string(sleep_ms) + "}}";
+}
+
+/// The figure ids with a committed golden (bench_<id>.json; bench_micro is
+/// not a campaign), sorted.
+std::vector<std::string> golden_figures() {
+  std::vector<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(WILD5G_GOLDEN_DIR)) {
+    const std::string stem = entry.path().stem().string();
+    if (entry.path().extension() == ".json" && stem.rfind("bench_", 0) == 0 &&
+        stem != "bench_micro") {
+      ids.push_back(stem.substr(6));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
 // --- tests ------------------------------------------------------------------
@@ -542,12 +561,43 @@ TEST(soak, deadline_steps_ends_in_deadline_partial_with_a_result) {
   expect_uptime_invariant(events);
 }
 
+TEST(soak, every_served_figure_matches_its_golden) {
+  // The service and the batch path (wild5g_run, which the golden gate
+  // drives) must produce the same document bytes for every figure: submit
+  // them all to one service session and diff each result against its
+  // golden, canonicalized through json::parse + json::dump.
+  const std::vector<std::string> ids = golden_figures();
+  ASSERT_FALSE(ids.empty());
+  ServeClient serve;
+  for (const auto& id : ids) {
+    serve.send("{\"op\":\"submit\",\"id\":\"" + id + "\",\"campaign\":\"" +
+               id + "\"}");
+  }
+  serve.close_stdin();
+  const std::vector<json::Value> events = parse_all(serve.read_to_eof());
+  EXPECT_EQ(serve.wait(), 0);
+  for (const auto& id : ids) {
+    const json::Value* result = find_event(events, "result", id);
+    ASSERT_NE(result, nullptr) << id << " produced no result";
+    std::ifstream golden(std::string(WILD5G_GOLDEN_DIR) + "/bench_" + id +
+                         ".json");
+    const std::string golden_text((std::istreambuf_iterator<char>(golden)),
+                                  std::istreambuf_iterator<char>());
+    EXPECT_EQ(json::dump(*result->find("document")),
+              json::dump(json::parse(golden_text)))
+        << "served " << id << " differs from its golden";
+  }
+  expect_uptime_invariant(events);
+}
+
 TEST(soak, deadline_partial_result_carries_every_completed_row) {
-  // metro_qoe adds one row per step; stopped after 3 of its 4 steps, the
+  // extension_metro_qoe adds one row per step; stopped after 3 of its 4
+  // steps, the
   // partial result document must carry those 3 rows.
   ServeClient serve;
   serve.send(
-      "{\"op\":\"submit\",\"id\":\"q\",\"campaign\":\"metro_qoe\","
+      "{\"op\":\"submit\",\"id\":\"q\",\"campaign\":"
+      "\"extension_metro_qoe\","
       "\"params\":{\"cells\":2,\"ues\":4},\"deadline_steps\":3}");
   serve.close_stdin();
   const std::vector<std::string> lines = serve.read_to_eof();
@@ -571,7 +621,7 @@ TEST(soak, resume_from_a_malformed_snapshot_is_an_error_event) {
   // a document_state whose table row does not match its header. The service
   // answers each resume with an error event and keeps serving.
   const std::string request =
-      "\"request\":{\"campaign\":\"metro_qoe\",\"seed\":\"1\","
+      "\"request\":{\"campaign\":\"extension_metro_qoe\",\"seed\":\"1\","
       "\"params\":{\"cells\":2,\"ues\":4}},\"next_step\":1,";
   const std::string empty_doc =
       "{\"rel\":1e-06,\"abs\":1e-09,\"tolerances\":{},\"tables\":[],"

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Perf-baseline driver: measure the tracked hot paths and write/check BENCH_*.json.
 
-Runs the google-benchmark microbenchmark binary plus the tracked campaign
-benches (TRACKED_CAMPAIGNS) from a Release build tree and either
+Runs the google-benchmark microbenchmark binary plus the tracked figure
+campaigns (TRACKED_CAMPAIGNS, each run as `wild5g_run <id>`) from a Release
+build tree and either
 
   * writes a baseline document (default), e.g. the committed
     BENCH_2026-08-07.json, or
@@ -47,17 +48,18 @@ TRACKED_MICRO = [
     "BM_MpcDecision/12",
 ]
 
-# Representative campaign benches (binary name -> short key). Values land in
-# campaign_s as end-to-end wall-clock seconds for one --json emission run.
-TRACKED_CAMPAIGNS = {
-    "bench_fig24_server_survey": "fig24_server_survey",
-    "bench_fig15_16_power_models": "fig15_16_power_models",
-    "bench_fig19_20_web_qoe": "fig19_20_web_qoe",
-    "bench_extension_metro_load": "extension_metro_load",
-    "bench_extension_metro_qoe": "extension_metro_qoe",
-    "bench_fig18a_predictors": "fig18a_predictors",
-    "bench_fig18b_chunk_length": "fig18b_chunk_length",
-}
+# Representative figure campaigns (registry ids, which are also the keys).
+# Values land in campaign_s as end-to-end wall-clock seconds for one
+# `wild5g_run <id> --json` emission run.
+TRACKED_CAMPAIGNS = [
+    "fig24_server_survey",
+    "fig15_16_power_models",
+    "fig19_20_web_qoe",
+    "extension_metro_load",
+    "extension_metro_qoe",
+    "fig18a_predictors",
+    "fig18b_chunk_length",
+]
 
 # Pre-change numbers: Release (-O3 -DNDEBUG) on the development container,
 # built from the tree state immediately before the speed pass and measured
@@ -134,12 +136,12 @@ def run_micro(build_dir):
 
 
 def run_campaigns(build_dir):
-    """Run each campaign bench once (--json emission) and time it end to end."""
+    """Run each tracked campaign (--json emission) and time it end to end."""
+    binary = os.path.join(build_dir, "bench", "wild5g_run")
+    if not os.path.exists(binary):
+        sys.exit(f"bench_baseline: missing {binary}; build the bench targets first")
     results = {}
-    for binary_name, key in TRACKED_CAMPAIGNS.items():
-        binary = os.path.join(build_dir, "bench", binary_name)
-        if not os.path.exists(binary):
-            sys.exit(f"bench_baseline: missing {binary}; build the bench targets first")
+    for key in TRACKED_CAMPAIGNS:
         with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
             out_path = handle.name
         try:
@@ -150,7 +152,7 @@ def run_campaigns(build_dir):
             for _ in range(3):
                 start = time.perf_counter()
                 subprocess.run(
-                    [binary, "--json", out_path],
+                    [binary, key, "--json", out_path],
                     check=True,
                     stdout=subprocess.DEVNULL,
                 )

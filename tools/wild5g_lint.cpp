@@ -113,7 +113,7 @@ constexpr std::array<RuleInfo, 17> kRules = {{
      "std::current_exception(), or log before recovering",
      ""},
     {"bench-sample-hoard", "hygiene",
-     "bench code hoards every sample in a vector just to call "
+     "bench or figure code hoards every sample in a vector just to call "
      "stats::percentile/median/p95 at the end; campaigns must stream "
      "samples through stats::SampleAccumulator",
      "accumulate into a stats::SampleAccumulator and query its "
@@ -505,9 +505,10 @@ bool free_call_context(const std::vector<Token>& toks, std::size_t i) {
 struct FileContext {
   std::string display_path;  // as reported in findings
   bool is_rng_header = false;
-  bool feeds_metrics = false;  // includes core/json.h or bench_common.h
+  // includes core/json.h, bench_common.h or engine/figures/figure.h
+  bool feeds_metrics = false;
   bool swallow_allowed = false;  // file is on the catch-swallow allow-list
-  bool in_bench = false;       // virtual path lives under bench/
+  bool in_campaign_code = false;  // under bench/ or src/engine/figures/
 };
 
 void check_banned_idents(const std::vector<Token>& toks,
@@ -703,16 +704,17 @@ void check_catch_swallow(const std::vector<Token>& toks,
   }
 }
 
-/// bench-sample-hoard: in bench/ files, calling the sort-on-query stats
-/// helpers (stats::percentile / stats::median / stats::p95) means the
-/// campaign hoarded every sample in a vector first. That pattern is O(n)
+/// bench-sample-hoard: in bench/ and src/engine/figures/ (the figure
+/// campaigns), calling the sort-on-query stats helpers (stats::percentile /
+/// stats::median / stats::p95) means the campaign hoarded every sample in a
+/// vector first. That pattern is O(n)
 /// memory per metric and is exactly what stats::SampleAccumulator replaces;
 /// flag the query site so new campaigns stream instead. Member calls
 /// (acc.percentile(...)) are the sanctioned API and never match.
 void check_sample_hoard(const std::vector<Token>& toks,
                         const FileContext& ctx,
                         std::vector<Finding>& out) {
-  if (!ctx.in_bench) return;
+  if (!ctx.in_campaign_code) return;
   static const std::set<std::string> kSortOnQuery = {"percentile", "median",
                                                      "p95"};
   for (std::size_t i = 2; i < toks.size(); ++i) {
@@ -723,9 +725,9 @@ void check_sample_hoard(const std::vector<Token>& toks,
     if (toks[i - 1].text != "::" || toks[i - 2].text != "stats") continue;
     if (!next_is(toks, i, "(")) continue;
     out.push_back({ctx.display_path, toks[i].line, "bench-sample-hoard",
-                   "'stats::" + toks[i].text + "' in bench code implies a "
-                   "hoarded std::vector<double> of samples; stream them "
-                   "through a stats::SampleAccumulator and query its " +
+                   "'stats::" + toks[i].text + "' in bench or figure code "
+                   "implies a hoarded std::vector<double> of samples; stream "
+                   "them through a stats::SampleAccumulator and query its " +
                        toks[i].text + "() instead",
                    {}});
   }
@@ -1356,7 +1358,8 @@ void check_unit_calls(const std::vector<Token>& toks, const FileContext& ctx,
 // a module may include core, itself, and any module of strictly lower rank.
 // The ranks encode the ISSUE constraints (core at the bottom, sim below
 // radio/net/abr/web, bench/ never included from src/) and the current
-// dependency structure of the tree; adding an edge that violates them is a
+// dependency structure of the tree: engine sits on top because its figure
+// campaigns drive every substrate; adding an edge that violates them is a
 // design decision that belongs in DESIGN.md, not an accident.
 
 const std::map<std::string, int>& layer_ranks() {
@@ -1365,8 +1368,8 @@ const std::map<std::string, int>& layer_ranks() {
       {"radio", 2},    {"ml", 2},        {"mobility", 2},
       {"transport", 2}, {"rrc", 3},      {"faults", 3},
       {"net", 4},      {"power", 4},     {"metro", 4},
-      {"traces", 5},   {"engine", 5},    {"abr", 6},
-      {"web", 6}};
+      {"traces", 5},   {"abr", 6},       {"web", 6},
+      {"engine", 7}};
   return kRanks;
 }
 
@@ -1469,6 +1472,8 @@ FileUnit load_file(const fs::path& path) {
   unit.ctx.feeds_metrics =
       raw_text.find("#include \"core/json.h\"") != std::string::npos ||
       raw_text.find("#include \"bench_common.h\"") != std::string::npos ||
+      raw_text.find("#include \"engine/figures/figure.h\"") !=
+          std::string::npos ||
       path_ends_with(path, "bench/bench_common.h") ||
       path_ends_with(path, "src/core/json.h");
   // Path suffixes where a silent catch (...) is deliberate. Empty today —
@@ -1485,7 +1490,8 @@ FileUnit load_file(const fs::path& path) {
   collect_allows(unit.lexed, unit.ctx.display_path, unit.allows, unit.meta);
   unit.vpath = virtual_path(path);
   unit.src_module = src_module_of(unit.vpath);
-  unit.ctx.in_bench = unit.vpath.rfind("bench/", 0) == 0;
+  unit.ctx.in_campaign_code = unit.vpath.rfind("bench/", 0) == 0 ||
+                              unit.vpath.rfind("src/engine/figures/", 0) == 0;
   unit.includes = collect_includes(unit.lexed.tokens);
   return unit;
 }
