@@ -8,11 +8,11 @@
 // <campaign> is a registry name, which is also the "bench" id of the
 // document it writes: `wild5g_run fig24_server_survey --json out.json`
 // regenerates bench/golden/bench_fig24_server_survey.json. Each
-// `--<param> N` is handed to the campaign's factory (metro campaigns take
-// `--cells` and `--ues`; figures take none), and a param the factory does
-// not take is a usage error (exit 2). Exit codes: 0 completed or deadline,
-// 1 document write failure, 2 usage error, 128+signo when SIGINT/SIGTERM
-// stopped the run (bench_common.h).
+// `--<param> N` is handed to the campaign's factory (the metro extensions
+// take `--cells` and `--ues`, drive_soak its own four, every other figure
+// none), and a param the factory does not take is a usage error (exit 2).
+// Exit codes: 0 completed or deadline, 1 document write failure, 2 usage
+// error, 128+signo when SIGINT/SIGTERM stopped the run (bench_common.h).
 #include <iostream>
 
 #include "bench_common.h"

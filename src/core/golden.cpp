@@ -32,24 +32,12 @@ bool parse_cell_number(const std::string& text, double& out) {
   return end == text.c_str() + text.size() && std::isfinite(out);
 }
 
-Tolerance member_tolerance(const json::Value* overrides, const std::string& key,
-                           Tolerance fallback) {
-  if (overrides == nullptr) return fallback;
-  const json::Value* entry = overrides->find(key);
-  if (entry == nullptr || !entry->is_object()) return fallback;
-  Tolerance tol = fallback;
-  if (const json::Value* rel = entry->find("rel")) tol.rel = rel->as_number();
-  if (const json::Value* abs = entry->find("abs")) tol.abs = abs->as_number();
-  return tol;
-}
-
 class Comparator {
  public:
-  Comparator(const json::Value& golden, std::vector<Drift>& out)
-      : overrides_(golden.find("tolerances")), out_(out) {}
+  Comparator(Tolerance tol, std::vector<Drift>& out) : tol_(tol), out_(out) {}
 
   void walk(const json::Value& golden, const json::Value& fresh,
-            const std::string& path, Tolerance tol) {
+            const std::string& path) {
     if (golden.type() != fresh.type()) {
       // A numeric string vs. numeric string never lands here; a genuine type
       // change is always structural drift.
@@ -69,16 +57,16 @@ class Comparator {
         }
         break;
       case json::Value::Type::kNumber:
-        compare_numbers(golden.as_number(), fresh.as_number(), path, tol);
+        compare_numbers(golden.as_number(), fresh.as_number(), path);
         break;
       case json::Value::Type::kString:
-        compare_strings(golden.as_string(), fresh.as_string(), path, tol);
+        compare_strings(golden.as_string(), fresh.as_string(), path);
         break;
       case json::Value::Type::kArray:
-        walk_array(golden, fresh, path, tol);
+        walk_array(golden, fresh, path);
         break;
       case json::Value::Type::kObject:
-        walk_object(golden, fresh, path, tol);
+        walk_object(golden, fresh, path);
         break;
     }
   }
@@ -88,10 +76,9 @@ class Comparator {
     out_.push_back(Drift{path, std::move(message)});
   }
 
-  void compare_numbers(double golden, double fresh, const std::string& path,
-                       Tolerance tol) {
+  void compare_numbers(double golden, double fresh, const std::string& path) {
     const double diff = std::fabs(fresh - golden);
-    if (diff <= tol.abs || diff <= tol.rel * std::fabs(golden)) return;
+    if (diff <= tol_.abs || diff <= tol_.rel * std::fabs(golden)) return;
     // wild5g-lint: allow(float-equality) exact-zero guard before dividing;
     // any nonzero magnitude, however small, has a well-defined relative drift.
     const double rel = golden != 0.0
@@ -101,12 +88,12 @@ class Comparator {
                     json::format_number(fresh) + " (abs drift " +
                     json::format_number(diff) + ", rel drift " +
                     json::format_number(rel) + "; tol rel " +
-                    json::format_number(tol.rel) + ", abs " +
-                    json::format_number(tol.abs) + ")");
+                    json::format_number(tol_.rel) + ", abs " +
+                    json::format_number(tol_.abs) + ")");
   }
 
   void compare_strings(const std::string& golden, const std::string& fresh,
-                       const std::string& path, Tolerance tol) {
+                       const std::string& path) {
     if (golden == fresh) return;
     // Formatted table cells ("13.5") still deserve tolerance, not
     // byte-equality: a different-but-within-tolerance rounding is fine.
@@ -114,14 +101,14 @@ class Comparator {
     double fresh_num = 0.0;
     if (parse_cell_number(golden, golden_num) &&
         parse_cell_number(fresh, fresh_num)) {
-      compare_numbers(golden_num, fresh_num, path, tol);
+      compare_numbers(golden_num, fresh_num, path);
       return;
     }
     drift(path, "golden \"" + golden + "\", fresh \"" + fresh + "\"");
   }
 
   void walk_array(const json::Value& golden, const json::Value& fresh,
-                  const std::string& path, Tolerance tol) {
+                  const std::string& path) {
     const auto& golden_elems = golden.as_array();
     const auto& fresh_elems = fresh.as_array();
     if (golden_elems.size() != fresh_elems.size()) {
@@ -131,20 +118,13 @@ class Comparator {
     }
     const std::size_t n = std::min(golden_elems.size(), fresh_elems.size());
     for (std::size_t i = 0; i < n; ++i) {
-      Tolerance elem_tol = tol;
-      // A table (an object carrying a "title") can have a per-table override
-      // keyed by that title.
-      if (const json::Value* title = golden_elems[i].find("title");
-          title != nullptr && title->is_string()) {
-        elem_tol = member_tolerance(overrides_, title->as_string(), tol);
-      }
       walk(golden_elems[i], fresh_elems[i],
-           path + "[" + std::to_string(i) + "]", elem_tol);
+           path + "[" + std::to_string(i) + "]");
     }
   }
 
   void walk_object(const json::Value& golden, const json::Value& fresh,
-                   const std::string& path, Tolerance tol) {
+                   const std::string& path) {
     const std::string prefix = path.empty() ? "" : path + ".";
     for (const auto& member : golden.as_object()) {
       const json::Value* counterpart = fresh.find(member.key);
@@ -152,8 +132,7 @@ class Comparator {
         drift(prefix + member.key, "missing in fresh run");
         continue;
       }
-      walk(member.value, *counterpart, prefix + member.key,
-           member_tolerance(overrides_, member.key, tol));
+      walk(member.value, *counterpart, prefix + member.key);
     }
     for (const auto& member : fresh.as_object()) {
       if (golden.find(member.key) == nullptr) {
@@ -162,7 +141,7 @@ class Comparator {
     }
   }
 
-  const json::Value* overrides_;
+  Tolerance tol_;
   std::vector<Drift>& out_;
 };
 
@@ -181,8 +160,8 @@ Tolerance document_tolerance(const json::Value& golden) {
 std::vector<Drift> compare(const json::Value& golden,
                            const json::Value& fresh) {
   std::vector<Drift> drifts;
-  Comparator comparator(golden, drifts);
-  comparator.walk(golden, fresh, "", document_tolerance(golden));
+  Comparator comparator(document_tolerance(golden), drifts);
+  comparator.walk(golden, fresh, "");
   return drifts;
 }
 

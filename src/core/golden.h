@@ -34,12 +34,10 @@ struct Drift {
 /// Compares `fresh` against `golden` and returns every drifted field.
 ///
 /// Rules:
-///  - Tolerances come from the GOLDEN document: the root `tolerance` object
-///    sets the default, and the root `tolerances` object maps a metric name
-///    or table title to a per-metric override.
+///  - The tolerance comes from the GOLDEN document's root `tolerance`
+///    object (document_tolerance()) and applies to every field.
 ///  - Numbers (and strings that parse fully as numbers, i.e. table cells)
-///    compare under the effective tolerance; everything else compares
-///    exactly.
+///    compare under that tolerance; everything else compares exactly.
 ///  - Structural mismatches (type changes, missing/extra keys, array length
 ///    changes) are drifts too — a refactor that drops a table row is a
 ///    regression even if the surviving numbers match.

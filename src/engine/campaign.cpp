@@ -42,6 +42,15 @@ std::vector<RegistryEntry>& registry_locked() {
   return entries;
 }
 
+/// The metro extensions: a corridor of "cells" x "ues" UEs per cell
+/// (default 12 x 100) that models only the radio fault kinds.
+template <figures::FigureBody Body, std::size_t Steps>
+std::unique_ptr<Campaign> metro_figure(const CampaignRequest& request) {
+  return figures::make_figure(request, Body, Steps,
+                              {{"cells", 12}, {"ues", 100}},
+                              require_radio_plan);
+}
+
 }  // namespace
 
 void register_campaign(const std::string& name, CampaignFactory factory) {
@@ -127,8 +136,9 @@ void register_builtin_campaigns() {
   register_campaign("extension_drive_energy",
                     figure<extension_drive_energy, 5>);
   register_campaign("extension_http2", figure<extension_http2>);
-  register_campaign("extension_metro_load", make_metro_load_campaign);
-  register_campaign("extension_metro_qoe", make_metro_qoe_campaign);
+  register_campaign("extension_metro_load",
+                    metro_figure<extension_metro_load, 9>);
+  register_campaign("extension_metro_qoe", metro_figure<extension_metro_qoe, 4>);
   // The long-haul service workload; not a figure.
   register_campaign("drive_soak", make_drive_soak_campaign);
 }
@@ -206,7 +216,7 @@ int param_positive_int(const json::Value& params, const std::string& key,
 }
 
 void reject_unknown_params(const json::Value& params,
-                           std::initializer_list<std::string_view> known) {
+                           const std::vector<std::string_view>& known) {
   if (params.is_null()) return;
   require(params.is_object(), "campaign params: not an object");
   for (const auto& member : params.as_object()) {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <initializer_list>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -116,8 +115,8 @@ void register_campaign(const std::string& name, CampaignFactory factory);
 /// Registered names in registration order (for the service hello frame).
 [[nodiscard]] std::vector<std::string> campaign_names();
 
-/// Registers the built-in campaigns: every paper figure and table under its
-/// golden's document id (engine/figures/), the two metro extensions, and
+/// Registers the built-in campaigns: every paper figure, table and
+/// extension under its golden's document id (engine/figures/), and
 /// drive_soak. Idempotent; every entry point that touches the registry
 /// calls it first.
 void register_builtin_campaigns();
@@ -144,6 +143,6 @@ void register_builtin_campaigns();
 /// Throws unless every key of `params` appears in `known` — a typoed
 /// parameter must fail the submit, not silently run the default campaign.
 void reject_unknown_params(const json::Value& params,
-                           std::initializer_list<std::string_view> known);
+                           const std::vector<std::string_view>& known);
 
 }  // namespace wild5g::engine

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "core/error.h"
+#include "core/golden.h"
 
 namespace wild5g::engine {
 
@@ -66,21 +67,7 @@ MetricsDocument::MetricsDocument(std::string bench_id, std::uint64_t seed,
       seed_(seed),
       fault_plan_name_(std::move(fault_plan_name)),
       metrics_(json::Value::object()),
-      tolerances_(json::Value::object()),
       flags_(json::Value::object()) {}
-
-void MetricsDocument::set_tolerance(double rel, double abs) {
-  rel_ = rel;
-  abs_ = abs;
-}
-
-void MetricsDocument::set_tolerance(const std::string& name, double rel,
-                                    double abs) {
-  json::Value entry = json::Value::object();
-  entry.set("rel", rel);
-  entry.set("abs", abs);
-  tolerances_.set(name, std::move(entry));
-}
 
 Table& MetricsDocument::open_table(const std::string& title,
                                    std::vector<std::string> header) {
@@ -111,11 +98,11 @@ json::Value MetricsDocument::document() const {
   doc.set("bench", bench_id_);
   doc.set("seed", seed_);
   if (!fault_plan_name_.empty()) doc.set("fault_plan", fault_plan_name_);
+  const golden::Tolerance defaults;
   json::Value tolerance = json::Value::object();
-  tolerance.set("rel", rel_);
-  tolerance.set("abs", abs_);
+  tolerance.set("rel", defaults.rel);
+  tolerance.set("abs", defaults.abs);
   doc.set("tolerance", std::move(tolerance));
-  if (tolerances_.size() > 0) doc.set("tolerances", tolerances_);
   doc.set("tables", tables_to_json(tables_));
   doc.set("metrics", metrics_);
   for (const auto& flag : flags_.as_object()) {
@@ -126,9 +113,6 @@ json::Value MetricsDocument::document() const {
 
 json::Value MetricsDocument::checkpoint_state() const {
   json::Value state = json::Value::object();
-  state.set("rel", rel_);
-  state.set("abs", abs_);
-  state.set("tolerances", tolerances_);
   state.set("tables", tables_to_json(tables_));
   state.set("metrics", metrics_);
   state.set("flags", flags_);
@@ -137,24 +121,16 @@ json::Value MetricsDocument::checkpoint_state() const {
 
 void MetricsDocument::restore_state(const json::Value& state) {
   require(state.is_object(), "MetricsDocument: state is not an object");
-  const json::Value& rel = member(state, "rel");
-  const json::Value& abs = member(state, "abs");
-  require(rel.is_number() && abs.is_number(),
-          "MetricsDocument: tolerance state is not numeric");
-  const json::Value& tolerances = member(state, "tolerances");
   const json::Value& tables = member(state, "tables");
   const json::Value& metrics = member(state, "metrics");
   const json::Value& flags = member(state, "flags");
-  require(tolerances.is_object() && metrics.is_object() && flags.is_object(),
-          "MetricsDocument: tolerances/metrics/flags state is not an object");
+  require(metrics.is_object() && flags.is_object(),
+          "MetricsDocument: metrics/flags state is not an object");
   for (const auto& metric : metrics.as_object()) {
     require(metric.value.is_number(),
             "MetricsDocument: metric '" + metric.key + "' is not a number");
   }
   std::deque<Table> restored = tables_from_json(tables);
-  rel_ = rel.as_number();
-  abs_ = abs.as_number();
-  tolerances_ = tolerances;
   tables_ = std::move(restored);
   metrics_ = metrics;
   flags_ = flags;

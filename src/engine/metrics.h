@@ -12,8 +12,10 @@
 // checkpoint, and no campaign carries checkpoint code for its rows.
 //
 // The emitted shape is byte-compatible with the pre-engine emitter — key
-// order bench, seed, [fault_plan], tolerance, [tolerances], tables,
-// metrics — because bench/golden/ baselines diff against it byte-for-byte.
+// order bench, seed, [fault_plan], tolerance, tables, metrics — because
+// bench/golden/ baselines diff against it byte-for-byte. The tolerance is
+// the same constant {rel 1e-6, abs 1e-9} in every document: a golden
+// answers only "did the bytes change".
 // New supervision keys ("interrupted", "deadline_hit") are only ever
 // appended when the corresponding event actually happened, so a default
 // run's document is untouched.
@@ -29,8 +31,8 @@
 
 namespace wild5g::engine {
 
-/// Insertion-ordered, deterministic collection of a campaign's tables,
-/// scalar metrics, and tolerances. Pure data: no I/O, no clock, no argv.
+/// Insertion-ordered, deterministic collection of a campaign's tables and
+/// scalar metrics. Pure data: no I/O, no clock, no argv.
 class MetricsDocument {
  public:
   /// `fault_plan_name` empty means a fault-free run; any other value is
@@ -38,11 +40,6 @@ class MetricsDocument {
   /// against a default golden.
   MetricsDocument(std::string bench_id, std::uint64_t seed,
                   std::string fault_plan_name = {});
-
-  /// Default tolerance written into the document.
-  void set_tolerance(double rel, double abs);
-  /// Per-metric override, keyed by a metric name or a table title.
-  void set_tolerance(const std::string& name, double rel, double abs);
 
   /// Opens an empty table at the end of the document and returns it, so
   /// rows are appended in place as they complete. When a table titled
@@ -78,18 +75,16 @@ class MetricsDocument {
   /// Inverse of checkpoint_state(); throws wild5g::Error on malformed
   /// state (tables are rebuilt through Table, so a row whose arity does not
   /// match its header is rejected). Replaces all accumulated
-  /// tables/metrics/tolerances/flags.
+  /// tables/metrics/flags. Ignores the "rel", "abs" and "tolerances" keys
+  /// that older builds wrote, so their snapshots still resume.
   void restore_state(const json::Value& state);
 
  private:
   std::string bench_id_;
   std::uint64_t seed_ = 0;
   std::string fault_plan_name_;
-  double rel_ = 1e-6;
-  double abs_ = 1e-9;
   std::deque<Table> tables_;  // deque: opening a table moves no other
   json::Value metrics_;
-  json::Value tolerances_;
   json::Value flags_;
 };
 

@@ -1,7 +1,6 @@
 #include "engine/metro_campaigns.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -10,17 +9,11 @@
 #include "core/error.h"
 #include "core/rng.h"
 #include "core/table.h"
-#include "engine/figures/figure.h"
 #include "faults/injector.h"
 #include "metro/metro.h"
 
 namespace wild5g::engine {
 
-namespace {
-
-/// Rejects plans with kinds the metro substrate does not model, so a bad
-/// plan fails a service submit (and exits a bench shell with a usage error)
-/// instead of wedging a campaign.
 void require_radio_plan(const faults::FaultPlan& plan,
                         const std::string& campaign) {
   const auto bad = metro::unsupported_fault_kinds(plan);
@@ -31,6 +24,8 @@ void require_radio_plan(const faults::FaultPlan& plan,
               "' windows, which the metro campaign does not model (radio "
               "kinds only: mmwave_blockage, nr_to_lte_outage, radio_outage)");
 }
+
+namespace {
 
 const json::Value& state_field(const json::Value& state, const char* key) {
   const json::Value* value = state.find(key);
@@ -47,226 +42,6 @@ std::uint64_t state_count(const json::Value& state, const char* key) {
               "' is not a non-negative integer");
   return static_cast<std::uint64_t>(value.as_number());
 }
-
-// --- metro_load -------------------------------------------------------------
-
-class MetroLoadCampaign final : public Campaign {
- public:
-  explicit MetroLoadCampaign(const CampaignRequest& request)
-      : seed_(request.seed),
-        cells_(param_positive_int(request.params, "cells", 12)),
-        ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
-    reject_unknown_params(request.params, {"cells", "ues"});
-    if (request.fault_plan.has_value()) {
-      require_radio_plan(*request.fault_plan, "extension_metro_load");
-      injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
-                                                     request.seed);
-    }
-  }
-
-  [[nodiscard]] std::size_t total_steps() const override {
-    return kLoadGrid.size() + kSharerGrid.size();
-  }
-
-  [[nodiscard]] json::Value execute_step(std::size_t index,
-                                 CampaignContext& ctx) override {
-    if (index == 0 && ctx.console != nullptr) {
-      figures::banner(*ctx.console, "Extension",
-                      "Metro-scale shared-cell contention: per-user "
-                      "throughput vs cell load");
-      figures::paper_note(
-          *ctx.console,
-          "Sec. 3 measures 1-2 UEs on effectively unloaded mid-band cells"
-          " (~640 Mbps DL); commercial deployments schedule that capacity"
-          " across every attached user, so per-user throughput is governed"
-          " by cell load, not peak capacity.");
-    }
-    json::Value frame = json::Value::object();
-    if (index < kLoadGrid.size()) {
-      const double load = kLoadGrid[index];
-      metro::MetroConfig config = base_config();
-      config.background_load = load;
-      const auto result = metro::run_campaign(config, Rng(seed_));
-      Table& table = ctx.doc.open_table(
-          load_title(), {"bg load", "mean/UE Mbps", "p50 Mbps", "p95 Mbps",
-                         "mean util", "handoffs"});
-      table.add_row(
-          {Table::num(load, 1), Table::num(result.per_ue_mean_mbps.mean(), 3),
-           Table::num(result.per_ue_mean_mbps.median(), 3),
-           Table::num(result.per_ue_mean_mbps.p95(), 3),
-           Table::num(result.mean_utilization, 3),
-           Table::num(static_cast<double>(result.handoffs), 0)});
-      if (index == 0) {  // the unloaded anchor point
-        ctx.doc.metric("unloaded_mean_ue_mbps",
-                       result.per_ue_mean_mbps.mean());
-        ctx.doc.metric("peak_cell_active",
-                       static_cast<double>(result.peak_cell_active));
-        ctx.doc.metric("attach_ops", static_cast<double>(result.attach_ops));
-      }
-      if (index + 1 == kLoadGrid.size()) ctx.print(table);
-      frame.set("grid", "background_load");
-      frame.set("bg_load", load);
-      frame.set("mean_ue_mbps", result.per_ue_mean_mbps.mean());
-      frame.set("handoffs", static_cast<double>(result.handoffs));
-    } else {
-      const int sharers = kSharerGrid[index - kLoadGrid.size()];
-      metro::MetroConfig config = base_config();
-      config.ues_per_cell = sharers;
-      config.background_load = 0.0;
-      const auto result = metro::run_campaign(config, Rng(seed_));
-      Table& table = ctx.doc.open_table(
-          "Same corridor, background load 0: per-user throughput vs sharers",
-          {"UEs/cell", "mean/UE Mbps", "p50 Mbps", "p95 Mbps",
-           "step p5 Mbps"});
-      table.add_row(
-          {Table::num(static_cast<double>(sharers), 0),
-           Table::num(result.per_ue_mean_mbps.mean(), 3),
-           Table::num(result.per_ue_mean_mbps.median(), 3),
-           Table::num(result.per_ue_mean_mbps.p95(), 3),
-           Table::num(result.step_throughput_mbps.percentile(5.0), 3)});
-      if (index + 1 == total_steps() && ctx.console != nullptr) {
-        table.print(*ctx.console);
-        figures::measured_note(
-            *ctx.console,
-            "per-user throughput falls monotonically with both dials: the"
-            " background-load sweep shrinks every user's airtime share, and"
-            " the sharer sweep splits the same cell capacity ever thinner —"
-            " the unloaded single-UE numbers the paper reports are the best"
-            " case, not the expectation.");
-      }
-      frame.set("grid", "sharers");
-      frame.set("ues_per_cell", sharers);
-      frame.set("mean_ue_mbps", result.per_ue_mean_mbps.mean());
-    }
-    return frame;
-  }
-
- private:
-  static constexpr std::array<double, 5> kLoadGrid = {0.0, 0.2, 0.4, 0.6,
-                                                      0.8};
-  static constexpr std::array<int, 4> kSharerGrid = {1, 10, 50, 100};
-
-  [[nodiscard]] std::string load_title() const {
-    return std::to_string(cells_) + " cells x " +
-           std::to_string(ues_per_cell_) +
-           " UEs/cell, 60 s walk, mid-band NSA: background load sweep";
-  }
-
-  [[nodiscard]] metro::MetroConfig base_config() const {
-    metro::MetroConfig config;
-    config.cells = cells_;
-    config.ues_per_cell = ues_per_cell_;
-    config.faults = injector_.get();
-    return config;
-  }
-
-  std::uint64_t seed_;
-  int cells_;
-  int ues_per_cell_;
-  std::unique_ptr<faults::Injector> injector_;
-};
-
-// --- metro_qoe --------------------------------------------------------------
-
-class MetroQoeCampaign final : public Campaign {
- public:
-  explicit MetroQoeCampaign(const CampaignRequest& request)
-      : seed_(request.seed),
-        cells_(param_positive_int(request.params, "cells", 12)),
-        ues_per_cell_(param_positive_int(request.params, "ues", 100)) {
-    reject_unknown_params(request.params, {"cells", "ues"});
-    if (request.fault_plan.has_value()) {
-      require_radio_plan(*request.fault_plan, "extension_metro_qoe");
-      injector_ = std::make_unique<faults::Injector>(*request.fault_plan,
-                                                     request.seed);
-    }
-  }
-
-  [[nodiscard]] std::size_t total_steps() const override {
-    return kActivityGrid.size();
-  }
-
-  [[nodiscard]] json::Value execute_step(std::size_t index,
-                                 CampaignContext& ctx) override {
-    if (index == 0 && ctx.console != nullptr) {
-      figures::banner(*ctx.console, "Extension",
-                      "Metro-scale busy hour: co-moving QoE degradation and"
-                      " handoff storms");
-      figures::paper_note(
-          *ctx.console,
-          "Sec. 5 streams 4K video (~25 Mbps demand) to one driving UE; at"
-          " busy hour every vehicle on the corridor streams at once, and"
-          " co-moving UEs cross cell edges together — handoffs arrive in"
-          " storms, not one at a time.");
-    }
-    const double activity = kActivityGrid[index];
-    metro::MetroConfig config = base_config();
-    config.activity = activity;
-    const auto result = metro::run_campaign(config, Rng(seed_));
-    Table& table = ctx.doc.open_table(
-        title(), {"activity", "mean/UE Mbps", "rebuffer mean", "rebuffer p95",
-                  "handoffs", "ping-pongs", "peak storm"});
-    table.add_row(
-        {Table::num(activity, 2), Table::num(result.per_ue_mean_mbps.mean(), 3),
-         Table::num(result.per_ue_rebuffer_fraction.mean(), 4),
-         Table::num(result.per_ue_rebuffer_fraction.p95(), 4),
-         Table::num(static_cast<double>(result.handoffs), 0),
-         Table::num(static_cast<double>(result.pingpongs), 0),
-         Table::num(static_cast<double>(result.peak_step_handoffs), 0)});
-    if (index + 1 == kActivityGrid.size()) {  // the busy-hour anchor point
-      ctx.doc.metric("busy_hour_rebuffer_mean",
-                     result.per_ue_rebuffer_fraction.mean());
-      ctx.doc.metric("busy_hour_peak_storm",
-                     static_cast<double>(result.peak_step_handoffs));
-      ctx.doc.metric("busy_hour_pingpongs",
-                     static_cast<double>(result.pingpongs));
-      if (ctx.console != nullptr) {
-        table.print(*ctx.console);
-        figures::measured_note(
-            *ctx.console,
-            "rebuffering grows with the activity dial even though demand per"
-            " UE is constant — more simultaneously active sharers shrink each"
-            " share below the 25 Mbps demand line — and the co-moving"
-            " population turns cell edges into handoff storms dozens deep in"
-            " a single step.");
-      }
-    }
-    json::Value frame = json::Value::object();
-    frame.set("activity", activity);
-    frame.set("rebuffer_mean", result.per_ue_rebuffer_fraction.mean());
-    frame.set("peak_storm", static_cast<double>(result.peak_step_handoffs));
-    return frame;
-  }
-
- private:
-  static constexpr std::array<double, 4> kActivityGrid = {0.25, 0.5, 0.75,
-                                                          1.0};
-
-  [[nodiscard]] std::string title() const {
-    return std::to_string(cells_) + " cells x " +
-           std::to_string(ues_per_cell_) +
-           " UEs/cell at 14 m/s, 25 Mbps demand: busy-hour activity sweep";
-  }
-
-  [[nodiscard]] metro::MetroConfig base_config() const {
-    metro::MetroConfig config;
-    config.cells = cells_;
-    config.ues_per_cell = ues_per_cell_;
-    config.ue_speed_mps = 14.0;  // vehicular corridor
-    config.background_load = 0.2;
-    config.demand_mbps = 25.0;  // the paper's 4K operating point
-    config.handoff.time_to_trigger_ms = 160.0;  // vehicular-speed A3 tuning
-    config.faults = injector_.get();
-    return config;
-  }
-
-  std::uint64_t seed_;
-  int cells_;
-  int ues_per_cell_;
-  std::unique_ptr<faults::Injector> injector_;
-};
-
-// --- drive_soak -------------------------------------------------------------
 
 class DriveSoakCampaign final : public Campaign {
  public:
@@ -409,16 +184,6 @@ class DriveSoakCampaign final : public Campaign {
 };
 
 }  // namespace
-
-std::unique_ptr<Campaign> make_metro_load_campaign(
-    const CampaignRequest& request) {
-  return std::make_unique<MetroLoadCampaign>(request);
-}
-
-std::unique_ptr<Campaign> make_metro_qoe_campaign(
-    const CampaignRequest& request) {
-  return std::make_unique<MetroQoeCampaign>(request);
-}
 
 std::unique_ptr<Campaign> make_drive_soak_campaign(
     const CampaignRequest& request) {

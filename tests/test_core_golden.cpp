@@ -1,6 +1,6 @@
 // Direct unit tests for the golden-metrics comparator (src/core/golden.cpp):
-// per-table tolerance overrides keyed by "title", type-change drift, array
-// length mismatches, and numeric-string table-cell comparison. The golden.*
+// the document tolerance, type-change drift, array length mismatches, and
+// numeric-string table-cell comparison. The golden.*
 // ctest gate exercises these paths end to end, but only on documents that
 // match — these tests pin down what a *mismatch* reports.
 #include <gtest/gtest.h>
@@ -52,42 +52,6 @@ TEST(GoldenComparator, NumberDriftBeyondToleranceIsReported) {
   const auto fresh_close =
       doc(R"({"tolerance":{"rel":1e-6,"abs":1e-9},"metrics":{"m":100.00001}})");
   EXPECT_TRUE(wg::compare(golden, fresh_close).empty());
-}
-
-TEST(GoldenComparator, PerTableToleranceOverrideKeyedByTitle) {
-  // The "loose table" override (rel 0.5) forgives a 20% cell drift that the
-  // document default (rel 1e-6) would flag; an identically drifted cell in
-  // the strict table must still be reported.
-  const auto golden = doc(R"({
-    "tolerance": {"rel": 1e-6, "abs": 1e-9},
-    "tolerances": {"loose table": {"rel": 0.5, "abs": 0.0}},
-    "tables": [
-      {"title": "loose table", "rows": [["10.0"]]},
-      {"title": "strict table", "rows": [["10.0"]]}
-    ]})");
-  const auto fresh = doc(R"({
-    "tolerance": {"rel": 1e-6, "abs": 1e-9},
-    "tolerances": {"loose table": {"rel": 0.5, "abs": 0.0}},
-    "tables": [
-      {"title": "loose table", "rows": [["12.0"]]},
-      {"title": "strict table", "rows": [["12.0"]]}
-    ]})");
-  const auto drifts = wg::compare(golden, fresh);
-  ASSERT_EQ(drifts.size(), 1u);
-  EXPECT_NE(drifts[0].path.find("tables[1]"), std::string::npos)
-      << drifts[0].path;
-}
-
-TEST(GoldenComparator, PerMetricToleranceOverrideKeyedByName) {
-  const auto golden = doc(R"({
-    "tolerances": {"wobbly": {"rel": 0.5, "abs": 0.0}},
-    "metrics": {"wobbly": 10.0, "steady": 10.0}})");
-  const auto fresh = doc(R"({
-    "tolerances": {"wobbly": {"rel": 0.5, "abs": 0.0}},
-    "metrics": {"wobbly": 11.0, "steady": 11.0}})");
-  const auto drifts = wg::compare(golden, fresh);
-  ASSERT_EQ(drifts.size(), 1u);
-  EXPECT_EQ(drifts[0].path, "metrics.steady");
 }
 
 TEST(GoldenComparator, TypeChangeIsStructuralDrift) {

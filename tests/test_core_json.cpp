@@ -172,25 +172,6 @@ TEST(GoldenCompare, NumericTableCellsCompareUnderTolerance) {
   EXPECT_EQ(drifts[0].path, "tables[0].rows[0][1]");
 }
 
-TEST(GoldenCompare, PerMetricToleranceOverride) {
-  json::Value baseline = sample_document();
-  json::Value overrides = json::Value::object();
-  json::Value loose = json::Value::object();
-  loose.set("rel", 0.5);
-  overrides.set("stall_pct", std::move(loose));
-  baseline.set("tolerances", std::move(overrides));
-  json::Value fresh = sample_document();
-  json::Value m = json::Value::object();
-  m.set("stall_pct", 5.0);  // +17.6%: inside the 50% override
-  fresh.set("metrics", std::move(m));
-  // The fresh doc differs in the "tolerances" member too; only compare the
-  // metric subtree outcome: expect exactly the structural drift for the
-  // missing "tolerances" member, not a stall_pct drift.
-  const auto drifts = golden::compare(baseline, fresh);
-  ASSERT_EQ(drifts.size(), 1u);
-  EXPECT_EQ(drifts[0].path, "tolerances");
-}
-
 TEST(GoldenCompare, StructuralChangesAreDrifts) {
   const json::Value baseline = sample_document();
   // Dropped metric.

@@ -356,8 +356,9 @@ faults::FaultPlan radio_plan() {
   return plan;
 }
 
-/// The campaign at its smallest: the metro campaigns and drive_soak are
-/// sized down by params; figures take none and run at their own size.
+/// The campaign at its smallest: the metro extensions and drive_soak are
+/// sized down by params; every other figure takes none and runs at its own
+/// size.
 engine::CampaignRequest small_request(const std::string& campaign,
                                       bool with_faults) {
   engine::CampaignRequest request;
@@ -576,6 +577,41 @@ TEST(engine, snapshot_file_round_trip_and_atomic_write) {
   EXPECT_EQ(json::dump(loaded.to_json()), json::dump(snapshot.to_json()));
   std::remove(path.c_str());
   EXPECT_THROW((void)engine::load_snapshot(path), Error);
+}
+
+TEST(engine, snapshot_with_the_old_tolerance_keys_still_resumes) {
+  // A version-2 snapshot as earlier builds wrote it: its document_state
+  // still carries "rel", "abs" and "tolerances", which documents no longer
+  // keep. The restore ignores those keys, and the resumed run finishes
+  // byte-identical to an uninterrupted one.
+  engine::register_builtin_campaigns();
+  const std::string old_snapshot = R"({
+    "format": "wild5g-snapshot", "version": 2,
+    "request": {"campaign": "extension_metro_qoe", "seed": "20210823",
+                "params": {"cells": 2, "ues": 4}},
+    "next_step": 1, "campaign_state": null,
+    "document_state": {
+      "rel": 1e-06, "abs": 1e-09, "tolerances": {},
+      "tables": [{
+        "title": "2 cells x 4 UEs/cell at 14 m/s, 25 Mbps demand: busy-hour activity sweep",
+        "header": ["activity", "mean/UE Mbps", "rebuffer mean",
+                   "rebuffer p95", "handoffs", "ping-pongs", "peak storm"],
+        "rows": [["0.25", "214.073", "0.0000", "0.0000", "8", "2", "1"]]}],
+      "metrics": {}, "flags": {}}})";
+  const engine::Snapshot snapshot =
+      engine::Snapshot::from_json(json::parse(old_snapshot));
+  engine::MetricsDocument doc(snapshot.request.campaign,
+                              snapshot.request.seed);
+  doc.restore_state(snapshot.document_state);
+  EXPECT_EQ(doc.checkpoint_state().find("tolerances"), nullptr);
+  auto campaign = engine::make_campaign(snapshot.request);
+  campaign->restore_state(snapshot.campaign_state);
+  engine::CampaignContext ctx{doc, nullptr};
+  engine::RunControl control;
+  control.start_step = snapshot.next_step;
+  EXPECT_EQ(engine::run_steps(*campaign, ctx, control).status,
+            engine::RunStatus::kCompleted);
+  EXPECT_EQ(json::dump(doc.document()), run_uninterrupted(snapshot.request));
 }
 
 TEST(engine, factories_reject_unknown_params_and_unsupported_faults) {

@@ -14,11 +14,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/json.h"
 #include "engine/campaign.h"
 
 namespace {
@@ -100,6 +102,36 @@ TEST(GoldenDeterminism, RegistryMatchesGoldens) {
   }
   const std::vector<std::string> figures = registered_figures();
   EXPECT_EQ(std::set<std::string>(figures.begin(), figures.end()), goldens);
+}
+
+TEST(GoldenDeterminism, MicroInventoryMatchesRegisteredBenchmarks) {
+  // golden.bench_micro pins bench_micro's hand-typed inventory table; this
+  // ties that table to the BENCHMARK(...) registrations themselves, so a
+  // deleted or added variant fails here. Listing the tests runs no timings.
+  std::map<std::string, int> registered;
+  const std::string command =
+      std::string(WILD5G_MICRO_BIN) + " --benchmark_list_tests=true";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr) << command;
+  char line[256];
+  while (std::fgets(line, sizeof(line), pipe) != nullptr) {
+    std::string name(line);
+    if (!name.empty() && name.back() == '\n') name.pop_back();
+    ++registered[name.substr(0, name.find('/'))];
+  }
+  ASSERT_EQ(::pclose(pipe), 0) << command;
+
+  std::map<std::string, int> inventory;
+  const wild5g::json::Value golden = wild5g::json::parse(
+      read_file(std::string(WILD5G_GOLDEN_DIR) + "/bench_micro.json"));
+  const auto& tables = golden.find("tables")->as_array();
+  ASSERT_EQ(tables.size(), 1u);
+  for (const auto& row : tables[0].find("rows")->as_array()) {
+    inventory[row.as_array()[0].as_string()] =
+        std::stoi(row.as_array()[1].as_string());
+  }
+  EXPECT_FALSE(inventory.empty());
+  EXPECT_EQ(registered, inventory);
 }
 
 // The parallel campaign runner's contract: thread count is a pure

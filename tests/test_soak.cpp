@@ -762,4 +762,17 @@ TEST(soak, protocol_errors_do_not_take_the_service_down) {
   expect_uptime_invariant(events);
 }
 
+TEST(soak, flag_values_that_are_not_positive_integers_are_usage_errors) {
+  // A count with trailing junk must not start the service on its numeric
+  // prefix; the service exits 2 before it writes a single event.
+  for (const std::string flag : {"--threads", "--watchdog-ms"}) {
+    for (const std::string value : {"3x", "abc", "0", "-1"}) {
+      ServeClient serve({flag, value});
+      serve.close_stdin();
+      EXPECT_TRUE(serve.read_to_eof().empty()) << flag << " " << value;
+      EXPECT_EQ(serve.wait(), 2) << flag << " " << value;
+    }
+  }
+}
+
 }  // namespace

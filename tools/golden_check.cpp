@@ -1,12 +1,11 @@
 // golden_check: diffs a fresh bench metrics document against its committed
-// golden baseline with per-metric tolerances.
+// golden baseline within the golden's tolerance.
 //
 // Usage: golden_check <golden.json> <fresh.json>
 //
 // Exit 0 when every field is within tolerance; exit 1 with a per-field drift
-// report otherwise; exit 2 on unreadable/malformed input. Tolerances come
-// from the golden document (root "tolerance" default, root "tolerances"
-// per-metric/table overrides) — see src/core/golden.h.
+// report otherwise; exit 2 on unreadable/malformed input. The tolerance
+// comes from the golden document's root "tolerance" — see src/core/golden.h.
 #include <fstream>
 #include <iostream>
 #include <sstream>

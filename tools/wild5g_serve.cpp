@@ -34,12 +34,15 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <system_error>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -578,6 +581,20 @@ std::unique_ptr<engine::Campaign> make_sleeper(
   return std::make_unique<SleeperCampaign>(request, steps, sleep_ms);
 }
 
+/// Parses a flag value that must be entirely a positive integer; anything
+/// else (trailing junk, a sign, zero, overflow) is a usage error (exit 2).
+std::int64_t positive_flag(const std::string& name, const std::string& text) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (text.empty() || error != std::errc() || stop != end || value <= 0) {
+    std::cerr << "wild5g_serve: " << name
+              << " must be a positive integer, got '" << text << "'\n";
+    std::exit(2);
+  }
+  return value;
+}
+
 int serve_main(int argc, char** argv) {
   std::int64_t watchdog_ms = 0;
   for (int i = 1; i < argc; ++i) {
@@ -589,31 +606,23 @@ int serve_main(int argc, char** argv) {
           std::cerr << "wild5g_serve: " << name << " requires a value\n";
           std::exit(2);
         }
-        target = std::atoll(argv[++i]);
+        target = positive_flag(name, argv[++i]);
         return true;
       }
       if (arg.rfind(name + "=", 0) == 0) {
-        target = std::atoll(arg.substr(name.size() + 1).c_str());
+        target = positive_flag(name, arg.substr(name.size() + 1));
         return true;
       }
       return false;
     };
     std::int64_t threads = 0;
-    if (long_flag("--watchdog-ms", watchdog_ms)) {
-      if (watchdog_ms <= 0) {
-        std::cerr << "wild5g_serve: --watchdog-ms must be positive\n";
-        std::exit(2);
-      }
-    } else if (long_flag("--threads", threads)) {
-      if (threads <= 0) {
-        std::cerr << "wild5g_serve: --threads must be positive\n";
-        std::exit(2);
-      }
+    if (long_flag("--watchdog-ms", watchdog_ms)) continue;
+    if (long_flag("--threads", threads)) {
       parallel::set_thread_count(static_cast<std::size_t>(threads));
-    } else {
-      std::cerr << "wild5g_serve: unknown flag '" << arg << "'\n";
-      std::exit(2);
+      continue;
     }
+    std::cerr << "wild5g_serve: unknown flag '" << arg << "'\n";
+    std::exit(2);
   }
 
   engine::register_builtin_campaigns();

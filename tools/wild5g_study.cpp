@@ -12,9 +12,12 @@
 //   traces_4g.csv            Sec. 5: the 175-trace LTE population
 //   walking_campaign.csv     Sec. 4.4: throughput/RSRP/power log
 //   web_measurements.csv     Sec. 6: per-site PLT and energy on both radios
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <string_view>
+#include <system_error>
 
 #include "core/table.h"
 #include "geo/geo.h"
@@ -74,15 +77,29 @@ Table speedtest_table(const radio::Carrier carrier,
   return table;
 }
 
+/// Reads `text` as a seed only when all of it is an unsigned integer.
+bool parse_seed(std::string_view text, std::uint64_t& seed) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, seed);
+  return !text.empty() && error == std::errc() && stop == end;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: wild5g_study <output-dir> [seed]\n";
   if (argc < 2) {
-    std::cerr << "usage: wild5g_study <output-dir> [seed]\n";
+    std::cerr << kUsage;
     return 2;
   }
   const std::filesystem::path out_dir = argv[1];
-  const std::uint64_t seed = argc > 2 ? std::stoull(argv[2]) : 20210823;
+  std::uint64_t seed = 20210823;
+  if (argc > 2 && !parse_seed(argv[2], seed)) {
+    std::cerr << "wild5g_study: seed '" << argv[2]
+              << "' is not an unsigned integer\n"
+              << kUsage;
+    return 2;
+  }
   std::filesystem::create_directories(out_dir);
   std::cout << "Regenerating the study datasets into " << out_dir
             << " (seed " << seed << ")\n";
