@@ -20,10 +20,47 @@ struct SplitChoice {
   int feature = -1;
   double threshold = 0.0;
   double impurity_decrease = 0.0;
-  std::vector<std::size_t> left;
-  std::vector<std::size_t> right;
 };
 
+/// One row's place in an order: its value of the order's feature and its
+/// target ride along with the row index, so scans read memory in sequence.
+struct Entry {
+  double value;
+  double target;
+  std::size_t row;
+};
+
+/// The threshold between consecutive distinct values `lo` < `hi`: their
+/// midpoint, computed without overflow, or `hi` when `lo` and `hi` are
+/// adjacent doubles and the midpoint rounds down to `lo`, which would send
+/// every row right and leave the left child empty.
+double split_threshold(double lo, double hi) {
+  const double mid = 0.5 * lo + 0.5 * hi;
+  return lo < mid ? mid : hi;
+}
+
+/// Moves the entries of `range` whose row goes left to its front, keeping the
+/// relative order on both sides.
+void stable_partition_by_row(std::span<Entry> range,
+                             const std::vector<char>& goes_left,
+                             std::vector<Entry>& scratch) {
+  auto out = range.begin();
+  std::size_t right = 0;
+  for (const Entry& e : range) {
+    if (goes_left[e.row] != 0) {
+      *out++ = e;
+    } else {
+      scratch[right++] = e;
+    }
+  }
+  std::copy_n(scratch.begin(), right, out);
+}
+
+/// Presorted exact-greedy growth (the XGBoost "exact" method): each feature's
+/// rows are sorted once, by value with the row index breaking ties, and a
+/// node owns the same [begin, end) range in every order. Splitting a node
+/// stable-partitions each range into left then right, so every child range
+/// stays sorted and the scan sees exactly what a per-node sort would.
 class Grower {
  public:
   Grower(const Dataset& data, const TreeConfig& config, Criterion criterion,
@@ -32,99 +69,113 @@ class Grower {
         config_(config),
         criterion_(criterion),
         class_count_(class_count),
+        rows_(data.size()),
+        orders_((data.feature_count() + 1) * data.size()),
+        goes_left_(data.size(), 0),
+        scratch_(data.size()),
         importance_(data.feature_count(), 0.0) {}
 
   std::vector<TreeNode> grow() {
-    std::vector<std::size_t> all(data_.size());
-    std::iota(all.begin(), all.end(), 0);
-    grow_node(all, 0);
+    const auto features = data_.feature_count();
+    for (std::size_t f = 0; f <= features; ++f) {
+      const auto order = order_span(f, 0, rows_);
+      for (std::size_t i = 0; i < rows_; ++i) {
+        order[i] = {f < features ? data_.row(i)[f] : 0.0, data_.targets[i], i};
+      }
+      // Order `features` stays in ascending row index: node impurity and
+      // leaf values sum in that order.
+      if (f < features) {
+        std::stable_sort(order.begin(), order.end(),
+                         [](const Entry& a, const Entry& b) {
+                           return a.value < b.value;
+                         });
+      }
+    }
+    grow_node(0, rows_, 0);
     return std::move(nodes_);
   }
 
   std::vector<double> take_importance() { return std::move(importance_); }
 
  private:
+  std::span<Entry> order_span(std::size_t order, std::size_t begin,
+                              std::size_t end) {
+    return {orders_.data() + order * rows_ + begin, end - begin};
+  }
+  std::span<const Entry> order_span(std::size_t order, std::size_t begin,
+                                    std::size_t end) const {
+    return {orders_.data() + order * rows_ + begin, end - begin};
+  }
+  // The node's rows in ascending row index.
+  std::span<const Entry> by_row(std::size_t begin, std::size_t end) const {
+    return order_span(data_.feature_count(), begin, end);
+  }
+
   // Impurity of a node given its member rows: sum of squared deviations for
   // regression, n * Gini for classification (both "weighted" impurities so
   // decreases are additive).
-  double node_impurity(std::span<const std::size_t> idx) const {
+  double node_impurity(std::span<const Entry> rows) const {
     if (criterion_ == Criterion::kSquaredError) {
       double sum = 0.0;
       double sq = 0.0;
-      for (auto i : idx) {
-        sum += data_.targets[i];
-        sq += data_.targets[i] * data_.targets[i];
+      for (const Entry& e : rows) {
+        sum += e.target;
+        sq += e.target * e.target;
       }
-      const auto n = static_cast<double>(idx.size());
+      const auto n = static_cast<double>(rows.size());
       return sq - sum * sum / n;
     }
     std::vector<double> counts(static_cast<std::size_t>(class_count_), 0.0);
-    for (auto i : idx) counts[static_cast<std::size_t>(data_.targets[i])]++;
-    const auto n = static_cast<double>(idx.size());
+    for (const Entry& e : rows) counts[static_cast<std::size_t>(e.target)]++;
+    const auto n = static_cast<double>(rows.size());
     double sum_p2 = 0.0;
     for (double c : counts) sum_p2 += (c / n) * (c / n);
     return n * (1.0 - sum_p2);
   }
 
-  double leaf_value(std::span<const std::size_t> idx) const {
+  double leaf_value(std::span<const Entry> rows) const {
     if (criterion_ == Criterion::kSquaredError) {
       double sum = 0.0;
-      for (auto i : idx) sum += data_.targets[i];
-      return sum / static_cast<double>(idx.size());
+      for (const Entry& e : rows) sum += e.target;
+      return sum / static_cast<double>(rows.size());
     }
     std::vector<std::size_t> counts(static_cast<std::size_t>(class_count_), 0);
-    for (auto i : idx) counts[static_cast<std::size_t>(data_.targets[i])]++;
+    for (const Entry& e : rows) counts[static_cast<std::size_t>(e.target)]++;
     const auto best =
         std::max_element(counts.begin(), counts.end()) - counts.begin();
     return static_cast<double>(best);
   }
 
-  SplitChoice best_split(std::span<const std::size_t> idx,
+  SplitChoice best_split(std::size_t begin, std::size_t end,
                          double parent_impurity) const {
     SplitChoice best;
-    std::vector<std::size_t> sorted(idx.begin(), idx.end());
     for (std::size_t f = 0; f < data_.feature_count(); ++f) {
-      std::sort(sorted.begin(), sorted.end(), [&](std::size_t a,
-                                                  std::size_t b) {
-        return data_.rows[a][f] < data_.rows[b][f];
-      });
-      scan_feature(sorted, static_cast<int>(f), parent_impurity, best);
-    }
-    if (best.found) {
-      best.left.clear();
-      best.right.clear();
-      for (auto i : idx) {
-        auto& side = (data_.rows[i][static_cast<std::size_t>(best.feature)] <
-                      best.threshold)
-                         ? best.left
-                         : best.right;
-        side.push_back(i);
-      }
+      scan_feature(order_span(f, begin, end), static_cast<int>(f),
+                   parent_impurity, best);
     }
     return best;
   }
 
-  // Scans all split positions of one (pre-sorted) feature with running
+  // Scans all split positions of one feature's sorted range with running
   // sufficient statistics; updates `best` in place.
-  void scan_feature(std::span<const std::size_t> sorted, int feature,
+  void scan_feature(std::span<const Entry> sorted, int feature,
                     double parent_impurity, SplitChoice& best) const {
-    const auto f = static_cast<std::size_t>(feature);
     const auto n = sorted.size();
     if (criterion_ == Criterion::kSquaredError) {
       double total_sum = 0.0;
       double total_sq = 0.0;
-      for (auto i : sorted) {
-        total_sum += data_.targets[i];
-        total_sq += data_.targets[i] * data_.targets[i];
+      for (const Entry& e : sorted) {
+        total_sum += e.target;
+        total_sq += e.target * e.target;
       }
       double left_sum = 0.0;
       double left_sq = 0.0;
       for (std::size_t k = 0; k + 1 < n; ++k) {
-        const double y = data_.targets[sorted[k]];
+        const double y = sorted[k].target;
         left_sum += y;
         left_sq += y * y;
-        const double v_here = data_.rows[sorted[k]][f];
-        const double v_next = data_.rows[sorted[k + 1]][f];
+        const double v_here = sorted[k].value;
+        const double v_next = sorted[k + 1].value;
         if (v_here == v_next) continue;
         const auto nl = static_cast<double>(k + 1);
         const auto nr = static_cast<double>(n - k - 1);
@@ -137,18 +188,18 @@ class Grower {
         const double imp_r =
             (total_sq - left_sq) - right_sum * right_sum / nr;
         consider(parent_impurity - imp_l - imp_r, feature,
-                 0.5 * (v_here + v_next), best);
+                 split_threshold(v_here, v_next), best);
       }
       return;
     }
     // Gini criterion.
     std::vector<double> total(static_cast<std::size_t>(class_count_), 0.0);
-    for (auto i : sorted) total[static_cast<std::size_t>(data_.targets[i])]++;
+    for (const Entry& e : sorted) total[static_cast<std::size_t>(e.target)]++;
     std::vector<double> left(static_cast<std::size_t>(class_count_), 0.0);
     for (std::size_t k = 0; k + 1 < n; ++k) {
-      left[static_cast<std::size_t>(data_.targets[sorted[k]])]++;
-      const double v_here = data_.rows[sorted[k]][f];
-      const double v_next = data_.rows[sorted[k + 1]][f];
+      left[static_cast<std::size_t>(sorted[k].target)]++;
+      const double v_here = sorted[k].value;
+      const double v_next = sorted[k + 1].value;
       if (v_here == v_next) continue;
       const auto nl = static_cast<double>(k + 1);
       const auto nr = static_cast<double>(n - k - 1);
@@ -166,10 +217,12 @@ class Grower {
       const double imp_l = nl * (1.0 - sum_l2);
       const double imp_r = nr * (1.0 - sum_r2);
       consider(parent_impurity - imp_l - imp_r, feature,
-               0.5 * (v_here + v_next), best);
+               split_threshold(v_here, v_next), best);
     }
   }
 
+  // Strictly greater wins, and features and thresholds are scanned in
+  // ascending order: this is the tie rule documented in decision_tree.h.
   static void consider(double decrease, int feature, double threshold,
                        SplitChoice& best) {
     if (decrease > best.impurity_decrease ||
@@ -181,30 +234,49 @@ class Grower {
     }
   }
 
-  std::int32_t grow_node(std::span<const std::size_t> idx, int depth) {
+  // Routes the node's rows by `split` and partitions every order's range
+  // into left then right. Returns the end of the left range.
+  std::size_t partition(std::size_t begin, std::size_t end,
+                        const SplitChoice& split) {
+    std::size_t left_count = 0;
+    for (const Entry& e :
+         order_span(static_cast<std::size_t>(split.feature), begin, end)) {
+      const bool left = e.value < split.threshold;
+      goes_left_[e.row] = left ? 1 : 0;
+      left_count += left ? 1 : 0;
+    }
+    for (std::size_t f = 0; f <= data_.feature_count(); ++f) {
+      stable_partition_by_row(order_span(f, begin, end), goes_left_, scratch_);
+    }
+    return begin + left_count;
+  }
+
+  std::int32_t grow_node(std::size_t begin, std::size_t end, int depth) {
     const auto node_id = static_cast<std::int32_t>(nodes_.size());
     nodes_.emplace_back();
-    nodes_[static_cast<std::size_t>(node_id)].sample_count = idx.size();
+    nodes_[static_cast<std::size_t>(node_id)].sample_count = end - begin;
 
-    const double impurity = node_impurity(idx);
+    const double impurity = node_impurity(by_row(begin, end));
     const bool can_split = depth < config_.max_depth &&
-                           idx.size() >= config_.min_samples_split &&
+                           end - begin >= config_.min_samples_split &&
                            impurity > 0.0;
     SplitChoice split;
-    if (can_split) split = best_split(idx, impurity);
+    if (can_split) split = best_split(begin, end, impurity);
     if (!split.found ||
         split.impurity_decrease < config_.min_impurity_decrease) {
       nodes_[static_cast<std::size_t>(node_id)].is_leaf = true;
-      nodes_[static_cast<std::size_t>(node_id)].value = leaf_value(idx);
+      nodes_[static_cast<std::size_t>(node_id)].value =
+          leaf_value(by_row(begin, end));
       return node_id;
     }
 
     importance_[static_cast<std::size_t>(split.feature)] +=
         split.impurity_decrease;
+    const auto mid = partition(begin, end, split);
     // Children are grown after the parent so the parent's fields must be set
     // via index (the vector may reallocate during recursion).
-    const auto left_id = grow_node(split.left, depth + 1);
-    const auto right_id = grow_node(split.right, depth + 1);
+    const auto left_id = grow_node(begin, mid, depth + 1);
+    const auto right_id = grow_node(mid, end, depth + 1);
     auto& node = nodes_[static_cast<std::size_t>(node_id)];
     node.is_leaf = false;
     node.feature = split.feature;
@@ -218,6 +290,13 @@ class Grower {
   const TreeConfig& config_;
   Criterion criterion_;
   int class_count_;
+  std::size_t rows_;
+  // Order f < feature_count() is feature f's rows sorted by (value, row);
+  // order feature_count() is the rows in ascending index. Each holds rows_
+  // entries.
+  std::vector<Entry> orders_;
+  std::vector<char> goes_left_;
+  std::vector<Entry> scratch_;
   std::vector<TreeNode> nodes_;
   std::vector<double> importance_;
 };
@@ -258,7 +337,7 @@ int tree_depth_from(const std::vector<TreeNode>& nodes, std::size_t at) {
 
 void DecisionTreeRegressor::fit(const Dataset& data) {
   data.validate();
-  require(!data.rows.empty(), "DecisionTreeRegressor::fit: empty dataset");
+  require(data.size() > 0, "DecisionTreeRegressor::fit: empty dataset");
   feature_count_ = data.feature_count();
   Grower grower(data, config_, Criterion::kSquaredError, 0);
   nodes_ = grower.grow();
@@ -273,7 +352,9 @@ std::vector<double> DecisionTreeRegressor::predict_all(
     const Dataset& data) const {
   std::vector<double> out;
   out.reserve(data.size());
-  for (const auto& row : data.rows) out.push_back(predict(row));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out.push_back(predict(data.row(i)));
+  }
   return out;
 }
 
@@ -289,7 +370,7 @@ int DecisionTreeRegressor::depth() const {
 
 void DecisionTreeClassifier::fit(const Dataset& data) {
   data.validate();
-  require(!data.rows.empty(), "DecisionTreeClassifier::fit: empty dataset");
+  require(data.size() > 0, "DecisionTreeClassifier::fit: empty dataset");
   feature_count_ = data.feature_count();
   int max_label = 0;
   for (double t : data.targets) {
@@ -311,15 +392,17 @@ std::vector<int> DecisionTreeClassifier::predict_all(
     const Dataset& data) const {
   std::vector<int> out;
   out.reserve(data.size());
-  for (const auto& row : data.rows) out.push_back(predict(row));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out.push_back(predict(data.row(i)));
+  }
   return out;
 }
 
 double DecisionTreeClassifier::accuracy(const Dataset& data) const {
-  require(!data.rows.empty(), "DecisionTreeClassifier::accuracy: empty set");
+  require(data.size() > 0, "DecisionTreeClassifier::accuracy: empty set");
   std::size_t hits = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
-    if (predict(data.rows[i]) == static_cast<int>(data.targets[i])) ++hits;
+    if (predict(data.row(i)) == static_cast<int>(data.targets[i])) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(data.size());
 }

@@ -3,6 +3,13 @@
 // These are the learners the paper leans on: Decision Tree Regression for the
 // TH+SS power model (Sec. 4.5) and software-monitor calibration (Sec. 4.6),
 // and a Gini-based classifier for the 4G/5G interface selector (Sec. 6.2).
+//
+// Growth is exact greedy over presorted features: every candidate threshold
+// (the midpoint between consecutive distinct values, or the upper value when
+// the two are adjacent doubles) of every feature is scanned at every node. Ties are broken deterministically. Among splits with
+// equal impurity decrease, the lowest feature index wins, then the lowest
+// threshold; so when two features order the rows identically (one a positive
+// multiple of the other), every split names the lower-indexed one.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +64,8 @@ class DecisionTreeRegressor {
 
   [[nodiscard]] bool is_fitted() const { return !nodes_.empty(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// The learned nodes; node 0 is the root, children follow in preorder.
+  [[nodiscard]] std::span<const TreeNode> nodes() const { return nodes_; }
   [[nodiscard]] int depth() const;
 
  private:
@@ -98,6 +107,8 @@ class DecisionTreeClassifier {
 
   [[nodiscard]] bool is_fitted() const { return !nodes_.empty(); }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  /// The learned nodes; node 0 is the root, children follow in preorder.
+  [[nodiscard]] std::span<const TreeNode> nodes() const { return nodes_; }
 
  private:
   TreeConfig config_;

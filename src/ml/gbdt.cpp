@@ -8,7 +8,7 @@ namespace wild5g::ml {
 
 void GradientBoostedRegressor::fit(const Dataset& data) {
   data.validate();
-  require(!data.rows.empty(), "GradientBoostedRegressor::fit: empty dataset");
+  require(data.size() > 0, "GradientBoostedRegressor::fit: empty dataset");
   require(config_.tree_count > 0, "GradientBoostedRegressor: tree_count <= 0");
   require(config_.learning_rate > 0.0,
           "GradientBoostedRegressor: learning_rate <= 0");
@@ -21,7 +21,7 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
   std::vector<double> current(data.size(), base_prediction_);
   Dataset residuals;
   residuals.feature_names = data.feature_names;
-  residuals.rows = data.rows;
+  residuals.values = data.values;
   residuals.targets.resize(data.size());
 
   for (int stage = 0; stage < config_.tree_count; ++stage) {
@@ -34,7 +34,7 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
     DecisionTreeRegressor tree(config_.tree);
     tree.fit(residuals);
     for (std::size_t i = 0; i < data.size(); ++i) {
-      current[i] += config_.learning_rate * tree.predict(data.rows[i]);
+      current[i] += config_.learning_rate * tree.predict(data.row(i));
     }
     stages_.push_back(std::move(tree));
   }
@@ -55,7 +55,9 @@ std::vector<double> GradientBoostedRegressor::predict_all(
     const Dataset& data) const {
   std::vector<double> out;
   out.reserve(data.size());
-  for (const auto& row : data.rows) out.push_back(predict(row));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    out.push_back(predict(data.row(i)));
+  }
   return out;
 }
 

@@ -635,4 +635,45 @@ TEST(engine, factories_reject_unknown_params_and_unsupported_faults) {
   EXPECT_THROW((void)engine::make_campaign(unknown), Error);
 }
 
+// --- paper claims -----------------------------------------------------------
+
+// Sec. 4.5's validation: the TH+SS decision-tree power model estimates the
+// radio energy of real app sessions to within the paper's own error (3.7% for
+// video streaming, 2.1% for web browsing). Checked on the campaign's document
+// itself, so the claim holds whatever bytes the golden carries.
+TEST(claims, validation_apps_error_is_below_the_papers) {
+  engine::register_builtin_campaigns();
+  engine::CampaignRequest request;
+  request.campaign = "validation_apps";
+  engine::MetricsDocument doc(request.campaign, request.seed);
+  engine::CampaignContext ctx{doc, nullptr};
+  auto campaign = engine::make_campaign(request);
+  ASSERT_EQ(engine::run_steps(*campaign, ctx, engine::RunControl{}).status,
+            engine::RunStatus::kCompleted);
+
+  const json::Value document = doc.document();
+  const auto& table = document.find("tables")->as_array().at(0);
+  const auto& header = table.find("header")->as_array();
+  auto column = [&](const std::string& name) {
+    for (std::size_t c = 0; c < header.size(); ++c) {
+      if (header[c].as_string() == name) return c;
+    }
+    ADD_FAILURE() << "no column " << name;
+    return header.size();
+  };
+  const auto error = column("avg relative error %");
+  const auto paper = column("paper error %");
+  const auto& rows = table.find("rows")->as_array();
+  ASSERT_EQ(rows.size(), 2u);
+  const double paper_errors[] = {3.7, 2.1};
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const auto& row = rows[r].as_array();
+    ASSERT_LT(std::max(error, paper), row.size());
+    EXPECT_DOUBLE_EQ(std::stod(row[paper].as_string()), paper_errors[r]);
+    EXPECT_LT(std::stod(row[error].as_string()),
+              std::stod(row[paper].as_string()))
+        << row[0].as_string();
+  }
+}
+
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/error.h"
 
 using wild5g::Rng;
@@ -33,6 +35,39 @@ TEST(Dataset, AddValidatesArity) {
 TEST(Dataset, ValidateCatchesCorruption) {
   Dataset data = small_dataset(3);
   data.targets.pop_back();
+  EXPECT_THROW(data.validate(), wild5g::Error);
+}
+
+TEST(Dataset, RowsAreContiguousAndInOrder) {
+  const Dataset data = small_dataset(4);
+  ASSERT_EQ(data.values.size(), 8u);
+  EXPECT_DOUBLE_EQ(data.row(2)[0], 2.0);
+  EXPECT_DOUBLE_EQ(data.row(2)[1], 4.0);
+  EXPECT_EQ(data.row(3).size(), 2u);
+}
+
+TEST(Dataset, AddRejectsNonFiniteValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Dataset data;
+  data.feature_names = {"x", "y"};
+  EXPECT_THROW(data.add({kNan, 1.0}, 0.0), wild5g::Error);
+  EXPECT_THROW(data.add({1.0, kInf}, 0.0), wild5g::Error);
+  EXPECT_THROW(data.add({-kInf, 1.0}, 0.0), wild5g::Error);
+  EXPECT_THROW(data.add({1.0, 2.0}, kNan), wild5g::Error);
+  EXPECT_THROW(data.add({1.0, 2.0}, kInf), wild5g::Error);
+  EXPECT_THROW(data.add({1.0, 2.0}, -kInf), wild5g::Error);
+  // A rejected row leaves the dataset untouched.
+  EXPECT_EQ(data.size(), 0u);
+  EXPECT_TRUE(data.values.empty());
+}
+
+TEST(Dataset, ValidateRejectsNonFiniteValues) {
+  Dataset data = small_dataset(3);
+  data.values[3] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(data.validate(), wild5g::Error);
+  data = small_dataset(3);
+  data.targets[1] = -std::numeric_limits<double>::infinity();
   EXPECT_THROW(data.validate(), wild5g::Error);
 }
 
@@ -71,4 +106,16 @@ TEST(Split, RejectsDegenerateFractions) {
   const auto data = small_dataset(10);
   EXPECT_THROW((void)train_test_split(data, 0.0, rng), wild5g::Error);
   EXPECT_THROW((void)train_test_split(data, 1.0, rng), wild5g::Error);
+}
+
+TEST(Split, RejectsAnEmptySide) {
+  Rng rng(4);
+  // 3 rows at 0.2 would leave the train side empty.
+  EXPECT_THROW((void)train_test_split(small_dataset(3), 0.2, rng),
+               wild5g::Error);
+  EXPECT_THROW((void)train_test_split(small_dataset(1), 0.5, rng),
+               wild5g::Error);
+  const auto split = train_test_split(small_dataset(3), 0.5, rng);
+  EXPECT_EQ(split.train.size(), 1u);
+  EXPECT_EQ(split.test.size(), 2u);
 }

@@ -21,7 +21,8 @@ fresh run against a baseline from the *same* runner, not across machines.
 Usage:
   python3 tools/bench_baseline.py --build-dir build-rel --out BENCH_2026-08-07.json
   python3 tools/bench_baseline.py --build-dir build-rel \
-      --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json
+      --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json \
+      --check BENCH_2026-10-17-cart.json
 """
 
 import argparse
@@ -46,6 +47,8 @@ TRACKED_MICRO = [
     "BM_PercentileSketch/1000000",
     "BM_MpcDecision/5",
     "BM_MpcDecision/12",
+    "BM_DecisionTreeFit/1000",
+    "BM_DecisionTreeFit/5000",
 ]
 
 # Representative figure campaigns (registry ids, which are also the keys).
@@ -71,6 +74,11 @@ TRACKED_CAMPAIGNS = [
 # The BM_MpcDecision and fig18a/fig18b entries were measured the same way
 # against the tree immediately before the MPC planner became an exact
 # branch-and-bound (BM_MpcDecision already taking the horizon argument).
+# The BM_DecisionTreeFit, fig15_16 and fig18a entries were measured the same
+# way against the tree immediately before CART growth became presorted
+# (sorting each feature once per tree instead of at every node); they
+# replace the earlier passes' fig15_16 and fig18a numbers, which stay
+# recorded in the baseline files committed with those passes.
 PRE_CHANGE = {
     "micro_ns": {
         "BM_SimulatorEventChurn/1000": 172144,
@@ -79,12 +87,14 @@ PRE_CHANGE = {
         "BM_WaveformSynthesis/5000": 30086545,
         "BM_MpcDecision/5": 4197,
         "BM_MpcDecision/12": 3997191,
+        "BM_DecisionTreeFit/1000": 1785766,
+        "BM_DecisionTreeFit/5000": 11800528,
     },
     "campaign_s": {
         "fig24_server_survey": 0.679,
-        "fig15_16_power_models": 0.377,
+        "fig15_16_power_models": 0.228,
         "fig19_20_web_qoe": 0.361,
-        "fig18a_predictors": 0.991,
+        "fig18a_predictors": 1.169,
         "fig18b_chunk_length": 161.932,
     },
 }
