@@ -4,36 +4,50 @@
 // Rng so that campaigns, traces, and benchmarks are reproducible bit-for-bit
 // from a seed. Components that need independent streams fork() a child rng.
 //
-// Portability: the raw std::mt19937_64 bit stream is fully specified by the
-// C++ standard, but the std::*_distribution adaptors are only required to be
-// *a* correct distribution — their output differs between libstdc++, libc++,
-// and MSVC. Golden baselines must not depend on which standard library built
-// the binary, so every distribution below is hand-rolled on top of the raw
-// 64-bit stream: uniform doubles via the top 53 bits, integers via unbiased
-// rejection sampling, normal via Box-Muller, exponential/lognormal via
-// inverse transform, bernoulli via a single threshold compare. This class is
-// the only place in the tree allowed to touch <random> — tools/wild5g_lint
-// enforces that (rule ban-raw-engine).
+// Portability: the raw bit stream is MT19937-64 — the word sequence the C++
+// standard pins down for std::mt19937_64 — but this header generates it
+// itself (seeding recurrence, 312-word block twist, tempering) instead of
+// instantiating the standard engine. The std::*_distribution adaptors are only
+// required to be *a* correct distribution — their output differs between
+// libstdc++, libc++, and MSVC — so every distribution below is hand-rolled on
+// top of the raw 64-bit stream as well: uniform doubles via the top 53 bits,
+// integers via unbiased rejection sampling, normal via Box-Muller,
+// exponential/lognormal via inverse transform, bernoulli via a single
+// threshold compare. Golden baselines therefore depend on no standard
+// library. Outside the test that checks this engine word for word against
+// std::mt19937_64, nothing in the tree uses <random>; tools/wild5g_lint
+// enforces that over src/, bench/, tools/ and examples/ (rule
+// ban-raw-engine).
 #pragma once
 
+#include <array>
+#include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <numbers>
-#include <random>
 #include <span>
-#include <sstream>
 #include <string>
+#include <system_error>
 
 #include "core/error.h"
 
 namespace wild5g {
 
-/// Seeded pseudo-random source built on the (portable) std::mt19937_64 bit
-/// stream with hand-rolled, standard-library-independent distributions.
+/// Seeded pseudo-random source built on the MT19937-64 bit stream (the
+/// words std::mt19937_64 yields for the same seed) with hand-rolled,
+/// standard-library-independent distributions.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(seed), seed_(seed) {}
+  explicit Rng(std::uint64_t seed) : index_(kWords), seed_(seed) {
+    // The standard's seeding recurrence; the first draw twists the block.
+    words_[0] = seed;
+    for (std::size_t i = 1; i < kWords; ++i) {
+      const std::uint64_t prev = words_[i - 1];
+      words_[i] = 6364136223846793005ull * (prev ^ (prev >> 62)) + i;
+    }
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) {
@@ -128,29 +142,55 @@ class Rng {
   }
 
   /// Serializes the full generator state (construction seed + engine
-  /// position) as text. The mt19937_64 textual representation is specified
-  /// by the C++ standard (decimal state words separated by spaces), so the
-  /// string is portable across standard libraries — the same property the
-  /// hand-rolled distributions give the draw stream. Backs the campaign
-  /// engine's checkpoint/resume: a deserialized Rng continues the exact
-  /// draw sequence, and fork() children stay identical because the
-  /// construction seed rides along.
+  /// position) as text: the seed, the 312 state words oldest first, then the
+  /// index of the next word to temper, as decimal integers separated by
+  /// single spaces. The same text libstdc++ writes for `seed << ' ' <<
+  /// std::mt19937_64`, but owned here, so it depends on no standard library —
+  /// the same property the hand-rolled distributions give the draw stream.
+  /// Backs the campaign engine's checkpoint/resume: a deserialized Rng
+  /// continues the exact draw sequence, and fork() children stay identical
+  /// because the construction seed rides along.
   [[nodiscard]] std::string serialize_state() const {
-    std::ostringstream out;
-    out << seed_ << ' ' << engine_;
-    return out.str();
+    std::string out;
+    out.reserve((kWords + 2) * 21);
+    char buf[24];
+    const auto append = [&](std::uint64_t value) {
+      const auto res = std::to_chars(buf, buf + sizeof buf, value);
+      out.append(buf, res.ptr);
+    };
+    append(seed_);
+    for (const std::uint64_t word : words_) {
+      out += ' ';
+      append(word);
+    }
+    out += ' ';
+    append(index_);
+    return out;
   }
 
-  /// Inverse of serialize_state(); throws wild5g::Error on malformed text.
+  /// Inverse of serialize_state(); throws wild5g::Error on malformed text
+  /// (missing or non-numeric fields, an index above 312, trailing garbage).
   [[nodiscard]] static Rng deserialize_state(const std::string& text) {
-    std::istringstream in(text);
-    std::uint64_t seed = 0;
-    in >> seed;
-    WILD5G_REQUIRE(!in.fail(), "Rng::deserialize_state: malformed state");
-    Rng rng(seed);
-    in >> rng.engine_;
-    WILD5G_REQUIRE(!in.fail(),
-                   "Rng::deserialize_state: malformed engine state");
+    const char* pos = text.data();
+    const char* const end = pos + text.size();
+    const auto read = [&]() {
+      while (pos != end && is_space(*pos)) ++pos;
+      std::uint64_t value = 0;
+      const auto res = std::from_chars(pos, end, value);
+      WILD5G_REQUIRE(res.ec == std::errc() &&
+                         (res.ptr == end || is_space(*res.ptr)),
+                     "Rng::deserialize_state: malformed state");
+      pos = res.ptr;
+      return value;
+    };
+    Rng rng(read());
+    for (std::uint64_t& word : rng.words_) word = read();
+    const std::uint64_t index = read();
+    WILD5G_REQUIRE(index <= kWords,
+                   "Rng::deserialize_state: index past the state");
+    while (pos != end && is_space(*pos)) ++pos;
+    WILD5G_REQUIRE(pos == end, "Rng::deserialize_state: trailing text");
+    rng.index_ = static_cast<std::size_t>(index);
     return rng;
   }
 
@@ -165,14 +205,59 @@ class Rng {
   }
 
  private:
-  /// Next raw 64-bit word of the (standard-specified) mt19937_64 stream.
-  std::uint64_t next_u64() { return engine_(); }
+  // MT19937-64 parameters (the standard's std::mt19937_64).
+  static constexpr std::size_t kWords = 312;  // n
+  static constexpr std::size_t kShift = 156;  // m
+  static constexpr std::uint64_t kMatrix = 0xB5026F5AA96619E9ull;  // a
+  static constexpr std::uint64_t kLowerMask = (1ull << 31) - 1;  // r = 31
+  static constexpr std::uint64_t kUpperMask = ~kLowerMask;
+
+  static bool is_space(char c) {
+    return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' ||
+           c == '\f';
+  }
+
+  /// One twist step: the upper 33 bits of `hi`, the lower 31 bits of `lo`,
+  /// and the word `m` places ahead (mod n). `0 - (y & 1)` is all ones when y is odd, so
+  /// the matrix is applied without a branch.
+  static std::uint64_t twist(std::uint64_t hi, std::uint64_t lo,
+                             std::uint64_t ahead) {
+    const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+    return ahead ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrix);
+  }
+
+  /// Regenerates the whole 312-word block in one pass.
+  void refill() {
+    std::size_t k = 0;
+    for (; k < kWords - kShift; ++k) {
+      words_[k] = twist(words_[k], words_[k + 1], words_[k + kShift]);
+    }
+    for (; k < kWords - 1; ++k) {
+      words_[k] =
+          twist(words_[k], words_[k + 1], words_[k + kShift - kWords]);
+    }
+    words_[kWords - 1] =
+        twist(words_[kWords - 1], words_[0], words_[kShift - 1]);
+    index_ = 0;
+  }
+
+  /// Next raw 64-bit word of the MT19937-64 stream: one word tempered per
+  /// call, the block regenerated every 312 calls.
+  std::uint64_t next_u64() {
+    if (index_ >= kWords) refill();
+    std::uint64_t z = words_[index_++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ull;
+    z ^= (z << 37) & 0xFFF7EEE000000000ull;
+    return z ^ (z >> 43);
+  }
 
   /// Uniform double in [0, 1): top 53 bits scaled by 2^-53, so every value
   /// is exactly representable and the mapping is identical on every platform.
   double unit() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
-  std::mt19937_64 engine_;
+  std::array<std::uint64_t, kWords> words_;
+  std::size_t index_;
   std::uint64_t seed_;
 };
 

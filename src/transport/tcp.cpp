@@ -65,11 +65,11 @@ FlowResult simulate_tcp(int connection_count, const PathConfig& path,
   double measured_time = 0.0;
   int loss_events = 0;
   std::vector<double> per_conn_mbit(conns.size(), 0.0);
+  std::vector<double> offered(conns.size());
 
   for (double now = 0.0; now < duration_s; now += dt) {
     // Offered rates from the current windows.
     double offered_total = 0.0;
-    std::vector<double> offered(conns.size());
     for (std::size_t i = 0; i < conns.size(); ++i) {
       offered[i] =
           std::min(conns[i].cwnd_pkts, cwnd_cap) * pkt_mbits / rtt_s;

@@ -2,7 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
@@ -117,6 +121,156 @@ TEST(Rng, PickRejectsEmpty) {
   Rng rng(9);
   std::vector<int> empty;
   EXPECT_THROW((void)rng.pick(std::span<const int>(empty)), wild5g::Error);
+}
+
+// ---- MT19937-64 exactness: std::mt19937_64 is the oracle ------------------
+//
+// Rng generates the MT19937-64 stream itself; these tests pin it word for
+// word to the standard engine, and its state text to libstdc++'s
+// `seed << ' ' << engine` format, so goldens and checkpoints stay
+// byte-identical to those written while Rng wrapped the standard engine.
+
+namespace {
+
+// wild5g-lint: allow(ban-raw-engine) the standard engine is the test oracle for Rng's own MT19937-64
+using StdEngine = std::mt19937_64;
+
+// uniform_int over the full int64 range returns the raw word offset by
+// 2^63 (no rejection, no folding), so the public API exposes the stream.
+std::uint64_t raw_word(Rng& rng) {
+  const std::int64_t v = rng.uniform_int(
+      std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max());
+  return static_cast<std::uint64_t>(v) ^ (std::uint64_t{1} << 63);
+}
+
+std::uint64_t seed_of(const Rng& rng) {
+  const std::string text = rng.serialize_state();
+  return std::stoull(text.substr(0, text.find(' ')));
+}
+
+std::string std_state(std::uint64_t seed, const StdEngine& engine) {
+  std::ostringstream out;
+  out << seed << ' ' << engine;
+  return out.str();
+}
+
+// Five blocks: the first twist plus four refills.
+constexpr int kWordsChecked = 5 * 312 + 7;
+
+void expect_same_words(Rng& rng, StdEngine& oracle, int count) {
+  for (int i = 0; i < count; ++i) {
+    const std::uint64_t want = oracle();
+    ASSERT_EQ(raw_word(rng), want) << "word " << i;
+  }
+}
+
+}  // namespace
+
+TEST(RngEngine, MatchesStdMt19937_64WordForWord) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{20210823},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    StdEngine oracle(seed);
+    expect_same_words(rng, oracle, kWordsChecked);
+  }
+}
+
+TEST(RngEngine, ForkAndSplitChildrenMatchStdMt19937_64) {
+  const Rng parent(20210823);
+  Rng forked = parent.fork(7);
+  StdEngine fork_oracle(seed_of(forked));
+  expect_same_words(forked, fork_oracle, kWordsChecked);
+
+  Rng splitter(20210823);
+  StdEngine parent_oracle(20210823);
+  Rng child = splitter.split();
+  parent_oracle();  // split() advances the parent by one word.
+  StdEngine child_oracle(seed_of(child));
+  expect_same_words(child, child_oracle, kWordsChecked);
+  expect_same_words(splitter, parent_oracle, kWordsChecked);
+}
+
+TEST(RngEngine, StateTextMatchesStdFormat) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{1}, std::uint64_t{20210823},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    StdEngine oracle(seed);
+    // Fresh (index 312, block not yet twisted), inside a block, exactly at
+    // the end of a block (index 312 again), and inside the next block.
+    EXPECT_EQ(rng.serialize_state(), std_state(seed, oracle));
+    expect_same_words(rng, oracle, 100);
+    EXPECT_EQ(rng.serialize_state(), std_state(seed, oracle));
+    expect_same_words(rng, oracle, 212);
+    EXPECT_EQ(rng.serialize_state(), std_state(seed, oracle));
+    expect_same_words(rng, oracle, 1);
+    EXPECT_EQ(rng.serialize_state(), std_state(seed, oracle));
+  }
+}
+
+TEST(RngEngine, StdStateTextDeserializesAndContinues) {
+  StdEngine oracle(20210827);
+  for (int i = 0; i < 500; ++i) oracle();
+  Rng rng = Rng::deserialize_state(std_state(20210827, oracle));
+  expect_same_words(rng, oracle, kWordsChecked);
+  EXPECT_EQ(rng.serialize_state(), std_state(20210827, oracle));
+}
+
+TEST(RngEngine, IndexZeroStateMatchesStd) {
+  // Index 0 never appears after a draw (the twist and the first temper
+  // happen in one call), but it is valid text: the next draw tempers word 0
+  // of the stored block without regenerating it.
+  StdEngine source(5);
+  for (int i = 0; i < 312; ++i) source();
+  std::string text = std_state(5, source);
+  text = text.substr(0, text.rfind(' ')) + " 0";
+  std::istringstream in(text);
+  std::uint64_t seed = 0;
+  StdEngine oracle;
+  in >> seed >> oracle;
+  ASSERT_FALSE(in.fail());
+  Rng rng = Rng::deserialize_state(text);
+  EXPECT_EQ(rng.serialize_state(), std_state(5, oracle));
+  expect_same_words(rng, oracle, kWordsChecked);
+}
+
+TEST(RngEngine, SizeHasNotGrown) {
+  // Metro keeps one Rng per UE: the state stays the standard engine's 312
+  // words plus index, and the construction seed.
+  EXPECT_LE(sizeof(Rng), sizeof(StdEngine) + sizeof(std::uint64_t));
+}
+
+TEST(RngEngine, DeserializeRejectsMalformedText) {
+  const std::string good = Rng(11).serialize_state();
+  const std::string words = good.substr(0, good.rfind(' '));
+  std::string non_numeric = good;
+  non_numeric.replace(good.find(' ') + 1, 1, "x");
+  const std::vector<std::string> corpus = {
+      "",
+      "   ",
+      "11",                                     // seed only
+      good.substr(0, good.size() / 2),          // truncated word list
+      words,                                    // index missing
+      non_numeric,                              // non-numeric word
+      words + " 313",                           // index one past the state
+      words + " 18446744073709551615",          // index far past the state
+      words + " 18446744073709551616",          // index overflows 64 bits
+      words + " -1",                            // negative index
+      words + " 12x",                           // garbage glued to the index
+      good + " 0",                              // trailing field
+      "-11" + good.substr(good.find(' ')),      // negative seed
+  };
+  for (const std::string& text : corpus) {
+    SCOPED_TRACE(text.substr(0, 40));
+    EXPECT_THROW((void)Rng::deserialize_state(text), wild5g::Error);
+  }
+  // The edges stay valid: index 312 (fresh) and surrounding whitespace.
+  EXPECT_NO_THROW((void)Rng::deserialize_state(words + " 312"));
+  EXPECT_NO_THROW((void)Rng::deserialize_state("\n " + good + " \n"));
 }
 
 TEST(Units, Conversions) {

@@ -22,7 +22,7 @@ Usage:
   python3 tools/bench_baseline.py --build-dir build-rel --out BENCH_2026-08-07.json
   python3 tools/bench_baseline.py --build-dir build-rel \
       --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json \
-      --check BENCH_2026-10-17-cart.json
+      --check BENCH_2026-10-17-cart.json --check BENCH_2026-10-18-rng.json
 """
 
 import argparse
@@ -49,6 +49,8 @@ TRACKED_MICRO = [
     "BM_MpcDecision/12",
     "BM_DecisionTreeFit/1000",
     "BM_DecisionTreeFit/5000",
+    "BM_CubicFlows/1",
+    "BM_CubicFlows/20",
 ]
 
 # Representative figure campaigns (registry ids, which are also the keys).
@@ -62,6 +64,8 @@ TRACKED_CAMPAIGNS = [
     "extension_metro_qoe",
     "fig18a_predictors",
     "fig18b_chunk_length",
+    "ablation_handoff",
+    "fig17_abr_qoe",
 ]
 
 # Pre-change numbers: Release (-O3 -DNDEBUG) on the development container,
@@ -79,6 +83,9 @@ TRACKED_CAMPAIGNS = [
 # (sorting each feature once per tree instead of at every node); they
 # replace the earlier passes' fig15_16 and fig18a numbers, which stay
 # recorded in the baseline files committed with those passes.
+# The BM_CubicFlows, fig24, metro_load, ablation_handoff and fig17 entries
+# were measured the same way against the tree immediately before Rng
+# generated its own MT19937-64 stream (it wrapped std::mt19937_64).
 PRE_CHANGE = {
     "micro_ns": {
         "BM_SimulatorEventChurn/1000": 172144,
@@ -89,13 +96,18 @@ PRE_CHANGE = {
         "BM_MpcDecision/12": 3997191,
         "BM_DecisionTreeFit/1000": 1785766,
         "BM_DecisionTreeFit/5000": 11800528,
+        "BM_CubicFlows/1": 35234,
+        "BM_CubicFlows/20": 299287,
     },
     "campaign_s": {
-        "fig24_server_survey": 0.679,
+        "fig24_server_survey": 0.255,
         "fig15_16_power_models": 0.228,
         "fig19_20_web_qoe": 0.361,
         "fig18a_predictors": 1.169,
         "fig18b_chunk_length": 161.932,
+        "extension_metro_load": 1.632,
+        "ablation_handoff": 0.343,
+        "fig17_abr_qoe": 0.115,
     },
 }
 

@@ -93,8 +93,8 @@ constexpr std::array<RuleInfo, 17> kRules = {{
      "time explicitly",
      ""},
     {"ban-raw-engine", "determinism",
-     "raw <random> engines/distributions are implementation-defined outside "
-     "src/core/rng.h; use the typed Rng API",
+     "raw <random> engines/distributions bypass wild5g::Rng, which generates "
+     "the mt19937_64 stream itself; use the typed Rng API",
      ""},
     {"unordered-iteration", "determinism",
      "unordered container iteration order can leak into emitted metrics; "
@@ -504,7 +504,6 @@ bool free_call_context(const std::vector<Token>& toks, std::size_t i) {
 
 struct FileContext {
   std::string display_path;  // as reported in findings
-  bool is_rng_header = false;
   // includes core/json.h, bench_common.h or engine/figures/figure.h
   bool feeds_metrics = false;
   bool swallow_allowed = false;  // file is on the catch-swallow allow-list
@@ -559,13 +558,12 @@ void check_banned_idents(const std::vector<Token>& toks,
     const bool distribution_like =
         id.size() > 13 &&
         id.compare(id.size() - 13, 13, "_distribution") == 0;
-    if (!ctx.is_rng_header && (kEngines.count(id) != 0 || distribution_like)) {
+    if (kEngines.count(id) != 0 || distribution_like) {
       out.push_back({ctx.display_path, line, "ban-raw-engine",
                      "'" + id + "' constructs a raw <random> " +
                          (distribution_like ? "distribution" : "engine") +
-                         " outside src/core/rng.h; its output is "
-                         "implementation-defined — use the typed "
-                         "wild5g::Rng API",
+                         " that bypasses the seeded wild5g::Rng — use the "
+                         "typed wild5g::Rng API",
                      {}});
     }
   }
@@ -1468,7 +1466,6 @@ FileUnit load_file(const fs::path& path) {
   buffer << in.rdbuf();
   const std::string raw_text = buffer.str();
 
-  unit.ctx.is_rng_header = path_ends_with(path, "src/core/rng.h");
   unit.ctx.feeds_metrics =
       raw_text.find("#include \"core/json.h\"") != std::string::npos ||
       raw_text.find("#include \"bench_common.h\"") != std::string::npos ||
