@@ -14,9 +14,11 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -223,22 +225,30 @@ class MetricsEmitter {
     std::exit(2);
   }
 
+  /// The one integer parser for count flags: the whole text must be an
+  /// optional '-' and decimal digits that fit in 64 bits. A leading '+' or
+  /// whitespace is refused, and a '-' stays negative (std::stoul would wrap
+  /// `--threads -1` to 2^64 - 1 threads).
+  [[nodiscard]] static std::optional<std::int64_t> parse_integer(
+      const std::string& text) {
+    std::int64_t value = 0;
+    const char* end = text.data() + text.size();
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc() || stop != end) {
+      return std::nullopt;
+    }
+    return value;
+  }
+
   /// Parses a strictly positive integer flag value (`--ues 100`); anything
   /// else — garbage, trailing junk, zero, negative, above INT_MAX — is a
   /// usage error (exit 2). Campaign sizes of zero are always a typo, never a
   /// request for an empty measurement.
   [[nodiscard]] int positive_count(const std::string& flag,
                                    const std::string& text) const {
-    std::size_t parsed = 0;
-    long value = 0;
-    try {
-      value = std::stol(text, &parsed);
-    } catch (const std::exception&) {
-      usage_error(flag + ": '" + text + "' is not a count");
-    }
-    if (parsed != text.size()) {
-      usage_error(flag + ": '" + text + "' is not a count");
-    }
+    const std::optional<std::int64_t> parsed = parse_integer(text);
+    if (!parsed) usage_error(flag + ": '" + text + "' is not a count");
+    const std::int64_t value = *parsed;
     if (value <= 0) {
       usage_error(flag + ": count must be >= 1, got '" + text + "'");
     }
@@ -279,17 +289,11 @@ class MetricsEmitter {
 
   void set_threads(const std::string& text) const {
     if (text.empty()) usage_error("--threads requires a count argument");
-    std::size_t parsed = 0;
-    unsigned long value = 0;
-    try {
-      value = std::stoul(text, &parsed);
-    } catch (const std::exception&) {
+    const std::optional<std::int64_t> value = parse_integer(text);
+    if (!value || *value < 0) {
       usage_error("--threads: '" + text + "' is not a thread count");
     }
-    if (parsed != text.size()) {
-      usage_error("--threads: '" + text + "' is not a thread count");
-    }
-    if (value == 0) {
+    if (*value == 0) {
       // set_thread_count(0) means "restore auto" as an API, but as a flag
       // `--threads 0` is always a typo for `--threads 1`; silently running
       // at hardware concurrency would mislabel any timing the caller
@@ -297,7 +301,7 @@ class MetricsEmitter {
       usage_error("--threads: count must be >= 1 ('auto' is the default; "
                   "0 is not a thread count)");
     }
-    parallel::set_thread_count(static_cast<std::size_t>(value));
+    parallel::set_thread_count(static_cast<std::size_t>(*value));
   }
 
   void load_faults(const std::string& path) {

@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the library's hot primitives:
-// event queue, CART training/prediction, CUBIC stepping, waveform
-// synthesis, channel evolution, and the streaming engine.
+// CART training/prediction, CUBIC stepping, waveform synthesis, channel
+// evolution, and the streaming engine.
 #include <benchmark/benchmark.h>
 
 #include "abr/algorithms.h"
@@ -13,27 +13,12 @@
 #include "power/waveform.h"
 #include "radio/channel.h"
 #include "rrc/state_machine.h"
-#include "sim/simulator.h"
 #include "traces/traces.h"
 #include "transport/tcp.h"
 
 using namespace wild5g;
 
 namespace {
-
-void BM_SimulatorEventChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Simulator sim;
-    int count = 0;
-    for (int i = 0; i < state.range(0); ++i) {
-      sim.schedule_at(static_cast<double>(i % 97), [&count] { ++count; });
-    }
-    sim.run();
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SimulatorEventChurn)->Arg(1000)->Arg(10000);
 
 ml::Dataset make_dataset(int rows) {
   Rng rng(1);
@@ -194,7 +179,6 @@ int main(int argc, char** argv) {
   bench::MetricsEmitter emitter(argc, argv, "micro");
   Table inventory("Registered microbenchmark families");
   inventory.set_header({"family", "variants"});
-  inventory.add_row({"BM_SimulatorEventChurn", "2"});
   inventory.add_row({"BM_DecisionTreeFit", "2"});
   inventory.add_row({"BM_DecisionTreePredict", "1"});
   inventory.add_row({"BM_CubicFlows", "2"});

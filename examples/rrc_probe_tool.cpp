@@ -1,28 +1,18 @@
-// RRC probe tool: run RRC-Probe against any of the six networks — either
-// the closed-form model or the live discrete-event machine — and print the
-// inferred state machine.
+// RRC probe tool: run RRC-Probe against any of the six networks' closed-form
+// state machine and print the inferred state machine.
 //
-//   ./build/examples/rrc_probe_tool ["network name"] [--des]
-//   e.g. ./build/examples/rrc_probe_tool "T-Mobile SA low-band" --des
+//   ./build/examples/rrc_probe_tool ["network name"]
+//   e.g. ./build/examples/rrc_probe_tool "T-Mobile SA low-band"
 #include <iostream>
 #include <string>
 
-#include "rrc/live_machine.h"
 #include "rrc/probe.h"
 
 using namespace wild5g;
 
 int main(int argc, char** argv) {
   std::string name = "Verizon NSA mmWave";
-  bool use_des = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--des") {
-      use_des = true;
-    } else {
-      name = arg;
-    }
-  }
+  for (int i = 1; i < argc; ++i) name = argv[i];
 
   const rrc::RrcProfile* profile = nullptr;
   try {
@@ -37,15 +27,13 @@ int main(int argc, char** argv) {
 
   const auto& config = profile->config;
   const auto schedule = rrc::schedule_for(config);
-  std::cout << "Probing " << config.name << " ("
-            << (use_des ? "discrete-event exchange" : "closed-form model")
-            << "): gaps " << schedule.min_gap_ms / 1000.0 << ".."
+  std::cout << "Probing " << config.name << " (closed-form model): gaps "
+            << schedule.min_gap_ms / 1000.0 << ".."
             << schedule.max_gap_ms / 1000.0 << " s, "
             << schedule.repeats << " repeats per gap\n";
 
   Rng rng(1234);
-  const auto samples = use_des ? rrc::run_probe_des(config, schedule, rng)
-                               : rrc::run_probe(config, schedule, rng);
+  const auto samples = rrc::run_probe(config, schedule, rng);
   const auto inferred = rrc::infer_rrc_parameters(samples);
 
   std::cout << "\nInferred state machine (" << samples.size()

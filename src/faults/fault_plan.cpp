@@ -127,8 +127,12 @@ FaultPlan FaultPlan::from_json(const json::Value& doc) {
     plan.name = name->as_string();
   }
   if (const json::Value* salt = doc.find("seed_salt"); salt != nullptr) {
-    require(salt->is_number() && salt->as_number() >= 0.0,
-            "FaultPlan: 'seed_salt' must be a non-negative number");
+    // Integers at or above 2^53 have no exact double, so they could not
+    // round-trip through to_json (a snapshot's embedded plan).
+    require(salt->is_number() && salt->as_number() >= 0.0 &&
+                salt->as_number() == std::floor(salt->as_number()) &&
+                salt->as_number() < 0x1p53,
+            "FaultPlan: 'seed_salt' must be an integer in [0, 2^53)");
     plan.seed_salt = static_cast<std::uint64_t>(salt->as_number());
   }
   const json::Value* windows = doc.find("windows");

@@ -137,18 +137,6 @@ bool Injector::corrupt_record(std::uint64_t index) const {
   return false;
 }
 
-void Injector::arm(sim::Simulator& sim,
-                   std::function<void(const FaultWindow&, bool)> on_edge) const {
-  // One shared callback wrapper per window pair; windows starting in the
-  // past are skipped whole (a half-delivered window would be incoherent).
-  for (const auto& w : plan_.windows) {
-    const double start_ms = w.start_s * 1000.0;
-    if (start_ms < sim.now_ms()) continue;
-    sim.schedule_at(start_ms, [on_edge, w] { on_edge(w, true); });
-    sim.schedule_at(w.end_s() * 1000.0, [on_edge, w] { on_edge(w, false); });
-  }
-}
-
 bool Injector::decision(std::uint64_t salt, std::uint64_t index,
                         double probability) const {
   if (probability <= 0.0) return false;

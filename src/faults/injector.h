@@ -17,11 +17,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "core/rng.h"
 #include "faults/fault_plan.h"
-#include "sim/simulator.h"
 
 namespace wild5g::faults {
 
@@ -77,15 +75,6 @@ class Injector {
   /// Whether serialized record `index` is corrupted (trace_corrupt windows
   /// live in record-index space: record i sits at t = i).
   [[nodiscard]] bool corrupt_record(std::uint64_t index) const;
-
-  // --- sim-driven consumers ------------------------------------------------
-  /// Schedules `on_edge(window, is_start)` on `sim` at every window
-  /// boundary (milliseconds = seconds * 1000, matching Simulator's clock),
-  /// for components that react to fault edges instead of polling. Windows
-  /// whose start lies before sim.now_ms() are skipped entirely; a window
-  /// already in progress cannot deliver a coherent start edge.
-  void arm(sim::Simulator& sim,
-           std::function<void(const FaultWindow&, bool)> on_edge) const;
 
  private:
   /// Pure (seed, salt, index) -> bernoulli(p) decision.

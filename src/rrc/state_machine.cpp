@@ -10,7 +10,7 @@ namespace wild5g::rrc {
 RrcState state_after_gap(const RrcConfig& config, double gap_ms) {
   require(gap_ms >= 0.0, "state_after_gap: negative gap");
   // Strict comparisons: a timer expiring at exactly T has transitioned the
-  // UE at T (matches the event-driven LiveRrcMachine's semantics).
+  // UE at T.
   if (gap_ms < config.inactivity_timer_ms) return RrcState::kConnected;
   if (config.anchor_tail_ms && gap_ms < *config.anchor_tail_ms) {
     return RrcState::kConnectedAnchor;

@@ -173,7 +173,7 @@ TEST(lint, fixture_layering) {
 }
 
 TEST(lint, fixture_include_cycle) {
-  expect_only_rule("src/sim/bad_include_cycle.h", "include-cycle");
+  expect_only_rule("src/geo/bad_include_cycle.h", "include-cycle");
 }
 
 TEST(lint, fixture_line_splice_cannot_hide_a_banned_call) {
@@ -203,7 +203,7 @@ TEST(lint, every_bad_fixture_has_a_test) {
       "bad_unknown_rule.cpp",     "bad_catch_swallow.cpp",
       "bad_unit_assign.cpp",      "bad_unit_call.cpp",
       "bad_unit_double_conversion.cpp", "src/core/bad_layering.cpp",
-      "src/sim/bad_include_cycle.h", "bad_line_splice.cpp",
+      "src/geo/bad_include_cycle.h", "bad_line_splice.cpp",
       "bench/bad_sample_hoard.cpp", "src/engine/figures/bad_sample_hoard.cpp",
       "src/engine/bad_engine_blocking.cpp",
       "src/engine/snapshot.cpp",  "good_allow.cpp",

@@ -37,8 +37,6 @@ import time
 # Microbenchmark kernels tracked by the gate. Names are google-benchmark
 # names; values land in micro_ns as real_time nanoseconds.
 TRACKED_MICRO = [
-    "BM_SimulatorEventChurn/1000",
-    "BM_SimulatorEventChurn/10000",
     "BM_WaveformSynthesis/1000",
     "BM_WaveformSynthesis/5000",
     "BM_PercentileStoreAll/100000",
@@ -88,8 +86,6 @@ TRACKED_CAMPAIGNS = [
 # generated its own MT19937-64 stream (it wrapped std::mt19937_64).
 PRE_CHANGE = {
     "micro_ns": {
-        "BM_SimulatorEventChurn/1000": 172144,
-        "BM_SimulatorEventChurn/10000": 2671604,
         "BM_WaveformSynthesis/1000": 5766914,
         "BM_WaveformSynthesis/5000": 30086545,
         "BM_MpcDecision/5": 4197,

@@ -23,9 +23,9 @@
 //                units.h conversion helper, and redundant conversions are
 //                flagged.
 //   layering     layering, include-cycle — the include DAG flows strictly
-//                downward (src/core depends on nothing outside core, src/sim
-//                sits below radio/net/abr/web, bench/ headers are never
-//                included from src/) and cycles are findings.
+//                downward (src/core depends on nothing outside core, bench/
+//                headers are never included from src/) and cycles are
+//                findings.
 //   hygiene      float-equality, printf-float, catch-swallow,
 //                bench-sample-hoard, engine-blocking-call.
 //   meta         allow-needs-justification, unknown-rule.
@@ -140,8 +140,8 @@ constexpr std::array<RuleInfo, 17> kRules = {{
      "unit, or an inverse pair cancels out",
      "drop the redundant conversion call(s)"},
     {"layering", "layering",
-     "include edge violates the layer DAG (core at the bottom, sim below "
-     "radio/net/abr/web, bench/ never included from src/)",
+     "include edge violates the layer DAG (core at the bottom, bench/ never "
+     "included from src/)",
      ""},
     {"include-cycle", "layering",
      "include graph contains a cycle; the layer DAG must be acyclic", ""},
@@ -1354,15 +1354,15 @@ void check_unit_calls(const std::vector<Token>& toks, const FileContext& ctx,
 // ---------------------------------------------------------------------------
 // Layering. The include DAG over src/ modules must flow strictly downward:
 // a module may include core, itself, and any module of strictly lower rank.
-// The ranks encode the ISSUE constraints (core at the bottom, sim below
-// radio/net/abr/web, bench/ never included from src/) and the current
-// dependency structure of the tree: engine sits on top because its figure
-// campaigns drive every substrate; adding an edge that violates them is a
-// design decision that belongs in DESIGN.md, not an accident.
+// The ranks encode the fixed constraints (core at the bottom, bench/ never
+// included from src/) and the current dependency structure of the tree:
+// engine sits on top because its figure campaigns drive every substrate;
+// adding an edge that violates them is a design decision that belongs in
+// DESIGN.md, not an accident.
 
 const std::map<std::string, int>& layer_ranks() {
   static const std::map<std::string, int> kRanks = {
-      {"core", 0},     {"geo", 1},       {"sim", 1},
+      {"core", 0},     {"geo", 1},
       {"radio", 2},    {"ml", 2},        {"mobility", 2},
       {"transport", 2}, {"rrc", 3},      {"faults", 3},
       {"net", 4},      {"power", 4},     {"metro", 4},
