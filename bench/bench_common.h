@@ -301,6 +301,11 @@ class MetricsEmitter {
       usage_error("--threads: count must be >= 1 ('auto' is the default; "
                   "0 is not a thread count)");
     }
+    if (static_cast<std::uint64_t>(*value) > parallel::kMaxThreads) {
+      usage_error("--threads: count must be <= " +
+                  std::to_string(parallel::kMaxThreads) + ", got '" + text +
+                  "'");
+    }
     parallel::set_thread_count(static_cast<std::size_t>(*value));
   }
 

@@ -1,11 +1,16 @@
 #include "core/parallel.h"
 
+#include <algorithm>
+#include <charconv>
 #include <condition_variable>
-#include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <system_error>
 #include <thread>
 
 #include "core/error.h"
@@ -14,24 +19,45 @@ namespace wild5g::parallel {
 
 namespace {
 
-/// True on a thread currently executing inside a parallel region; nested
-/// regions run serially inline so the pool can never deadlock on itself.
-thread_local bool t_inside_region = false;
+class ThreadPool;
+
+/// The pool this thread runs tasks for: set on every worker, and on the
+/// thread that opened a top-level region while that region runs. A region
+/// opened where it is set is nested and becomes a batch of that pool.
+thread_local ThreadPool* t_pool = nullptr;
 
 std::size_t resolve_env_thread_count() {
   const char* env = std::getenv("WILD5G_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  require(end != env && *end == '\0' && value >= 0 &&
-              value <= std::numeric_limits<int>::max(),
-          "WILD5G_THREADS must be a non-negative integer");
-  return static_cast<std::size_t>(value);
+  const char* end = env + std::strlen(env);
+  std::size_t value = 0;
+  const auto [stop, error] = std::from_chars(env, end, value);
+  WILD5G_REQUIRE(error == std::errc() && stop == end && value <= kMaxThreads,
+                 "WILD5G_THREADS must be an integer from 0 to " +
+                     std::to_string(kMaxThreads));
+  return value;
 }
 
-/// Fixed-size pool executing one indexed batch at a time. Indices are
-/// dispensed under the batch mutex and tagged with a batch generation so a
-/// worker can never claim work from a batch it did not observe starting.
+/// One open region. It lives on the stack of the thread that opened it,
+/// which does not return before `pending` drains; every field but `body`
+/// (fixed before the batch is published) is guarded by the pool mutex.
+struct Batch {
+  const std::function<void(std::size_t)>* body = nullptr;
+  std::size_t n_tasks = 0;
+  std::size_t next_index = 0;  // next unclaimed index
+  std::size_t pending = 0;     // indices not yet finished
+  std::exception_ptr error = nullptr;
+  std::size_t error_index = std::numeric_limits<std::size_t>::max();
+};
+
+/// Fixed-size pool shared by every region, top-level or nested. Batches
+/// that still have unclaimed indices are listed oldest first; an idle
+/// worker claims from the oldest, and the thread that opened a batch claims
+/// only from its own, then waits for the runs others claimed. That cannot
+/// deadlock: a thread only ever waits on a batch it opened, whose indices
+/// are all claimed and each being run by a live thread, and a run can only
+/// wait on batches opened inside it, strictly deeper — so the deepest
+/// claimed runs always finish and every wait above them ends in turn.
 /// Campaign tasks are milliseconds-to-seconds each, so per-index locking is
 /// noise; what matters is that index->thread assignment can never affect
 /// the output (tasks are pure functions of their index).
@@ -52,7 +78,7 @@ class ThreadPool {
       std::lock_guard<std::mutex> lock(mutex_);
       stop_ = true;
     }
-    batch_cv_.notify_all();
+    work_cv_.notify_all();
     for (auto& worker : workers_) worker.join();
   }
 
@@ -62,89 +88,57 @@ class ThreadPool {
   /// error does not depend on thread count.
   void run(std::size_t n_tasks,
            const std::function<void(std::size_t)>& body) {
-    std::uint64_t my_generation = 0;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      body_ = &body;
-      n_tasks_ = n_tasks;
-      next_index_ = 0;
-      pending_ = n_tasks;
-      error_ = nullptr;
-      error_index_ = std::numeric_limits<std::size_t>::max();
-      my_generation = ++generation_;
-    }
-    batch_cv_.notify_all();
-    work(my_generation);
+    Batch batch;
+    batch.body = &body;
+    batch.n_tasks = n_tasks;
+    batch.pending = n_tasks;
     std::unique_lock<std::mutex> lock(mutex_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-    body_ = nullptr;
-    if (error_ != nullptr) {
-      std::exception_ptr error = error_;
-      error_ = nullptr;
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
+    open_.push_back(&batch);
+    work_cv_.notify_all();
+    while (batch.next_index < n_tasks) execute(batch, lock);
+    done_cv_.wait(lock, [&batch] { return batch.pending == 0; });
+    if (batch.error != nullptr) std::rethrow_exception(batch.error);
   }
 
  private:
   void worker_loop() {
-    t_inside_region = true;  // nested regions on workers run inline
-    std::uint64_t seen_generation = 0;
+    t_pool = this;
+    std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      std::uint64_t my_generation = 0;
-      {
-        std::unique_lock<std::mutex> lock(mutex_);
-        batch_cv_.wait(lock, [&] {
-          return stop_ || (body_ != nullptr && generation_ != seen_generation);
-        });
-        if (stop_) return;
-        seen_generation = my_generation = generation_;
-      }
-      work(my_generation);
+      work_cv_.wait(lock, [this] { return stop_ || !open_.empty(); });
+      if (stop_) return;
+      execute(*open_.front(), lock);
     }
   }
 
-  /// Claims and executes indices of batch `my_generation` until it is
-  /// drained (or superseded, which cannot happen before it drains because
-  /// run() blocks until pending_ == 0).
-  void work(std::uint64_t my_generation) {
-    for (;;) {
-      std::size_t index = 0;
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (generation_ != my_generation || next_index_ >= n_tasks_) return;
-        index = next_index_++;
-      }
-      std::exception_ptr task_error = nullptr;
-      try {
-        // Reading body_ outside mutex_ is safe: it is published under
-        // mutex_ before the generation_ bump that releases this batch, and
-        // run() cannot retire or replace it until pending_ drains — the
-        // generation check above is the happens-before edge.
-        (*body_)(index);
-      } catch (...) {
-        task_error = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (task_error != nullptr && index < error_index_) {
-        error_ = task_error;
-        error_index_ = index;
-      }
-      if (--pending_ == 0) done_cv_.notify_all();
+  /// Claims the next index of `batch` (mutex_ held, an index left), runs it
+  /// with mutex_ released and records its outcome. The batch leaves open_
+  /// once its last index is claimed.
+  void execute(Batch& batch, std::unique_lock<std::mutex>& lock) {
+    const std::size_t index = batch.next_index++;
+    if (batch.next_index == batch.n_tasks) std::erase(open_, &batch);
+    lock.unlock();
+    std::exception_ptr task_error = nullptr;
+    try {
+      (*batch.body)(index);
+    } catch (...) {
+      task_error = std::current_exception();
     }
+    lock.lock();
+    if (task_error != nullptr && index < batch.error_index) {
+      batch.error = task_error;
+      batch.error_index = index;
+    }
+    // Notified under mutex_: the opener may return (and pop `batch`) as
+    // soon as it can observe pending == 0.
+    if (--batch.pending == 0) done_cv_.notify_all();
   }
 
   std::mutex mutex_;
-  std::condition_variable batch_cv_;
+  std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* body_ = nullptr;
-  std::size_t n_tasks_ = 0;
-  std::size_t next_index_ = 0;
-  std::size_t pending_ = 0;
-  std::exception_ptr error_ = nullptr;
-  std::size_t error_index_ = 0;
-  std::uint64_t generation_ = 0;
+  std::vector<Batch*> open_;  // batches with unclaimed indices, oldest first
   bool stop_ = false;
 };
 
@@ -163,7 +157,7 @@ std::size_t resolve_thread_count_locked() {
   if (g_override_threads != 0) return g_override_threads;
   const std::size_t env = resolve_env_thread_count();
   if (env != 0) return env;
-  return hardware_thread_count();
+  return std::min(hardware_thread_count(), kMaxThreads);
 }
 
 ThreadPool& pool_for_locked(std::size_t threads) {
@@ -188,6 +182,10 @@ std::size_t thread_count() {
 }
 
 void set_thread_count(std::size_t n) {
+  WILD5G_REQUIRE(n <= kMaxThreads,
+                 "parallel::set_thread_count: " + std::to_string(n) +
+                     " threads is above the cap of " +
+                     std::to_string(kMaxThreads));
   std::lock_guard<std::mutex> lock(g_pool_mutex);
   g_override_threads = n;
 }
@@ -197,8 +195,12 @@ namespace detail {
 void run_indexed(std::size_t n_tasks,
                  const std::function<void(std::size_t)>& body) {
   if (n_tasks == 0) return;
-  if (t_inside_region) {  // nested region: already inside a parallel run
-    for (std::size_t i = 0; i < n_tasks; ++i) body(i);
+  if (t_pool != nullptr) {  // nested region: a batch of the running pool
+    if (n_tasks == 1) {
+      body(0);
+    } else {
+      t_pool->run(n_tasks, body);
+    }
     return;
   }
   std::unique_lock<std::mutex> lock(g_pool_mutex);
@@ -209,14 +211,11 @@ void run_indexed(std::size_t n_tasks,
     return;
   }
   ThreadPool& pool = pool_for_locked(threads);
-  t_inside_region = true;
-  try {
-    pool.run(n_tasks, body);
-  } catch (...) {
-    t_inside_region = false;
-    throw;
-  }
-  t_inside_region = false;
+  t_pool = &pool;
+  struct ClearPool {
+    ~ClearPool() { t_pool = nullptr; }
+  } clear_pool;
+  pool.run(n_tasks, body);
 }
 
 }  // namespace detail

@@ -19,12 +19,15 @@
 // Thread count comes from `--threads N` (stripped by bench::MetricsEmitter)
 // or the WILD5G_THREADS environment variable; the default is the hardware
 // concurrency and `1` restores fully serial execution on the calling
-// thread. The determinism gate (tests/test_golden_determinism.cpp) asserts
-// byte-identical figure JSON at `--threads 1` and `--threads 8`.
+// thread. No count may exceed kMaxThreads. The determinism gate
+// (tests/test_golden_determinism.cpp) asserts byte-identical figure JSON at
+// `--threads 1` and `--threads 8`.
 //
-// Nested parallel regions execute serially inline on the worker that
-// reaches them: campaign loops parallelize at the outermost level and the
-// inner primitives (e.g. SpeedtestHarness::peak_of) degrade gracefully.
+// Nested regions share the one pool: a region opened inside a task (e.g.
+// SpeedtestHarness::peak_of, or the waveform noise pass inside a power
+// setting) opens a batch that idle workers help drain, while the thread
+// that opened it works through its own batch and then waits for it. Which
+// thread runs an index never affects the output, by rules 1-3 above.
 #pragma once
 
 #include <cstddef>
@@ -36,22 +39,32 @@
 
 namespace wild5g::parallel {
 
+/// Upper bound on every thread count, fixed so that no input (flag,
+/// environment, API call) can ask the machine for an unbounded number of
+/// OS threads and so that what is accepted does not depend on the machine.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Number of threads parallel regions use (>= 1). Resolution order:
-/// set_thread_count() > WILD5G_THREADS > hardware concurrency.
+/// set_thread_count() > WILD5G_THREADS > hardware concurrency (capped at
+/// kMaxThreads). Throws wild5g::Error when WILD5G_THREADS is set but is not
+/// an integer from 0 to kMaxThreads (no sign, no whitespace).
 [[nodiscard]] std::size_t thread_count();
 
 /// Overrides the thread count for subsequent parallel regions; 0 restores
-/// the default (WILD5G_THREADS, else hardware concurrency). Workers are
-/// re-provisioned lazily on the next parallel region.
+/// the default (WILD5G_THREADS, else hardware concurrency). Throws
+/// wild5g::Error above kMaxThreads. Workers are re-provisioned lazily on
+/// the next top-level parallel region.
 void set_thread_count(std::size_t n);
 
 /// The machine's hardware concurrency (>= 1); what thread_count() defaults
-/// to when neither an override nor WILD5G_THREADS is present.
+/// to, capped at kMaxThreads, when neither an override nor WILD5G_THREADS
+/// is present.
 [[nodiscard]] std::size_t hardware_thread_count();
 
 namespace detail {
 /// Runs body(0) .. body(n_tasks - 1), each exactly once, on the shared
-/// fixed-size pool (the caller participates). Blocks until all tasks
+/// fixed-size pool (the caller participates; a nested call on a pool thread
+/// opens a batch idle workers join). Blocks until all tasks
 /// finish; every task runs even if an earlier one throws, and the
 /// exception from the lowest failing index is rethrown on the caller's
 /// thread (lowest-index so the surfaced error does not depend on thread

@@ -20,6 +20,7 @@
 // ban-raw-engine).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <charconv>
 #include <cmath>
@@ -139,6 +140,22 @@ class Rng {
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return Rng(z ^ (z >> 31));
+  }
+
+  /// Advances the stream exactly as `n` raw draws would (every distribution
+  /// above consumes whole words: uniform/bernoulli one, normal two), leaving
+  /// the same state and serialize_state() text, but only regenerates blocks
+  /// instead of tempering each word. A copy taken before discard(n) replays
+  /// the skipped words, which is how a long stream is rendered in
+  /// stream-aligned chunks (power::WaveformSynthesizer's noise pass).
+  void discard(std::uint64_t n) {
+    while (n > 0) {
+      if (index_ >= kWords) refill();
+      const auto step = static_cast<std::size_t>(
+          std::min<std::uint64_t>(n, kWords - index_));
+      index_ += step;
+      n -= step;
+    }
   }
 
   /// Serializes the full generator state (construction seed + engine

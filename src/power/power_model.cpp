@@ -56,8 +56,10 @@ constexpr std::size_t index_of(RailKey key) {
 const DevicePowerProfile::RailPair& DevicePowerProfile::pair(
     RailKey key) const {
   const auto& p = rails_[index_of(key)];
-  require(p.present, "DevicePowerProfile: no rail measured for " +
-                         to_string(key) + " on " + name_);
+  // Every rail evaluation passes through here: build the message only on
+  // failure.
+  WILD5G_REQUIRE(p.present, "DevicePowerProfile: no rail measured for " +
+                                to_string(key) + " on " + name_);
   return p;
 }
 

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "core/error.h"
+#include "core/parallel.h"
 
 namespace wild5g::power {
 
@@ -46,6 +47,13 @@ WaveformSynthesizer::WaveformSynthesizer(rrc::RrcProfile profile,
 }
 
 namespace {
+
+/// Noise-pass chunk length in ticks. Fixed, never derived from the thread
+/// count: chunk boundaries only decide where the stream is cut, and each
+/// chunk's Rng copy costs ~2.5 KB.
+constexpr std::size_t kNoiseChunk = 8192;
+/// Raw Rng words one noise tick draws: two normals of two uniforms each.
+constexpr std::uint64_t kWordsPerTick = 4;
 
 /// How one planned run of samples is rendered.
 enum class FillKind : std::uint8_t {
@@ -236,14 +244,30 @@ PowerTrace WaveformSynthesizer::synthesize(
   }
 
   // Pass 3: measurement + conversion noise, ~2% multiplicative with a 4 mW
-  // floor. One stream in tick order, two draws per tick — the exact draw
-  // sequence of the per-tick path, so traces are bit-identical to it.
-  for (std::size_t s = 0; s < sample_count; ++s) {
-    const double clean = samples[s];
-    const double noisy = clean * (1.0 + rng.normal(0.0, 0.02)) +
-                         rng.normal(0.0, 4.0);
-    samples[s] = std::max(0.0, noisy);
+  // floor. Two normals per tick, i.e. kWordsPerTick words of one stream in
+  // tick order: the exact draw sequence of the per-tick path, so traces are
+  // bit-identical to it. The stream is cut into kNoiseChunk-tick chunks,
+  // each rendered from a copy of `rng` taken at its first word, and `rng`
+  // itself ends kWordsPerTick * sample_count words on, as if drawn serially.
+  const std::size_t chunks = (sample_count + kNoiseChunk - 1) / kNoiseChunk;
+  const auto chunk_end = [sample_count](std::size_t c) {
+    return std::min(sample_count, (c + 1) * kNoiseChunk);
+  };
+  std::vector<Rng> chunk_rngs;
+  chunk_rngs.reserve(chunks);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    chunk_rngs.push_back(rng);
+    rng.discard(kWordsPerTick * (chunk_end(c) - c * kNoiseChunk));
   }
+  parallel::parallel_for(chunks, [&](std::size_t c) {
+    Rng& chunk_rng = chunk_rngs[c];
+    for (std::size_t s = c * kNoiseChunk; s < chunk_end(c); ++s) {
+      const double clean = samples[s];
+      const double noisy = clean * (1.0 + chunk_rng.normal(0.0, 0.02)) +
+                           chunk_rng.normal(0.0, 4.0);
+      samples[s] = std::max(0.0, noisy);
+    }
+  });
   return trace;
 }
 

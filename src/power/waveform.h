@@ -9,7 +9,10 @@
 // tick. A first pass builds an SoA segment plan (sample-index runs plus
 // hoisted per-segment constants: promotion level, rail transfer power under
 // constant signal, DRX on/sleep levels), a second pass renders each run,
-// and a third pass applies measurement noise as one stream in tick order.
+// and a third pass applies measurement noise: one Rng stream in tick order,
+// four words per tick, cut at fixed chunk boundaries so the chunks render
+// in parallel (each from a copy of the caller's Rng taken at its first
+// word) while the caller's Rng ends where the serial pass left it.
 // Traces are bit-identical to the original per-tick evaluation; the
 // per-table equivalence digests in tests/test_power_waveform_equiv.cpp pin
 // that equivalence against the pre-batching implementation.
@@ -53,7 +56,10 @@ class WaveformSynthesizer {
   WaveformSynthesizer(rrc::RrcProfile profile, DevicePowerProfile device,
                       double sample_rate_hz = 5000.0);
 
-  /// Renders `timeline` (from rrc::build_timeline) into a power trace.
+  /// Renders `timeline` (from rrc::build_timeline) into a power trace,
+  /// advancing `rng` by exactly 4 words per sample at any thread count.
+  /// Passes 1-2 run on the calling thread; the noise pass is a
+  /// parallel_for (nested when called from inside a parallel region).
   [[nodiscard]] PowerTrace synthesize(
       std::span<const rrc::StateSegment> timeline, Rng& rng,
       const RsrpFn& rsrp_at = nullptr) const;

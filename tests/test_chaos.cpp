@@ -506,6 +506,7 @@ std::vector<CountFlagCase> rejected_count_flags() {
   };
   const std::pair<const char*, const char*> too_large[] = {
       {"above_int_max", "2147483648"},
+      {"int64_max", "9223372036854775807"},
       {"int64_overflow", "9223372036854775808"},
   };
   std::vector<CountFlagCase> cases;
@@ -518,11 +519,13 @@ std::vector<CountFlagCase> rejected_count_flags() {
     for (const auto& [label, value] : malformed) {
       cases.push_back({std::string(prefix) + "_" + label, flag, value});
     }
-    if (std::string(flag) == "--threads") continue;
     for (const auto& [label, value] : too_large) {
       cases.push_back({std::string(prefix) + "_" + label, flag, value});
     }
   }
+  // One past parallel::kMaxThreads: refused at the command line, before
+  // any thread starts.
+  cases.push_back({"threads_above_cap", "--threads", "257"});
   return cases;
 }
 

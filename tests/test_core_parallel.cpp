@@ -1,12 +1,19 @@
 // Unit tests for the deterministic parallel campaign runner
 // (src/core/parallel.h): index-ordered collection, bit-identical results
-// across thread counts, exception propagation, nested-region degradation.
-// These are the tests the ThreadSanitizer CI job runs.
+// across thread counts, exception propagation, nested regions that recruit
+// idle workers, the thread-count cap. These are the tests the
+// ThreadSanitizer CI job runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <mutex>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/error.h"
@@ -49,6 +56,39 @@ TEST(Parallel, SetThreadCountOverridesAndResets) {
   EXPECT_EQ(wp::thread_count(), 3u);
   wp::set_thread_count(0);
   EXPECT_GE(wp::thread_count(), 1u);
+}
+
+TEST(Parallel, SetThreadCountRefusesCountsAboveTheCap) {
+  wp::set_thread_count(wp::kMaxThreads);
+  EXPECT_EQ(wp::thread_count(), wp::kMaxThreads);
+  wp::set_thread_count(2);
+  EXPECT_THROW(wp::set_thread_count(wp::kMaxThreads + 1), wild5g::Error);
+  EXPECT_THROW(wp::set_thread_count(static_cast<std::size_t>(-1)),
+               wild5g::Error);
+  EXPECT_EQ(wp::thread_count(), 2u) << "a refused count must not apply";
+  wp::set_thread_count(0);
+}
+
+TEST(Parallel, EnvThreadCountIsParsedStrictlyAndCapped) {
+  // set_thread_count(0) defers to WILD5G_THREADS; restore the caller's
+  // value afterwards so the rest of the suite sees the same environment.
+  const char* saved = std::getenv("WILD5G_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  wp::set_thread_count(0);
+  ::setenv("WILD5G_THREADS", "5", 1);
+  EXPECT_EQ(wp::thread_count(), 5u);
+  ::setenv("WILD5G_THREADS", "256", 1);
+  EXPECT_EQ(wp::thread_count(), 256u);
+  for (const char* bad : {" 5", "+5", "5 ", "-1", "0x4", "2.5", "five", "257",
+                          "9223372036854775807", "18446744073709551616"}) {
+    ::setenv("WILD5G_THREADS", bad, 1);
+    EXPECT_THROW((void)wp::thread_count(), wild5g::Error) << "'" << bad << "'";
+  }
+  if (saved != nullptr) {
+    ::setenv("WILD5G_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("WILD5G_THREADS");
+  }
 }
 
 TEST(Parallel, MapReturnsIndexOrderedResults) {
@@ -139,7 +179,7 @@ TEST(Parallel, AllTasksRunDespiteEarlyFailure) {
   });
 }
 
-TEST(Parallel, NestedRegionsRunInlineAndStayDeterministic) {
+TEST(Parallel, NestedRegionsStayDeterministic) {
   auto nested_campaign = [] {
     Rng rng(7);
     Rng base = rng.split();
@@ -160,6 +200,106 @@ TEST(Parallel, NestedRegionsRunInlineAndStayDeterministic) {
   ASSERT_EQ(serial.size(), threaded.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], threaded[i]);  // wild5g-lint: allow(float-equality) bit-identity contract across thread counts
+  }
+}
+
+TEST(Parallel, NestedRegionRecruitsIdleWorkers) {
+  // Two outer tasks on four threads leave two workers idle. Each outer task
+  // opens an inner pair whose tasks meet at a rendezvous: the pair only
+  // meets if an idle worker runs one of them while the outer task's own
+  // thread runs the other. Run inline, the first task waits alone until
+  // the bounded wait gives up.
+  struct Rendezvous {
+    std::mutex mutex;
+    std::condition_variable cv;
+    int arrived = 0;
+  };
+  std::vector<Rendezvous> meets(2);
+  std::vector<std::atomic<int>> met(2);
+  with_threads(4, [&] {
+    wp::parallel_for(2, [&](std::size_t outer) {
+      wp::parallel_for(2, [&](std::size_t) {
+        Rendezvous& r = meets[outer];
+        std::unique_lock<std::mutex> lock(r.mutex);
+        ++r.arrived;
+        r.cv.notify_all();
+        if (r.cv.wait_for(lock, std::chrono::seconds(5),
+                          [&r] { return r.arrived == 2; })) {
+          ++met[outer];
+        }
+      });
+    });
+  });
+  for (std::size_t outer = 0; outer < met.size(); ++outer) {
+    EXPECT_EQ(met[outer].load(), 2)
+        << "outer task " << outer << ": the inner pair never ran concurrently";
+  }
+}
+
+TEST(Parallel, ThreeLevelNestingStaysDeterministic) {
+  // Every level forks per-index substreams; any scheduling of the three
+  // levels' batches over the pool must give the serial bits, round after
+  // round on one pool.
+  auto campaign = [](std::uint64_t seed) {
+    Rng rng(seed);
+    Rng base = rng.split();
+    return wp::parallel_map(6, [&](std::size_t a) {
+      Rng a_base = base.fork(a).split();
+      const auto mid = wp::parallel_map(5, [&](std::size_t b) {
+        Rng b_base = a_base.fork(b).split();
+        const auto inner = wp::parallel_map(7, [&](std::size_t c) {
+          Rng c_rng = b_base.fork(c);
+          double acc = 0.0;
+          for (int draw = 0; draw < 50; ++draw) acc += c_rng.normal(0.0, 1.0);
+          return acc;
+        });
+        return std::accumulate(inner.begin(), inner.end(), 0.0);
+      });
+      return std::accumulate(mid.begin(), mid.end(), 0.0);
+    });
+  };
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<double> serial;
+    with_threads(1, [&] { serial = campaign(seed); });
+    for (const std::size_t threads : {3u, 8u}) {
+      std::vector<double> threaded;
+      with_threads(threads, [&] { threaded = campaign(seed); });
+      ASSERT_EQ(serial.size(), threaded.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        ASSERT_EQ(serial[i], threaded[i])  // wild5g-lint: allow(float-equality) bit-identity contract across thread counts
+            << "seed " << seed << " task " << i << " at " << threads
+            << " threads";
+      }
+    }
+  }
+}
+
+TEST(Parallel, NestedLowestIndexErrorPropagates) {
+  // Each inner region rethrows its lowest failing index, and the outer
+  // region rethrows its lowest failing outer index, so the surfaced error
+  // is "outer 1 inner 3" at any thread count. On the pool every task still
+  // runs; serially the loop stops at that same first failure.
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    std::vector<std::atomic<int>> hits(6 * 16);
+    with_threads(threads, [&] {
+      try {
+        wp::parallel_for(6, [&](std::size_t outer) {
+          wp::parallel_for(16, [&](std::size_t inner) {
+            hits[outer * 16 + inner]++;
+            if (outer > 0 && inner % 5 == 3) {
+              throw wild5g::Error("outer " + std::to_string(outer) +
+                                  " inner " + std::to_string(inner));
+            }
+          });
+        });
+        ADD_FAILURE() << "no exception propagated at " << threads
+                      << " threads";
+      } catch (const wild5g::Error& e) {
+        EXPECT_STREQ(e.what(), "outer 1 inner 3") << threads << " threads";
+      }
+    });
+    if (threads == 1) continue;
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << threads << " threads";
   }
 }
 

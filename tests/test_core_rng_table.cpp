@@ -220,6 +220,30 @@ TEST(RngEngine, StdStateTextDeserializesAndContinues) {
   EXPECT_EQ(rng.serialize_state(), std_state(20210827, oracle));
 }
 
+TEST(RngEngine, DiscardMatchesDrawingEachWord) {
+  // discard(n) must leave exactly the state n draws leave: same text, same
+  // next word. Sizes straddle the 312-word block and the ~1.2M words of a
+  // 300k-tick noise pass; starts are a fresh stream (index 312, untwisted),
+  // mid-block, and exactly at a block end.
+  for (const std::uint64_t n : {0, 1, 311, 312, 313, 1200004}) {
+    for (const int start : {0, 100, 312}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " start=" + std::to_string(start));
+      Rng drawn(20210823);
+      Rng skipped(20210823);
+      for (int i = 0; i < start; ++i) {
+        (void)raw_word(drawn);
+        (void)raw_word(skipped);
+      }
+      for (std::uint64_t i = 0; i < n; ++i) (void)raw_word(drawn);
+      skipped.discard(n);
+      EXPECT_EQ(skipped.serialize_state(), drawn.serialize_state());
+      EXPECT_EQ(raw_word(skipped), raw_word(drawn));
+      EXPECT_EQ(skipped.serialize_state(), drawn.serialize_state());
+    }
+  }
+}
+
 TEST(RngEngine, IndexZeroStateMatchesStd) {
   // Index 0 never appears after a draw (the twist and the first temper
   // happen in one call), but it is valid text: the next draw tempers word 0

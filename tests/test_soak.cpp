@@ -775,4 +775,15 @@ TEST(soak, flag_values_that_are_not_positive_integers_are_usage_errors) {
   }
 }
 
+TEST(soak, thread_counts_above_the_cap_are_usage_errors) {
+  // One past parallel::kMaxThreads and the largest int64 both exit 2 before
+  // the service writes an event or starts a thread.
+  for (const std::string value : {"257", "9223372036854775807"}) {
+    ServeClient serve({"--threads", value});
+    serve.close_stdin();
+    EXPECT_TRUE(serve.read_to_eof().empty()) << value;
+    EXPECT_EQ(serve.wait(), 2) << value;
+  }
+}
+
 }  // namespace

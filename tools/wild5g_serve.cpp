@@ -618,6 +618,11 @@ int serve_main(int argc, char** argv) {
     std::int64_t threads = 0;
     if (long_flag("--watchdog-ms", watchdog_ms)) continue;
     if (long_flag("--threads", threads)) {
+      if (static_cast<std::uint64_t>(threads) > parallel::kMaxThreads) {
+        std::cerr << "wild5g_serve: --threads must be at most "
+                  << parallel::kMaxThreads << ", got '" << threads << "'\n";
+        std::exit(2);
+      }
       parallel::set_thread_count(static_cast<std::size_t>(threads));
       continue;
     }
