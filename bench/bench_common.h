@@ -14,7 +14,6 @@
 #pragma once
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <climits>
 #include <csignal>
@@ -31,6 +30,7 @@
 #include <utility>
 
 #include "core/error.h"
+#include "core/integer.h"
 #include "core/json.h"
 #include "core/parallel.h"
 #include "core/table.h"
@@ -108,27 +108,23 @@ class MetricsEmitter {
     int kept = 1;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--json") {
-        if (i + 1 >= argc) usage_error("--json requires a path argument");
-        json_path_ = argv[++i];
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path_ = arg.substr(7);
-        if (json_path_.empty()) usage_error("--json= requires a path");
-      } else if (arg == "--threads") {
-        if (i + 1 >= argc) usage_error("--threads requires a count argument");
-        set_threads(argv[++i]);
-      } else if (arg.rfind("--threads=", 0) == 0) {
-        set_threads(arg.substr(10));
-      } else if (arg == "--faults") {
-        if (i + 1 >= argc) usage_error("--faults requires a plan path");
-        load_faults(argv[++i]);
-      } else if (arg.rfind("--faults=", 0) == 0) {
-        load_faults(arg.substr(9));
-      } else if (arg == "--deadline-ms") {
-        if (i + 1 >= argc) usage_error("--deadline-ms requires a budget");
-        deadline_ms_ = positive_count("--deadline-ms", argv[++i]);
-      } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-        deadline_ms_ = positive_count("--deadline-ms", arg.substr(14));
+      // The value of `--name V` or `--name=V` when `arg` is flag `name`.
+      const auto value_of =
+          [&](const std::string& name) -> std::optional<std::string> {
+        if (arg.rfind(name + "=", 0) == 0) return arg.substr(name.size() + 1);
+        if (arg != name) return std::nullopt;
+        if (i + 1 >= argc) usage_error(name + " requires a value");
+        return argv[++i];
+      };
+      if (const auto path = value_of("--json")) {
+        if (path->empty()) usage_error("--json requires a path");
+        json_path_ = *path;
+      } else if (const auto threads = value_of("--threads")) {
+        set_threads(*threads);
+      } else if (const auto plan = value_of("--faults")) {
+        load_faults(*plan);
+      } else if (const auto budget = value_of("--deadline-ms")) {
+        deadline_ms_ = count_arg("--deadline-ms", *budget);
       } else {
         argv[kept++] = argv[i];
       }
@@ -191,7 +187,7 @@ class MetricsEmitter {
         usage_error("unknown argument '" + flag + "'");
       }
       if (i + 1 >= argc) usage_error(flag + " requires a count");
-      request.params.set(flag.substr(2), positive_count(flag, argv[++i]));
+      request.params.set(flag.substr(2), count_arg(flag, argv[++i]));
     }
     request.fault_plan = plan_;
     try {
@@ -225,38 +221,16 @@ class MetricsEmitter {
     std::exit(2);
   }
 
-  /// The one integer parser for count flags: the whole text must be an
-  /// optional '-' and decimal digits that fit in 64 bits. A leading '+' or
-  /// whitespace is refused, and a '-' stays negative (std::stoul would wrap
-  /// `--threads -1` to 2^64 - 1 threads).
-  [[nodiscard]] static std::optional<std::int64_t> parse_integer(
-      const std::string& text) {
-    std::int64_t value = 0;
-    const char* end = text.data() + text.size();
-    const auto [stop, error] = std::from_chars(text.data(), end, value);
-    if (text.empty() || error != std::errc() || stop != end) {
-      return std::nullopt;
+  /// Reads a count flag (`--ues 100`) or test hook into [lo, hi]; anything
+  /// else is a usage error (exit 2). A zero campaign size or budget is
+  /// always a typo, never a request for an empty measurement.
+  [[nodiscard]] int count_arg(const std::string& name, const std::string& text,
+                              int lo = 1, int hi = INT_MAX) const {
+    try {
+      return integer_from_text(text, name, lo, hi);
+    } catch (const Error& e) {
+      usage_error(e.what());
     }
-    return value;
-  }
-
-  /// Parses a strictly positive integer flag value (`--ues 100`); anything
-  /// else — garbage, trailing junk, zero, negative, above INT_MAX — is a
-  /// usage error (exit 2). Campaign sizes of zero are always a typo, never a
-  /// request for an empty measurement.
-  [[nodiscard]] int positive_count(const std::string& flag,
-                                   const std::string& text) const {
-    const std::optional<std::int64_t> parsed = parse_integer(text);
-    if (!parsed) usage_error(flag + ": '" + text + "' is not a count");
-    const std::int64_t value = *parsed;
-    if (value <= 0) {
-      usage_error(flag + ": count must be >= 1, got '" + text + "'");
-    }
-    if (value > INT_MAX) {
-      usage_error(flag + ": count must be <= " + std::to_string(INT_MAX) +
-                  ", got '" + text + "'");
-    }
-    return static_cast<int>(value);
   }
 
   /// Writes the document (when `--json` was given) and reports whether this
@@ -287,26 +261,11 @@ class MetricsEmitter {
     return ok_;
   }
 
+  /// `--threads 0` ("auto" to set_thread_count) is a usage error: running at
+  /// hardware concurrency would mislabel any timing the caller records.
   void set_threads(const std::string& text) const {
-    if (text.empty()) usage_error("--threads requires a count argument");
-    const std::optional<std::int64_t> value = parse_integer(text);
-    if (!value || *value < 0) {
-      usage_error("--threads: '" + text + "' is not a thread count");
-    }
-    if (*value == 0) {
-      // set_thread_count(0) means "restore auto" as an API, but as a flag
-      // `--threads 0` is always a typo for `--threads 1`; silently running
-      // at hardware concurrency would mislabel any timing the caller
-      // records.
-      usage_error("--threads: count must be >= 1 ('auto' is the default; "
-                  "0 is not a thread count)");
-    }
-    if (static_cast<std::uint64_t>(*value) > parallel::kMaxThreads) {
-      usage_error("--threads: count must be <= " +
-                  std::to_string(parallel::kMaxThreads) + ", got '" + text +
-                  "'");
-    }
-    parallel::set_thread_count(static_cast<std::size_t>(*value));
+    parallel::set_thread_count(static_cast<std::size_t>(count_arg(
+        "--threads", text, 1, static_cast<int>(parallel::kMaxThreads))));
   }
 
   void load_faults(const std::string& path) {
@@ -321,14 +280,15 @@ class MetricsEmitter {
   }
 
   /// Test hooks are WILD5G_-prefixed env vars so the supervision tests can
-  /// pin nondeterministic timing without patching the binary. Lenient
-  /// parsing: they are test plumbing, not user flags.
+  /// pin nondeterministic timing without patching the binary. They are read
+  /// like count flags, with 0 allowed (off).
   void read_test_hooks() {
-    if (const char* text = std::getenv("WILD5G_DEADLINE_AFTER_YIELDS")) {
-      deadline_after_yields_ = std::atol(text);
-    }
-    if (const char* text = std::getenv("WILD5G_TEST_YIELD_DELAY_MS")) {
-      yield_delay_ms_ = std::atol(text);
+    for (const auto& [name, target] :
+         {std::pair{"WILD5G_DEADLINE_AFTER_YIELDS", &deadline_after_yields_},
+          std::pair{"WILD5G_TEST_YIELD_DELAY_MS", &yield_delay_ms_}}) {
+      if (const char* text = std::getenv(name)) {
+        *target = count_arg(name, text, 0);
+      }
     }
   }
 

@@ -8,13 +8,22 @@
 #include <iomanip>
 #include <iostream>
 
+#include "core/integer.h"
 #include "mobility/drive.h"
 #include "mobility/route.h"
 
 using namespace wild5g;
 
 int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::stoull(argv[1]) : 7;
+  std::uint64_t seed = 7;
+  try {
+    if (argc > 1) {
+      seed = integer_from_text<std::uint64_t>(argv[1], "seed", 0, UINT64_MAX);
+    }
+  } catch (const Error& e) {
+    std::cerr << "drive_test: " << e.what() << "\nusage: drive_test [seed]\n";
+    return 2;
+  }
 
   const std::vector<mobility::BandSetting> settings = {
       mobility::BandSetting::kSaOnly, mobility::BandSetting::kNsaPlusLte,

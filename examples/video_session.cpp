@@ -8,20 +8,30 @@
 
 #include "abr/interface_selection.h"
 #include "abr/video.h"
+#include "core/integer.h"
 #include "traces/traces.h"
 
 using namespace wild5g;
 
 int main(int argc, char** argv) {
-  const std::size_t trace_index =
-      argc > 1 ? std::stoul(argv[1]) : 0;
-
   Rng rng(20210823);
   auto c5 = traces::lumos5g_mmwave_config();
   const auto traces_5g = traces::generate_traces(c5, rng);
   Rng rng2(20210824);
   auto c4 = traces::lumos5g_lte_config();
   const auto traces_4g = traces::generate_traces(c4, rng2);
+
+  std::size_t trace_index = 0;
+  try {
+    if (argc > 1) {
+      trace_index = integer_from_text<std::size_t>(argv[1], "trace-index", 0,
+                                                   traces_5g.size() - 1);
+    }
+  } catch (const Error& e) {
+    std::cerr << "video_session: " << e.what()
+              << "\nusage: video_session [trace-index]\n";
+    return 2;
+  }
   const auto& t5 = traces_5g.at(trace_index);
   const auto& t4 = traces_4g.at(trace_index % traces_4g.size());
 

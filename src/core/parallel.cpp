@@ -1,19 +1,17 @@
 #include "core/parallel.h"
 
 #include <algorithm>
-#include <charconv>
 #include <condition_variable>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <system_error>
 #include <thread>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g::parallel {
 
@@ -29,13 +27,7 @@ thread_local ThreadPool* t_pool = nullptr;
 std::size_t resolve_env_thread_count() {
   const char* env = std::getenv("WILD5G_THREADS");
   if (env == nullptr || *env == '\0') return 0;
-  const char* end = env + std::strlen(env);
-  std::size_t value = 0;
-  const auto [stop, error] = std::from_chars(env, end, value);
-  WILD5G_REQUIRE(error == std::errc() && stop == end && value <= kMaxThreads,
-                 "WILD5G_THREADS must be an integer from 0 to " +
-                     std::to_string(kMaxThreads));
-  return value;
+  return integer_from_text<std::size_t>(env, "WILD5G_THREADS", 0, kMaxThreads);
 }
 
 /// One open region. It lives on the stack of the thread that opened it,

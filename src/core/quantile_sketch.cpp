@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g::stats {
 
@@ -188,11 +189,10 @@ double checkpoint_number(const json::Value& object, const char* key) {
 }
 
 std::uint64_t checkpoint_count(const json::Value& object, const char* key) {
-  const double raw = checkpoint_number(object, key);
-  require(raw >= 0.0 && raw == std::floor(raw) && raw < 0x1p53,
-          std::string("sketch state: field '") + key +
-              "' is not a non-negative integer");
-  return static_cast<std::uint64_t>(raw);
+  return integer_from_json<std::uint64_t>(
+      checkpoint_field(object, key),
+      std::string("sketch state: field '") + key + "'", 0,
+      kJsonIntegerMax - 1);
 }
 
 json::Value store_to_json(const std::vector<std::uint64_t>& counts,
@@ -237,20 +237,19 @@ QuantileSketch QuantileSketch::from_json(const json::Value& value) {
     const json::Value& node = checkpoint_field(value, key);
     require(node.is_object(),
             std::string("sketch state: field '") + key + "' is not an object");
-    const double base = checkpoint_number(node, "base");
-    require(base == std::floor(base) && std::abs(base) < 1e9,
-            std::string("sketch state: '") + key + "' base is not an integer");
-    store.base = static_cast<int>(base);
+    store.base = integer_from_json(checkpoint_field(node, "base"),
+                                   std::string("sketch state: '") + key +
+                                       "' base",
+                                   -999'999'999, 999'999'999);
     const json::Value& counts = checkpoint_field(node, "counts");
     require(counts.is_array(),
             std::string("sketch state: '") + key + "' counts is not an array");
     store.total = 0;
+    const std::string count_field = std::string("sketch state: '") + key +
+                                    "' count";
     for (const json::Value& element : counts.as_array()) {
-      require(element.is_number() && element.as_number() >= 0.0 &&
-                  element.as_number() == std::floor(element.as_number()),
-              std::string("sketch state: '") + key +
-                  "' count is not a non-negative integer");
-      const auto c = static_cast<std::uint64_t>(element.as_number());
+      const auto c = integer_from_json<std::uint64_t>(element, count_field, 0,
+                                                      kJsonIntegerMax - 1);
       store.counts.push_back(c);
       store.total += c;
     }
@@ -375,11 +374,10 @@ json::Value SampleAccumulator::to_json() const {
 
 SampleAccumulator SampleAccumulator::from_json(const json::Value& value) {
   require(value.is_object(), "accumulator state: not an object");
-  const double limit = checkpoint_number(value, "exact_limit");
-  require(limit >= 0.0 && limit == std::floor(limit) && limit < 0x1p53,
-          "accumulator state: exact_limit is not a non-negative integer");
-  SampleAccumulator acc(static_cast<std::size_t>(limit),
-                        checkpoint_number(value, "alpha"));
+  const auto limit = integer_from_json<std::size_t>(
+      checkpoint_field(value, "exact_limit"), "accumulator state: exact_limit",
+      0, kJsonIntegerMax - 1);
+  SampleAccumulator acc(limit, checkpoint_number(value, "alpha"));
   acc.sum_ = checkpoint_number(value, "sum");
   const json::Value* sketch = value.find("sketch");
   const json::Value* exact = value.find("exact");

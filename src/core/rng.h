@@ -30,9 +30,9 @@
 #include <numbers>
 #include <span>
 #include <string>
-#include <system_error>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g {
 
@@ -186,28 +186,22 @@ class Rng {
   }
 
   /// Inverse of serialize_state(); throws wild5g::Error on malformed text
-  /// (missing or non-numeric fields, an index above 312, trailing garbage).
+  /// (a missing or non-numeric field, an index above 312, trailing text).
   [[nodiscard]] static Rng deserialize_state(const std::string& text) {
     const char* pos = text.data();
     const char* const end = pos + text.size();
-    const auto read = [&]() {
+    const auto read = [&](std::uint64_t hi) {
       while (pos != end && is_space(*pos)) ++pos;
-      std::uint64_t value = 0;
-      const auto res = std::from_chars(pos, end, value);
-      WILD5G_REQUIRE(res.ec == std::errc() &&
-                         (res.ptr == end || is_space(*res.ptr)),
-                     "Rng::deserialize_state: malformed state");
-      pos = res.ptr;
-      return value;
+      const char* const start = pos;
+      while (pos != end && !is_space(*pos)) ++pos;
+      return integer_from_text<std::uint64_t>(
+          {start, pos}, "Rng::deserialize_state: state field", 0, hi);
     };
-    Rng rng(read());
-    for (std::uint64_t& word : rng.words_) word = read();
-    const std::uint64_t index = read();
-    WILD5G_REQUIRE(index <= kWords,
-                   "Rng::deserialize_state: index past the state");
+    Rng rng(read(UINT64_MAX));
+    for (std::uint64_t& word : rng.words_) word = read(UINT64_MAX);
+    rng.index_ = static_cast<std::size_t>(read(kWords));
     while (pos != end && is_space(*pos)) ++pos;
     WILD5G_REQUIRE(pos == end, "Rng::deserialize_state: trailing text");
-    rng.index_ = static_cast<std::size_t>(index);
     return rng;
   }
 

@@ -1,12 +1,13 @@
 #include "engine/campaign.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <mutex>
 #include <ostream>
 #include <utility>
 
 #include "core/error.h"
+#include "core/integer.h"
 #include "engine/figures/figure.h"
 #include "engine/metro_campaigns.h"
 
@@ -166,28 +167,12 @@ CampaignRequest request_from_json(const json::Value& doc) {
   if (const json::Value* seed = doc.find("seed")) {
     // Accept both the canonical string form (full 64-bit precision) and a
     // plain JSON number for hand-written submissions.
-    if (seed->is_string()) {
-      const std::string& text = seed->as_string();
-      std::size_t parsed = 0;
-      unsigned long long value = 0;
-      try {
-        value = std::stoull(text, &parsed);
-      } catch (const std::exception&) {
-        throw Error("campaign request: seed '" + text +
-                    "' is not an unsigned integer");
-      }
-      require(parsed == text.size() && !text.empty() && text[0] != '-',
-              "campaign request: seed '" + text +
-                  "' is not an unsigned integer");
-      request.seed = static_cast<std::uint64_t>(value);
-    } else if (seed->is_number()) {
-      const double value = seed->as_number();
-      require(value >= 0.0 && value == std::floor(value) && value < 0x1p53,
-              "campaign request: numeric seed is not a non-negative integer");
-      request.seed = static_cast<std::uint64_t>(value);
-    } else {
-      throw Error("campaign request: seed must be a string or number");
-    }
+    constexpr const char* kField = "campaign request: seed";
+    request.seed = seed->is_string()
+                       ? integer_from_text<std::uint64_t>(seed->as_string(),
+                                                          kField, 0, UINT64_MAX)
+                       : integer_from_json<std::uint64_t>(
+                             *seed, kField, 0, kJsonIntegerMax - 1);
   }
   if (const json::Value* params = doc.find("params")) {
     require(params->is_object(), "campaign request: params is not an object");
@@ -207,12 +192,8 @@ int param_positive_int(const json::Value& params, const std::string& key,
   require(params.is_object(), "campaign params: not an object");
   const json::Value* value = params.find(key);
   if (value == nullptr) return default_value;
-  require(value->is_number(),
-          "campaign params: '" + key + "' is not a number");
-  const double raw = value->as_number();
-  require(raw >= 1.0 && raw == std::floor(raw) && raw <= 1e9,
-          "campaign params: '" + key + "' must be a positive integer");
-  return static_cast<int>(raw);
+  return integer_from_json(*value, "campaign params: '" + key + "'", 1,
+                           1'000'000'000);
 }
 
 void reject_unknown_params(const json::Value& params,

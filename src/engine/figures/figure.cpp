@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g::engine::figures {
 
@@ -13,7 +14,7 @@ int FigureRun::param(std::string_view name) const {
   const json::Value* value = params.find(name);
   require(value != nullptr,
           "FigureRun: param '" + std::string(name) + "' is not declared");
-  return static_cast<int>(value->as_number());
+  return integer_from_json(*value, name, 1, 1'000'000'000);
 }
 
 void FigureRun::banner(const std::string& id, const std::string& title) const {

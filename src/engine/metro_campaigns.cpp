@@ -1,12 +1,13 @@
 #include "engine/metro_campaigns.h"
 
 #include <algorithm>
-#include <cmath>
+#include <climits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/error.h"
+#include "core/integer.h"
 #include "core/rng.h"
 #include "core/table.h"
 #include "faults/injector.h"
@@ -34,13 +35,11 @@ const json::Value& state_field(const json::Value& state, const char* key) {
   return *value;
 }
 
-std::uint64_t state_count(const json::Value& state, const char* key) {
-  const json::Value& value = state_field(state, key);
-  require(value.is_number() && value.as_number() >= 0.0 &&
-              value.as_number() == std::floor(value.as_number()),
-          std::string("drive_soak: state field '") + key +
-              "' is not a non-negative integer");
-  return static_cast<std::uint64_t>(value.as_number());
+std::int64_t state_count(const json::Value& state, const char* key,
+                         std::int64_t hi = kJsonIntegerMax) {
+  return integer_from_json<std::int64_t>(
+      state_field(state, key), std::string("drive_soak: state '") + key + "'",
+      0, hi);
 }
 
 class DriveSoakCampaign final : public Campaign {
@@ -139,9 +138,9 @@ class DriveSoakCampaign final : public Campaign {
         stats::SampleAccumulator::from_json(state_field(state, "throughput"));
     ue_mean_ =
         stats::SampleAccumulator::from_json(state_field(state, "ue_mean"));
-    handoffs_ = static_cast<long long>(state_count(state, "handoffs"));
-    pingpongs_ = static_cast<long long>(state_count(state, "pingpongs"));
-    peak_storm_ = static_cast<int>(state_count(state, "peak_storm"));
+    handoffs_ = state_count(state, "handoffs");
+    pingpongs_ = state_count(state, "pingpongs");
+    peak_storm_ = static_cast<int>(state_count(state, "peak_storm", INT_MAX));
   }
 
  private:

@@ -1,11 +1,11 @@
 #include "engine/snapshot.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g::engine {
 
@@ -31,18 +31,15 @@ Snapshot Snapshot::from_json(const json::Value& doc) {
   const json::Value& format = field("format");
   require(format.is_string() && format.as_string() == "wild5g-snapshot",
           "snapshot: not a wild5g snapshot document");
-  const json::Value& version = field("version");
-  require(version.is_number() &&
-              version.as_number() == static_cast<double>(kSnapshotVersion),
+  require(integer_from_json<std::int64_t>(field("version"), "snapshot: version",
+                                          0, kJsonIntegerMax) ==
+              kSnapshotVersion,
           "snapshot: unsupported version (this build speaks version " +
               std::to_string(kSnapshotVersion) + ")");
   Snapshot snapshot;
   snapshot.request = request_from_json(field("request"));
-  const json::Value& next_step = field("next_step");
-  require(next_step.is_number() && next_step.as_number() >= 0.0 &&
-              next_step.as_number() == std::floor(next_step.as_number()),
-          "snapshot: next_step is not a non-negative integer");
-  snapshot.next_step = static_cast<std::size_t>(next_step.as_number());
+  snapshot.next_step = integer_from_json<std::size_t>(
+      field("next_step"), "snapshot: next_step", 0, kJsonIntegerMax);
   snapshot.campaign_state = field("campaign_state");
   snapshot.document_state = field("document_state");
   return snapshot;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "core/error.h"
+#include "core/integer.h"
 
 namespace wild5g::faults {
 
@@ -129,11 +130,8 @@ FaultPlan FaultPlan::from_json(const json::Value& doc) {
   if (const json::Value* salt = doc.find("seed_salt"); salt != nullptr) {
     // Integers at or above 2^53 have no exact double, so they could not
     // round-trip through to_json (a snapshot's embedded plan).
-    require(salt->is_number() && salt->as_number() >= 0.0 &&
-                salt->as_number() == std::floor(salt->as_number()) &&
-                salt->as_number() < 0x1p53,
-            "FaultPlan: 'seed_salt' must be an integer in [0, 2^53)");
-    plan.seed_salt = static_cast<std::uint64_t>(salt->as_number());
+    plan.seed_salt = integer_from_json<std::uint64_t>(
+        *salt, "FaultPlan: 'seed_salt'", 0, kJsonIntegerMax - 1);
   }
   const json::Value* windows = doc.find("windows");
   require(windows != nullptr && windows->is_array(),

@@ -101,30 +101,47 @@ TEST(Json, ParsesEscapesAndLiterals) {
   EXPECT_EQ(v.find("u")->as_string(), "A");
 }
 
-TEST(Json, MalformedInputsRejectedCleanly) {
-  const char* cases[] = {
-      "",                      // empty
-      "{",                     // truncated object
-      "[1, 2",                 // truncated array
-      "\"abc",                 // unterminated string
-      "{\"a\": }",             // missing value
-      "{\"a\": 1,}",           // would need a key after comma
-      "1.5 garbage",           // trailing garbage
-      "nan",                   // not a JSON literal
-      "inf",                   // not a JSON literal
-      "-",                     // sign without digits
-      "1.",                    // missing fraction digits
-      "2e",                    // missing exponent digits
-      "1e999",                 // overflows to infinity
-      "\"bad \\x escape\"",    // invalid escape
-      "\"trunc \\u12\"",       // truncated \u escape
-      "\"\\ud800\"",           // surrogate escape
-      "\"ctrl \x01\"",         // raw control character
-  };
-  for (const char* text : cases) {
-    EXPECT_THROW((void)json::parse(text), Error) << "input: " << text;
-  }
+// Each entry is a document json::parse must refuse with wild5g::Error, and
+// runs as its own named case.
+struct MalformedCase {
+  const char* name;
+  const char* text;
+};
+
+// Names the case in test listings instead of dumping its bytes.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
+const MalformedCase kMalformed[] = {
+    {"empty", ""},
+    {"truncated_object", "{"},
+    {"truncated_array", "[1, 2"},
+    {"unterminated_string", "\"abc"},
+    {"missing_value", "{\"a\": }"},
+    {"trailing_comma", "{\"a\": 1,}"},
+    {"trailing_garbage", "1.5 garbage"},
+    {"nan_literal", "nan"},
+    {"inf_literal", "inf"},
+    {"sign_without_digits", "-"},
+    {"missing_fraction_digits", "1."},
+    {"missing_exponent_digits", "2e"},
+    {"overflows_to_infinity", "1e999"},
+    {"invalid_escape", "\"bad \\x escape\""},
+    {"truncated_unicode_escape", "\"trunc \\u12\""},
+    {"surrogate_escape", "\"\\ud800\""},
+    {"raw_control_character", "\"ctrl \x01\""},
+};
+
+class JsonRejects : public ::testing::TestWithParam<MalformedCase> {};
+
+TEST_P(JsonRejects, MalformedInput) {
+  EXPECT_THROW((void)json::parse(GetParam().text), Error) << GetParam().text;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, JsonRejects, ::testing::ValuesIn(kMalformed),
+    [](const ::testing::TestParamInfo<MalformedCase>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(Json, DeeplyNestedInputRejected) {
   std::string text(1000, '[');

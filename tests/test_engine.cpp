@@ -107,6 +107,118 @@ TEST(engine, request_round_trips_full_64_bit_seed) {
   EXPECT_EQ(restored.campaign, request.campaign);
 }
 
+// --- request lines: one named case per input ------------------------------
+
+// Each entry is a request (the fields of a serve submit line) whose seed or
+// `steps` param must be refused with wild5g::Error: request_from_json reads
+// the seed, param_positive_int the param, as wild5g_serve's sleeper does.
+// Every entry runs as its own named case.
+struct RequestCase {
+  const char* name;
+  const char* text;
+};
+
+// Names the case in test listings instead of dumping its bytes.
+void PrintTo(const RequestCase& c, std::ostream* os) { *os << c.name; }
+
+const RequestCase kRejectedRequests[] = {
+    {"seed_plus_sign", R"({"campaign": "sleeper", "seed": "+5"})"},
+    {"seed_leading_space", R"({"campaign": "sleeper", "seed": " 5"})"},
+    {"seed_trailing_space", R"({"campaign": "sleeper", "seed": "5 "})"},
+    {"seed_empty_string", R"({"campaign": "sleeper", "seed": ""})"},
+    {"seed_negative_string", R"({"campaign": "sleeper", "seed": "-1"})"},
+    {"seed_string_2_pow_64",
+     R"({"campaign": "sleeper", "seed": "18446744073709551616"})"},
+    {"seed_fraction", R"({"campaign": "sleeper", "seed": 2.5})"},
+    {"seed_negative_number", R"({"campaign": "sleeper", "seed": -1})"},
+    {"seed_number_2_pow_53",
+     R"({"campaign": "sleeper", "seed": 9007199254740992})"},
+    {"seed_number_1e30", R"({"campaign": "sleeper", "seed": 1e30})"},
+    {"seed_bool", R"({"campaign": "sleeper", "seed": true})"},
+    {"steps_zero", R"({"campaign": "sleeper", "params": {"steps": 0}})"},
+    {"steps_fraction", R"({"campaign": "sleeper", "params": {"steps": 2.5}})"},
+    {"steps_1e10", R"({"campaign": "sleeper", "params": {"steps": 1e10}})"},
+};
+
+/// Reads a request line's fields, then its `steps` param.
+engine::CampaignRequest read_request(const char* text) {
+  engine::CampaignRequest request =
+      engine::request_from_json(json::parse(text));
+  (void)engine::param_positive_int(request.params, "steps", 5);
+  return request;
+}
+
+class RequestFromJson : public ::testing::TestWithParam<RequestCase> {};
+
+TEST_P(RequestFromJson, Refuses) {
+  EXPECT_THROW((void)read_request(GetParam().text), Error) << GetParam().text;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, RequestFromJson, ::testing::ValuesIn(kRejectedRequests),
+    [](const ::testing::TestParamInfo<RequestCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Inputs at the edges the rules allow, each with the seed it must read as.
+struct AcceptedRequestCase {
+  const char* name;
+  const char* text;
+  std::uint64_t seed;
+};
+
+void PrintTo(const AcceptedRequestCase& c, std::ostream* os) {
+  *os << c.name;
+}
+
+const AcceptedRequestCase kAcceptedRequests[] = {
+    {"seed_string", R"({"campaign": "sleeper", "seed": "5"})", 5},
+    {"seed_string_leading_zeros", R"({"campaign": "sleeper", "seed": "007"})",
+     7},
+    {"seed_string_2_pow_64_minus_1",
+     R"({"campaign": "sleeper", "seed": "18446744073709551615"})",
+     0xFFFFFFFFFFFFFFFFULL},
+    {"seed_number", R"({"campaign": "sleeper", "seed": 5})", 5},
+    {"seed_number_2_pow_53_minus_1",
+     R"({"campaign": "sleeper", "seed": 9007199254740991})",
+     9007199254740991ULL},
+    {"seed_absent_steps_1e9",
+     R"({"campaign": "sleeper", "params": {"steps": 1e9}})",
+     engine::kDefaultSeed},
+};
+
+class RequestFromJsonAccepts
+    : public ::testing::TestWithParam<AcceptedRequestCase> {};
+
+TEST_P(RequestFromJsonAccepts, EdgeTheRulesAllow) {
+  EXPECT_EQ(read_request(GetParam().text).seed, GetParam().seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Corpus, RequestFromJsonAccepts, ::testing::ValuesIn(kAcceptedRequests),
+    [](const ::testing::TestParamInfo<AcceptedRequestCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(engine, sketch_restore_refuses_a_bucket_count_of_1e30) {
+  stats::QuantileSketch sketch(0.01);
+  sketch.add(5.0);
+  json::Value state = sketch.to_json();
+  json::Value positive = *state.find("positive");
+  json::Value counts = json::Value::array();
+  counts.push_back(1e30);
+  positive.set("counts", counts);
+  state.set("positive", positive);
+  try {
+    (void)stats::QuantileSketch::from_json(state);
+    ADD_FAILURE() << "a bucket count of 1e30 was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'positive' count must be"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(engine, snapshot_rejects_wrong_version_and_format) {
   engine::Snapshot snapshot;
   snapshot.request.campaign = "extension_metro_load";
@@ -433,6 +545,25 @@ std::string run_with_checkpoint_at(const engine::CampaignRequest& request,
       engine::run_steps(*campaign, ctx, control);
   EXPECT_EQ(outcome.status, engine::RunStatus::kCompleted);
   return json::dump(doc.document());
+}
+
+TEST(engine, drive_soak_restore_refuses_a_counter_of_1e30) {
+  engine::register_builtin_campaigns();
+  const auto campaign =
+      engine::make_campaign(small_request("drive_soak", false));
+  const json::Value state = campaign->checkpoint_state();
+  for (const char* key : {"handoffs", "pingpongs", "peak_storm"}) {
+    json::Value bad = state;
+    bad.set(key, 1e30);
+    try {
+      campaign->restore_state(bad);
+      ADD_FAILURE() << key << " = 1e30 was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(campaign->restore_state(state));
 }
 
 /// Every registered campaign with an interior yield point (two or more

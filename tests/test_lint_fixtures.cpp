@@ -166,6 +166,17 @@ TEST(lint, fixture_engine_snapshot_writer_is_exempt) {
   expect_clean("src/engine/snapshot.cpp");
 }
 
+TEST(lint, fixture_integer_parse) {
+  // Virtual path tools/...: integer text parsing outside the core reader.
+  expect_only_rule("tools/bad_integer_parse.cpp", "integer-parse");
+}
+
+TEST(lint, fixture_core_integer_reader_is_exempt) {
+  // The core reader's own file (virtual path src/core/integer.h) is the
+  // one place integer text may be parsed.
+  expect_clean("src/core/integer.h");
+}
+
 TEST(lint, fixture_layering) {
   // The fixture's virtual path (…/src/core/…) puts it in src/core, so its
   // radio include violates the layer DAG.
@@ -206,7 +217,8 @@ TEST(lint, every_bad_fixture_has_a_test) {
       "src/geo/bad_include_cycle.h", "bad_line_splice.cpp",
       "bench/bad_sample_hoard.cpp", "src/engine/figures/bad_sample_hoard.cpp",
       "src/engine/bad_engine_blocking.cpp",
-      "src/engine/snapshot.cpp",  "good_allow.cpp",
+      "src/engine/snapshot.cpp",  "tools/bad_integer_parse.cpp",
+      "src/core/integer.h",     "good_allow.cpp",
       "good_clean.cpp",           "good_tokenizer_edges.cpp"};
   const LintRun listing =
       run_lint("--json " + std::string(WILD5G_LINT_FIXTURES));
@@ -234,7 +246,7 @@ TEST(lint, list_rules_covers_registry) {
        {"ban-random-device", "ban-c-rand", "ban-wall-clock", "ban-raw-engine",
         "unordered-iteration", "float-equality", "printf-float",
         "catch-swallow", "bench-sample-hoard", "engine-blocking-call",
-        "unit-mismatch-assign", "unit-mismatch-call",
+        "integer-parse", "unit-mismatch-assign", "unit-mismatch-call",
         "unit-double-conversion", "layering", "include-cycle",
         "allow-needs-justification", "unknown-rule"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos) << rule;
@@ -249,7 +261,7 @@ TEST(lint, list_rules_json_is_machine_readable) {
   const json::Value doc = json::parse(run.output);
   const json::Value* rules = doc.find("rules");
   ASSERT_NE(rules, nullptr);
-  EXPECT_GE(rules->size(), 17u) << "registry lost a rule";
+  EXPECT_GE(rules->size(), 18u) << "registry lost a rule";
   const json::Value* count = doc.find("count");
   ASSERT_NE(count, nullptr);
   EXPECT_EQ(static_cast<std::size_t>(count->as_number()), rules->size());
@@ -302,7 +314,7 @@ TEST(lint, sarif_output_matches_code_scanning_shape) {
   EXPECT_EQ(name->as_string(), "wild5g-lint");
   const json::Value* rules = driver->find("rules");
   ASSERT_NE(rules, nullptr);
-  EXPECT_GE(rules->size(), 17u);
+  EXPECT_GE(rules->size(), 18u);
   const json::Value* results = the_run.find("results");
   ASSERT_NE(results, nullptr);
   ASSERT_GE(results->size(), 1u);

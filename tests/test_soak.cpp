@@ -668,6 +668,99 @@ TEST(soak, resume_from_a_malformed_snapshot_is_an_error_event) {
   expect_uptime_invariant(events);
 }
 
+/// Checkpoints a 3-step sleeper job, rewrites the snapshot's next_step to
+/// `next_step`, resumes it in a fresh service as job "r", and returns that
+/// service's events.
+std::vector<json::Value> resume_sleeper_at(const std::string& tag,
+                                           double next_step) {
+  const std::string base = ::testing::TempDir() + "wild5g_soak_" + tag + "_" +
+                           std::to_string(::getpid());
+  const std::string ckpt = base + ".ckpt";
+  const std::string edited = base + "_edited.ckpt";
+  {
+    ServeClient serve;
+    serve.send(
+        "{\"op\":\"submit\",\"id\":\"src\",\"campaign\":\"sleeper\","
+        "\"seed\":\"11\",\"params\":{\"steps\":3},\"checkpoint_path\":\"" +
+        ckpt + "\"}");
+    serve.close_stdin();
+    (void)serve.read_to_eof();
+    EXPECT_EQ(serve.wait(), 0);
+  }
+  std::ifstream in(ckpt);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  json::Value snapshot = json::parse(text);
+  snapshot.set("next_step", next_step);
+  std::ofstream(edited) << json::dump(snapshot);
+
+  ServeClient serve;
+  serve.send("{\"op\":\"resume\",\"id\":\"r\",\"snapshot_path\":\"" + edited +
+             "\"}");
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0);
+  std::remove(ckpt.c_str());
+  std::remove(edited.c_str());
+  return parse_all(lines);
+}
+
+/// The resume is answered with an error event naming next_step, and never
+/// accepted.
+void expect_resume_refused(const std::vector<json::Value>& events) {
+  const json::Value* error = find_event(events, "error", "r");
+  ASSERT_NE(error, nullptr) << "the resume was not refused";
+  EXPECT_NE(error->find("message")->as_string().find("next_step"),
+            std::string::npos)
+      << error->find("message")->as_string();
+  EXPECT_EQ(find_event(events, "accepted", "r"), nullptr);
+  expect_uptime_invariant(events);
+}
+
+TEST(soak, resume_past_the_last_step_is_an_error_event) {
+  expect_resume_refused(resume_sleeper_at("past_end", 4));
+}
+
+TEST(soak, resume_at_next_step_1e30_is_an_error_event) {
+  expect_resume_refused(resume_sleeper_at("huge_step", 1e30));
+}
+
+TEST(soak, resume_at_the_last_step_completes_with_no_frame) {
+  // next_step == total_steps is a finished run: accepted, nothing to do.
+  const std::vector<json::Value> events = resume_sleeper_at("at_end", 3);
+  EXPECT_NE(find_event(events, "accepted", "r"), nullptr);
+  EXPECT_EQ(find_event(events, "frame", "r"), nullptr);
+  const json::Value* done = find_event(events, "done", "r");
+  ASSERT_NE(done, nullptr);
+  EXPECT_EQ(done->find("status")->as_string(), "completed");
+}
+
+TEST(soak, fractional_sleep_ms_is_an_error_event) {
+  ServeClient serve;
+  serve.send(
+      "{\"op\":\"submit\",\"id\":\"frac\",\"campaign\":\"sleeper\","
+      "\"params\":{\"steps\":2,\"sleep_ms\":2.5}}");
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0);
+  const std::vector<json::Value> events = parse_all(lines);
+  EXPECT_NE(find_event(events, "error", "frac"), nullptr);
+  EXPECT_EQ(find_event(events, "accepted", "frac"), nullptr);
+}
+
+TEST(soak, deadline_ms_of_1e30_is_an_error_event) {
+  ServeClient serve;
+  serve.send(
+      "{\"op\":\"submit\",\"id\":\"far\",\"campaign\":\"sleeper\","
+      "\"params\":{\"steps\":2},\"deadline_ms\":1e30}");
+  serve.close_stdin();
+  const std::vector<std::string> lines = serve.read_to_eof();
+  EXPECT_EQ(serve.wait(), 0);
+  const std::vector<json::Value> events = parse_all(lines);
+  EXPECT_NE(find_event(events, "error", "far"), nullptr);
+  EXPECT_EQ(find_event(events, "accepted", "far"), nullptr);
+}
+
 TEST(soak, watchdog_reaps_stuck_campaign_and_the_service_survives) {
   ServeClient serve({"--watchdog-ms", "100"});
   // "stuck": every step dwells 600 ms, six times the watchdog budget.

@@ -201,6 +201,20 @@ TEST(supervision, garbage_deadline_values_are_usage_errors) {
   }
 }
 
+TEST(supervision, malformed_test_hook_values_are_usage_errors) {
+  // The hooks are read like count flags (0 allowed): text that is not all
+  // digits no longer reads as 0 and silently turns the hook off.
+  for (const std::string hook :
+       {"WILD5G_DEADLINE_AFTER_YIELDS", "WILD5G_TEST_YIELD_DELAY_MS"}) {
+    for (const std::string value : {"abc", "3x", " 3", "+3", "-1", ""}) {
+      const RunResult run = run_sweep({}, {hook + "=" + value});
+      EXPECT_EQ(run.exit_code, 2) << hook << "='" << value << "'";
+      EXPECT_TRUE(run.document.empty())
+          << "usage errors must not leave a document behind";
+    }
+  }
+}
+
 TEST(supervision, clean_run_document_mentions_no_supervision_keys) {
   // Golden byte-identity depends on supervision being invisible when no
   // supervision event fired.

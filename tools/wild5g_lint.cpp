@@ -27,7 +27,7 @@
 //                headers are never included from src/) and cycles are
 //                findings.
 //   hygiene      float-equality, printf-float, catch-swallow,
-//                bench-sample-hoard, engine-blocking-call.
+//                bench-sample-hoard, engine-blocking-call, integer-parse.
 //   meta         allow-needs-justification, unknown-rule.
 //
 // Only rules no runtime gate can check live here. Parallel-Rng discipline,
@@ -82,7 +82,7 @@ struct RuleInfo {
   std::string_view fixit;  // generic mechanical-fix hint; empty if contextual
 };
 
-constexpr std::array<RuleInfo, 17> kRules = {{
+constexpr std::array<RuleInfo, 18> kRules = {{
     {"ban-random-device", "determinism",
      "std::random_device is nondeterministic; seed a wild5g::Rng instead",
      ""},
@@ -125,6 +125,10 @@ constexpr std::array<RuleInfo, 17> kRules = {{
      "engine/snapshot.{h,cpp} is the sole sanctioned checkpoint writer",
      "move the I/O into engine/snapshot.cpp or hoist it to the supervising "
      "layer (bench_common.h, tools/wild5g_serve.cpp)"},
+    {"integer-parse", "hygiene",
+     "integer parsed from text outside the core reader (src/core/integer.h), "
+     "whose one rule set holds at every input",
+     "call wild5g::integer_from_text with the field name and [lo, hi]"},
     {"unit-mismatch-assign", "units",
      "assignment or initialization whose unit suffixes disagree; route the "
      "value through a units.h conversion helper",
@@ -508,6 +512,7 @@ struct FileContext {
   bool feeds_metrics = false;
   bool swallow_allowed = false;  // file is on the catch-swallow allow-list
   bool in_campaign_code = false;  // under bench/ or src/engine/figures/
+  bool int_parse_banned = false;  // linted tree, not src/core/integer.h
 };
 
 void check_banned_idents(const std::vector<Token>& toks,
@@ -525,6 +530,10 @@ void check_banned_idents(const std::vector<Token>& toks,
       "minstd_rand0",   "ranlux24",      "ranlux24_base",
       "ranlux48",       "ranlux48_base", "knuth_b",
       "default_random_engine", "random_shuffle"};
+  // Integer text parsers; floating-point ones (strtod, stod) are allowed.
+  static const std::set<std::string> kIntParsers = {
+      "stoi",   "stol",    "stoll",   "stoul",   "stoull", "atoi", "atol",
+      "atoll",  "strtol",  "strtoll", "strtoul", "strtoull", "from_chars"};
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != Token::Kind::kIdent) continue;
@@ -552,6 +561,14 @@ void check_banned_idents(const std::vector<Token>& toks,
       out.push_back({ctx.display_path, line, "ban-wall-clock",
                      "wall-clock source '" + id + "' breaks bit-for-bit "
                      "reproducibility; thread simulated time explicitly",
+                     {}});
+      continue;
+    }
+    if (ctx.int_parse_banned && kIntParsers.count(id) != 0 &&
+        free_call_context(toks, i)) {
+      out.push_back({ctx.display_path, line, "integer-parse",
+                     "'" + id + "' parses an integer outside the core "
+                     "reader (src/core/integer.h)",
                      {}});
       continue;
     }
@@ -1489,6 +1506,8 @@ FileUnit load_file(const fs::path& path) {
   unit.src_module = src_module_of(unit.vpath);
   unit.ctx.in_campaign_code = unit.vpath.rfind("bench/", 0) == 0 ||
                               unit.vpath.rfind("src/engine/figures/", 0) == 0;
+  unit.ctx.int_parse_banned =
+      !unit.vpath.empty() && unit.vpath != "src/core/integer.h";
   unit.includes = collect_includes(unit.lexed.tokens);
   return unit;
 }

@@ -34,15 +34,12 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <system_error>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -53,6 +50,7 @@
 #include <vector>
 
 #include "core/error.h"
+#include "core/integer.h"
 #include "core/json.h"
 #include "core/parallel.h"
 #include "core/rng.h"
@@ -229,12 +227,8 @@ class Service {
                                      const std::string& key) {
     const json::Value* value = request.find(key);
     if (value == nullptr) return 0;
-    require(value->is_number(), "'" + key + "' must be a number");
-    const double raw = value->as_number();
-    require(raw >= 0 && raw == static_cast<double>(static_cast<std::int64_t>(
-                                   raw)),
-            "'" + key + "' must be a non-negative integer");
-    return static_cast<std::int64_t>(raw);
+    return integer_from_json<std::int64_t>(*value, "'" + key + "'", 0,
+                                           kJsonIntegerMax);
   }
 
   void submit(const json::Value& request, bool resume) {
@@ -262,6 +256,8 @@ class Service {
     if (resume) {
       // Both restores run here, so a malformed snapshot is answered with an
       // error event before the job is accepted.
+      require(snapshot.next_step <= job->campaign->total_steps(),
+              "resume: snapshot next_step is past the campaign's last step");
       job->campaign->restore_state(snapshot.campaign_state);
       job->doc->restore_state(snapshot.document_state);
       job->start_step = snapshot.next_step;
@@ -570,64 +566,46 @@ std::unique_ptr<engine::Campaign> make_sleeper(
     const engine::CampaignRequest& request) {
   engine::reject_unknown_params(request.params, {"steps", "sleep_ms"});
   const int steps = engine::param_positive_int(request.params, "steps", 5);
-  std::int64_t sleep_ms = 0;
-  if (!request.params.is_null()) {
-    if (const json::Value* value = request.params.find("sleep_ms")) {
-      require(value->is_number() && value->as_number() >= 0,
-              "sleeper params: 'sleep_ms' must be a non-negative number");
-      sleep_ms = static_cast<std::int64_t>(value->as_number());
-    }
-  }
+  const json::Value* sleep = request.params.find("sleep_ms");
+  const std::int64_t sleep_ms =
+      sleep == nullptr ? 0
+                       : integer_from_json<std::int64_t>(
+                             *sleep, "sleeper params: 'sleep_ms'", 0,
+                             kJsonIntegerMax);
   return std::make_unique<SleeperCampaign>(request, steps, sleep_ms);
-}
-
-/// Parses a flag value that must be entirely a positive integer; anything
-/// else (trailing junk, a sign, zero, overflow) is a usage error (exit 2).
-std::int64_t positive_flag(const std::string& name, const std::string& text) {
-  std::int64_t value = 0;
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (text.empty() || error != std::errc() || stop != end || value <= 0) {
-    std::cerr << "wild5g_serve: " << name
-              << " must be a positive integer, got '" << text << "'\n";
-    std::exit(2);
-  }
-  return value;
 }
 
 int serve_main(int argc, char** argv) {
   std::int64_t watchdog_ms = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto long_flag = [&](const std::string& name,
-                         std::int64_t& target) -> bool {
-      if (arg == name) {
-        if (i + 1 >= argc) {
-          std::cerr << "wild5g_serve: " << name << " requires a value\n";
-          std::exit(2);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      // `--name N` or `--name=N`, where N must be an integer in [1, hi].
+      auto long_flag = [&](const std::string& name, std::int64_t hi,
+                           std::int64_t& target) {
+        std::string text;
+        if (arg == name) {
+          text = i + 1 < argc ? argv[++i] : "";
+        } else if (arg.rfind(name + "=", 0) == 0) {
+          text = arg.substr(name.size() + 1);
+        } else {
+          return false;
         }
-        target = positive_flag(name, argv[++i]);
+        target = integer_from_text<std::int64_t>(text, name, 1, hi);
         return true;
+      };
+      std::int64_t threads = 0;
+      if (long_flag("--watchdog-ms", INT64_MAX, watchdog_ms)) continue;
+      if (long_flag("--threads", parallel::kMaxThreads, threads)) {
+        parallel::set_thread_count(static_cast<std::size_t>(threads));
+        continue;
       }
-      if (arg.rfind(name + "=", 0) == 0) {
-        target = positive_flag(name, arg.substr(name.size() + 1));
-        return true;
-      }
-      return false;
-    };
-    std::int64_t threads = 0;
-    if (long_flag("--watchdog-ms", watchdog_ms)) continue;
-    if (long_flag("--threads", threads)) {
-      if (static_cast<std::uint64_t>(threads) > parallel::kMaxThreads) {
-        std::cerr << "wild5g_serve: --threads must be at most "
-                  << parallel::kMaxThreads << ", got '" << threads << "'\n";
-        std::exit(2);
-      }
-      parallel::set_thread_count(static_cast<std::size_t>(threads));
-      continue;
+      throw Error("unknown flag '" + arg + "'");
     }
-    std::cerr << "wild5g_serve: unknown flag '" << arg << "'\n";
-    std::exit(2);
+  } catch (const Error& e) {
+    // A bad flag is a usage error: exit 2 before the service starts.
+    std::cerr << "wild5g_serve: " << e.what() << "\n";
+    return 2;
   }
 
   engine::register_builtin_campaigns();

@@ -12,13 +12,11 @@
 //   traces_4g.csv            Sec. 5: the 175-trace LTE population
 //   walking_campaign.csv     Sec. 4.4: throughput/RSRP/power log
 //   web_measurements.csv     Sec. 6: per-site PLT and energy on both radios
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <string_view>
-#include <system_error>
 
+#include "core/integer.h"
 #include "core/table.h"
 #include "geo/geo.h"
 #include "mobility/drive.h"
@@ -77,13 +75,6 @@ Table speedtest_table(const radio::Carrier carrier,
   return table;
 }
 
-/// Reads `text` as a seed only when all of it is an unsigned integer.
-bool parse_seed(std::string_view text, std::uint64_t& seed) {
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, seed);
-  return !text.empty() && error == std::errc() && stop == end;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,10 +85,13 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path out_dir = argv[1];
   std::uint64_t seed = 20210823;
-  if (argc > 2 && !parse_seed(argv[2], seed)) {
-    std::cerr << "wild5g_study: seed '" << argv[2]
-              << "' is not an unsigned integer\n"
-              << kUsage;
+  try {
+    if (argc > 2) {
+      seed = integer_from_text<std::uint64_t>(argv[2], "wild5g_study: seed",
+                                              0, UINT64_MAX);
+    }
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n" << kUsage;
     return 2;
   }
   std::filesystem::create_directories(out_dir);
