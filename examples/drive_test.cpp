@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   for (const auto setting : settings) {
     Rng rng(seed);
     const auto route = mobility::driving_route(rng);
-    const auto result = mobility::simulate_drive(setting, route, {}, rng);
+    const auto result = mobility::simulate_drive(setting, route, rng);
 
     std::cout << "=== " << mobility::to_string(setting) << " ===\n";
     std::cout << "  " << result.total_handoffs() << " handoffs ("

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   options.allow_abandonment = true;
   abr::InterfaceSelectionConfig selection;
   const auto device = power::DevicePowerProfile::s20u();
-  const auto only =
-      abr::stream_5g_only(video, t5, options, selection, device);
+  const auto only = abr::stream_5g_only(video, t5, options, device);
   const auto aware =
       abr::stream_5g_aware(video, t5, t4, options, selection, device);
 

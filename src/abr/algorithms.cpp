@@ -11,6 +11,13 @@ namespace wild5g::abr {
 
 namespace {
 
+constexpr int kRateBasedWindow = 3;
+constexpr double kBbaReservoirS = 5.0;
+constexpr double kBbaCushionFraction = 0.9;
+constexpr double kBolaGp = 5.0;
+constexpr int kFestiveWindow = 20;
+constexpr double kFestiveSafety = 0.85;
+
 /// Highest track with bitrate <= budget; 0 when none fit.
 int highest_track_within(const VideoProfile& video, double budget_mbps) {
   int track = 0;
@@ -24,17 +31,18 @@ int highest_track_within(const VideoProfile& video, double budget_mbps) {
 
 int RateBasedAbr::choose_track(const AbrContext& context) {
   const double estimate = recent_harmonic_mean(
-      context.past_chunk_mbps, window_, context.video->track_mbps.front());
+      context.past_chunk_mbps, kRateBasedWindow,
+      context.video->track_mbps.front());
   return highest_track_within(*context.video, estimate);
 }
 
 int BbaAbr::choose_track(const AbrContext& context) {
   const auto& video = *context.video;
-  const double cushion_top = context.max_buffer_s * cushion_fraction_;
-  if (context.buffer_s <= reservoir_s_) return 0;
+  const double cushion_top = context.max_buffer_s * kBbaCushionFraction;
+  if (context.buffer_s <= kBbaReservoirS) return 0;
   if (context.buffer_s >= cushion_top) return video.track_count() - 1;
-  const double fraction = (context.buffer_s - reservoir_s_) /
-                          (cushion_top - reservoir_s_);
+  const double fraction = (context.buffer_s - kBbaReservoirS) /
+                          (cushion_top - kBbaReservoirS);
   return static_cast<int>(fraction *
                           static_cast<double>(video.track_count() - 1));
 }
@@ -44,14 +52,14 @@ int BolaAbr::choose_track(const AbrContext& context) {
   const double r_min = video.track_mbps.front();
   const double u_top = std::log(video.top_mbps() / r_min);
   const double q_max = context.max_buffer_s / video.chunk_s;
-  const double v = (q_max - 1.0) / (u_top + gp_);
+  const double v = (q_max - 1.0) / (u_top + kBolaGp);
   const double q = context.buffer_s / video.chunk_s;
 
   int best = 0;
   double best_score = -std::numeric_limits<double>::infinity();
   for (int k = 0; k < video.track_count(); ++k) {
     const double u = std::log(video.bitrate(k) / r_min);
-    const double score = (v * (u + gp_) - q) / video.bitrate(k);
+    const double score = (v * (u + kBolaGp) - q) / video.bitrate(k);
     if (score > best_score) {
       best_score = score;
       best = k;
@@ -63,8 +71,8 @@ int BolaAbr::choose_track(const AbrContext& context) {
 int FestiveAbr::choose_track(const AbrContext& context) {
   const auto& video = *context.video;
   const double estimate = recent_harmonic_mean(
-      context.past_chunk_mbps, window_, video.track_mbps.front());
-  const int reference = highest_track_within(video, safety_ * estimate);
+      context.past_chunk_mbps, kFestiveWindow, video.track_mbps.front());
+  const int reference = highest_track_within(video, kFestiveSafety * estimate);
   const int last = context.last_track < 0 ? 0 : context.last_track;
 
   // Gradual switching: at most one level per chunk.

@@ -19,52 +19,34 @@ namespace wild5g::abr {
 /// mean throughput. No safety margin — the aggressive baseline.
 class RateBasedAbr final : public AbrAlgorithm {
  public:
-  explicit RateBasedAbr(int window = 3) : window_(window) {}
   [[nodiscard]] std::string name() const override { return "RB"; }
   [[nodiscard]] int choose_track(const AbrContext& context) override;
-
- private:
-  int window_;
 };
 
 /// Buffer-Based Adaptation (BBA-0): bitrate is a linear function of buffer
 /// occupancy between a reservoir and a cushion.
 class BbaAbr final : public AbrAlgorithm {
  public:
-  BbaAbr(double reservoir_s = 5.0, double cushion_fraction = 0.9)
-      : reservoir_s_(reservoir_s), cushion_fraction_(cushion_fraction) {}
   [[nodiscard]] std::string name() const override { return "BBA"; }
   [[nodiscard]] int choose_track(const AbrContext& context) override;
-
- private:
-  double reservoir_s_;
-  double cushion_fraction_;
 };
 
 /// BOLA (basic): Lyapunov utility maximization over buffer level.
 class BolaAbr final : public AbrAlgorithm {
  public:
-  explicit BolaAbr(double gp = 5.0) : gp_(gp) {}
   [[nodiscard]] std::string name() const override { return "BOLA"; }
   [[nodiscard]] int choose_track(const AbrContext& context) override;
-
- private:
-  double gp_;
 };
 
 /// FESTIVE: conservative harmonic-mean estimate with gradual (one-level)
 /// switching and a stability brake.
 class FestiveAbr final : public AbrAlgorithm {
  public:
-  FestiveAbr(int window = 20, double safety = 0.85)
-      : window_(window), safety_(safety) {}
   [[nodiscard]] std::string name() const override { return "FESTIVE"; }
   [[nodiscard]] int choose_track(const AbrContext& context) override;
   void reset() override { recent_switches_.clear(); }
 
  private:
-  int window_;
-  double safety_;
   std::deque<bool> recent_switches_;
 };
 
@@ -89,11 +71,6 @@ class ModelPredictiveAbr final : public AbrAlgorithm,
     predictor_->on_session_start(source);
   }
   void reset() override;
-
-  /// The raw (undiscounted) prediction made for the last decision.
-  [[nodiscard]] double last_prediction_mbps() const {
-    return last_prediction_mbps_;
-  }
 
  private:
   Variant variant_;

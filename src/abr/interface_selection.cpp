@@ -37,6 +37,18 @@ Interface SwitchableSource::interface_at(double t_s) const {
 
 namespace {
 
+constexpr double kBufferHighS = 10.0;      // buffer level to return to 5G
+constexpr double kLowThresholdMbps = 20.0; // ~4G average throughput
+constexpr double kSwitchDelayS = 1.5;      // interface switch blackout
+/// Re-probe 5G after this long on 4G even if the buffer has not recovered
+/// (4G can only sustain the lowest track, so waiting on the buffer alone
+/// can strand the session on 4G after a transient 5G outage).
+constexpr double kMax4gDwellS = 16.0;
+// Energy accounting assumptions.
+constexpr double kRsrp5gDbm = -80.0;
+constexpr double kRsrp4gDbm = -85.0;
+constexpr double kSwitchEnergyJ = 2.2;     // Table 2 switch power x delay
+
 /// MPC wrapper implementing the switching policy at chunk boundaries.
 class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
  public:
@@ -48,7 +60,7 @@ class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
 
   [[nodiscard]] int choose_track(const AbrContext& context) override {
     const double delay =
-        config_->model_switch_overhead ? config_->switch_delay_s : 0.0;
+        config_->model_switch_overhead ? kSwitchDelayS : 0.0;
     if (source_->active() == Interface::k5g) {
       // Require two consecutive slow chunks: deep outages persist for tens
       // of seconds (they will show twice), while transient partial dips
@@ -56,14 +68,14 @@ class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
       const auto& past = context.past_chunk_mbps;
       const bool two_low =
           past.size() >= 2 &&
-          past[past.size() - 1] < config_->low_threshold_mbps &&
-          past[past.size() - 2] < config_->low_threshold_mbps;
+          past[past.size() - 1] < kLowThresholdMbps &&
+          past[past.size() - 2] < kLowThresholdMbps;
       if (two_low) {
         source_->request_switch(Interface::k4g, context.now_s, delay);
         on_4g_since_s_ = context.now_s;
       }
-    } else if (context.buffer_s >= config_->buffer_high_s ||
-               context.now_s - on_4g_since_s_ >= config_->max_4g_dwell_s) {
+    } else if (context.buffer_s >= kBufferHighS ||
+               context.now_s - on_4g_since_s_ >= kMax4gDwellS) {
       source_->request_switch(Interface::k5g, context.now_s, delay);
     }
     return inner_->choose_track(context);
@@ -85,7 +97,6 @@ class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
 
 double session_energy_j(const SessionResult& session,
                         const std::vector<Interface>& per_second_interface,
-                        const InterfaceSelectionConfig& config,
                         const power::DevicePowerProfile& device) {
   double energy_j = 0.0;
   for (std::size_t s = 0; s < session.per_second_dl_mbps.size(); ++s) {
@@ -97,7 +108,7 @@ double session_energy_j(const SessionResult& session,
     const double dl = session.per_second_dl_mbps[s];
     const double power_mw = device.transfer_power_mw(
         on_5g ? power::RailKey::kNsaMmWave : power::RailKey::k4g, dl,
-        dl * 0.03, on_5g ? config.rsrp_5g_dbm : config.rsrp_4g_dbm);
+        dl * 0.03, on_5g ? kRsrp5gDbm : kRsrp4gDbm);
     energy_j += power_mw / 1000.0;
   }
   return energy_j;
@@ -126,18 +137,15 @@ InterfaceRunResult stream_5g_aware(const VideoProfile& video,
         source.interface_at(static_cast<double>(s) + 0.5));
   }
   result.energy_j =
-      session_energy_j(result.session, result.per_second_interface, config,
-                       device) +
-      (config.model_switch_overhead
-           ? config.switch_energy_j * result.switch_count
-           : 0.0);
+      session_energy_j(result.session, result.per_second_interface, device) +
+      (config.model_switch_overhead ? kSwitchEnergyJ * result.switch_count
+                                    : 0.0);
   return result;
 }
 
 InterfaceRunResult stream_5g_only(const VideoProfile& video,
                                   const traces::Trace& trace_5g,
                                   const SessionOptions& options,
-                                  const InterfaceSelectionConfig& config,
                                   const power::DevicePowerProfile& device) {
   TraceSource source(trace_5g);
   HarmonicMeanPredictor predictor;
@@ -146,7 +154,7 @@ InterfaceRunResult stream_5g_only(const VideoProfile& video,
 
   InterfaceRunResult result;
   result.session = stream(video, source, mpc, options);
-  result.energy_j = session_energy_j(result.session, {}, config, device);
+  result.energy_j = session_energy_j(result.session, {}, device);
   return result;
 }
 

@@ -20,18 +20,9 @@ namespace wild5g::abr {
 enum class Interface { k5g, k4g };
 
 struct InterfaceSelectionConfig {
-  double buffer_high_s = 10.0;      // buffer level to return to 5G
-  double low_threshold_mbps = 20.0; // ~4G average throughput
-  double switch_delay_s = 1.5;      // interface switch blackout
-  /// Re-probe 5G after this long on 4G even if the buffer has not recovered
-  /// (4G can only sustain the lowest track, so waiting on the buffer alone
-  /// can strand the session on 4G after a transient 5G outage).
-  double max_4g_dwell_s = 16.0;
+  /// Charge each interface switch its blackout and energy (false = the
+  /// no-overhead idealization).
   bool model_switch_overhead = true;
-  /// Energy accounting assumptions.
-  double rsrp_5g_dbm = -80.0;
-  double rsrp_4g_dbm = -85.0;
-  double switch_energy_j = 2.2;     // Table 2 switch power x delay
 };
 
 /// Bandwidth source that can be retargeted between a 5G and a 4G trace,
@@ -81,15 +72,13 @@ struct InterfaceRunResult {
 /// energy model.
 [[nodiscard]] InterfaceRunResult stream_5g_only(
     const VideoProfile& video, const traces::Trace& trace_5g,
-    const SessionOptions& options, const InterfaceSelectionConfig& config,
-    const power::DevicePowerProfile& device);
+    const SessionOptions& options, const power::DevicePowerProfile& device);
 
 /// Radio energy of a finished session given the interface in effect each
 /// second (all-5G when `per_second_interface` is empty).
 [[nodiscard]] double session_energy_j(
     const SessionResult& session,
     const std::vector<Interface>& per_second_interface,
-    const InterfaceSelectionConfig& config,
     const power::DevicePowerProfile& device);
 
 }  // namespace wild5g::abr

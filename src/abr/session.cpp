@@ -12,15 +12,16 @@ namespace {
 // A live radio link never delivers exactly zero for long; this floor also
 // guarantees download progress when a trace bottoms out during blockage.
 constexpr double kMinBandwidthMbps = 0.05;
+constexpr double kAbandonMultiplier = 1.8;
+constexpr int kMaxAbandonments = 3;
+constexpr double kQoeSmoothness = 1.0;  // weight of sum(|delta bitrate|)
 }  // namespace
 
 SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
                      AbrAlgorithm& algorithm, const SessionOptions& options) {
   WILD5G_REQUIRE(video.track_count() >= 1, "stream: empty ladder");
   WILD5G_REQUIRE(options.chunk_count >= 1, "stream: no chunks");
-  const double rebuffer_penalty = options.qoe_rebuffer_penalty < 0.0
-                                      ? video.top_mbps()
-                                      : options.qoe_rebuffer_penalty;
+  const double rebuffer_penalty = video.top_mbps();
 
   algorithm.reset();
   SessionResult result;
@@ -77,10 +78,9 @@ SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
       const double total_mbits = bitrate * video.chunk_s;
       double remaining_mbits = total_mbits;
 
-      const bool may_abandon = options.allow_abandonment &&
-                               abandoned < options.max_abandonments;
-      const double deadline =
-          t + options.abandon_multiplier * video.chunk_s;
+      const bool may_abandon =
+          options.allow_abandonment && abandoned < kMaxAbandonments;
+      const double deadline = t + kAbandonMultiplier * video.chunk_s;
       const double attempt_start = t;
       bool aborted = false;
       while (remaining_mbits > 1e-12) {
@@ -184,7 +184,7 @@ SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
   result.avg_bitrate_mbps =
       bitrate_sum / static_cast<double>(result.chunks.size());
   result.qoe = bitrate_sum - rebuffer_penalty * result.total_stall_s -
-               options.qoe_smoothness * smoothness;
+               kQoeSmoothness * smoothness;
   return result;
 }
 

@@ -81,27 +81,20 @@ struct ChunkRecord {
 struct SessionOptions {
   double max_buffer_s = 30.0;
   int chunk_count = 60;  // 60 x 4 s = 4-minute video by default
-  /// Segment abandonment: a download taking longer than
-  /// `abandon_multiplier x chunk_s` with under 80% fetched is aborted and
-  /// the ABR re-decides with the fresh (collapsed) throughput sample. Off
+  /// Segment abandonment: a download taking longer than 1.8 x chunk_s with
+  /// under 80% fetched is aborted (at most 3 times per session) and the ABR
+  /// re-decides with the fresh (collapsed) throughput sample. Off
   /// by default: the paper's Sec. 5.3 observations ("one chunk download
   /// decision ... causes 5-10 seconds of rebuffering", "cannot be rolled
   /// back") show the evaluated players did not abandon effectively. The
   /// 5G-aware interface-selection scheme (Sec. 5.4) enables it as its
   /// progress-monitoring component.
   bool allow_abandonment = false;
-  double abandon_multiplier = 1.8;
-  int max_abandonments = 3;
   /// Player buffering policy (dash.js-like): playback starts once
   /// `startup_buffer_s` of media is queued, and after a rebuffer event it
   /// resumes only when the buffer recovers past `resume_buffer_s`.
   double startup_buffer_s = 8.0;
   double resume_buffer_s = 4.0;
-  /// MPC QoE weights: reward = sum(bitrate) - rebuffer_penalty * stall_s
-  /// - smoothness * sum(|delta bitrate|). rebuffer_penalty defaults to the
-  /// ladder's top bitrate (set <0 to request that default).
-  double qoe_rebuffer_penalty = -1.0;
-  double qoe_smoothness = 1.0;
   /// Optional fault injector (not owned; null = no faults). Chunk stalls,
   /// NR->LTE fallback and radio outages scale the bandwidth the session
   /// sees sample by sample; the player degrades gracefully (downloads slow
@@ -116,6 +109,7 @@ struct SessionResult {
   double total_stall_s = 0.0;
   double played_s = 0.0;
   double avg_bitrate_mbps = 0.0;
+  /// Linear QoE: sum(bitrate) - top bitrate * stall_s - sum(|delta bitrate|).
   double qoe = 0.0;
 
   /// Per-second downlink throughput actually consumed (for energy models).

@@ -33,8 +33,9 @@ class QuantileSketch {
  public:
   /// Declared accuracy: quantile(p) is within this relative error of the
   /// order statistic at rank floor(p/100 * (n-1)), for magnitudes inside
-  /// [kMinMagnitude, kMaxMagnitude]. 1% keeps every committed golden table
-  /// inside its per-table tolerance.
+  /// [kMinMagnitude, kMaxMagnitude]. The committed goldens were computed
+  /// at 1%, and every golden document compares at the same tolerance
+  /// (rel 1e-6, abs 1e-9), so a different accuracy is a golden change.
   static constexpr double kDefaultRelativeAccuracy = 0.01;
   /// Magnitudes below this collapse into the smallest bucket and values of
   /// exactly zero are counted separately; magnitudes above kMaxMagnitude

@@ -37,10 +37,4 @@ constexpr double km_to_m(double km) { return km * 1e3; }
 /// Meters -> kilometers.
 constexpr double m_to_km(double m) { return m / 1e3; }
 
-/// Energy (joules) spent transferring `mbits` megabits at constant power
-/// expressed as microjoules-per-bit efficiency. Lower is better.
-constexpr double energy_per_bit_uj(double energy_j, double mbits) {
-  return (energy_j * 1e6) / (mbits * kBitsPerMegabit);
-}
-
 }  // namespace wild5g

@@ -55,7 +55,7 @@ void fig09_handoffs(FigureRun& run) {
         const auto d = static_cast<std::uint64_t>(task % drives);
         Rng rng(run.seed + d);
         const auto route = mobility::driving_route(rng);
-        return mobility::simulate_drive(setting, route, {}, rng);
+        return mobility::simulate_drive(setting, route, rng);
       });
   for (std::size_t s = 0; s < settings.size(); ++s) {
     const auto& [setting, paper_total] = settings[s];
@@ -89,7 +89,7 @@ void fig09_handoffs(FigureRun& run) {
   Rng rng(run.seed);
   const auto route = mobility::driving_route(rng);
   const auto result = mobility::simulate_drive(
-      mobility::BandSetting::kNsaPlusLte, route, {}, rng);
+      mobility::BandSetting::kNsaPlusLte, route, rng);
   run.doc.metric("representative_nsa_segments",
                  static_cast<double>(result.segments.size()));
   run.doc.metric("representative_nsa_handoffs",
@@ -298,7 +298,7 @@ void extension_drive_energy(FigureRun& run) {
   for (int d = 0; d < drives; ++d) {
     Rng rng(run.seed + static_cast<std::uint64_t>(d));
     const auto route = mobility::driving_route(rng);
-    const auto result = mobility::simulate_drive(setting, route, {}, rng);
+    const auto result = mobility::simulate_drive(setting, route, rng);
     vertical += result.vertical_handoffs();
     horizontal += result.horizontal_handoffs();
   }

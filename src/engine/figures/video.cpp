@@ -293,8 +293,7 @@ void fig18c_table4_interface(FigureRun& run) {
     const auto& t4 = traces_4g[i % traces_4g.size()];
 
     abr::InterfaceSelectionConfig selection;
-    const auto r_only =
-        abr::stream_5g_only(video, t5, options, selection, device);
+    const auto r_only = abr::stream_5g_only(video, t5, options, device);
     const auto r_aware =
         abr::stream_5g_aware(video, t5, t4, options, selection, device);
     selection.model_switch_overhead = false;

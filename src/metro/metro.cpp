@@ -18,6 +18,18 @@ namespace {
 /// function of the UE count, never of the thread count.
 constexpr int kUesPerShard = 512;
 
+constexpr double kCellSpacingM = 800.0;
+constexpr double kStepS = 0.5;
+/// Service every cell offers, and the service UEs fall back to while an
+/// nr_to_lte_outage fault window is open.
+constexpr radio::NetworkConfig kNetwork{radio::Carrier::kVerizon,
+                                        radio::Band::kNrMidBand,
+                                        radio::DeploymentMode::kNsa};
+constexpr radio::NetworkConfig kLteFallback{radio::Carrier::kVerizon,
+                                            radio::Band::kLte,
+                                            radio::DeploymentMode::kNsa};
+constexpr radio::Direction kDirection = radio::Direction::kDownlink;
+
 bool kind_supported(faults::FaultKind kind) {
   return kind == faults::FaultKind::kMmwaveBlockage ||
          kind == faults::FaultKind::kNrToLteOutage ||
@@ -51,19 +63,18 @@ UeTotals simulate_ue(const MetroConfig& config,
   const int home = ue_index % config.cells;
   double position =
       sites[static_cast<std::size_t>(home)].position_m +
-      placement_rng.uniform(-0.45 * config.cell_spacing_m,
-                            0.45 * config.cell_spacing_m);
+      placement_rng.uniform(-0.45 * kCellSpacingM, 0.45 * kCellSpacingM);
   radio::A3HandoffEngine engine(sites, config.handoff, ue_rng.fork(1), home);
   Rng activity_rng = ue_rng.fork(2);
   for (int s = 0; s < steps; ++s) {
-    position += config.ue_speed_mps * config.step_s;
-    const auto step = engine.step(config.step_s, position);
+    position += config.ue_speed_mps * kStepS;
+    const auto step = engine.step(kStepS, position);
     // One activity draw per step unconditionally, so the stream position
     // never depends on the outcome.
     const bool active = activity_rng.bernoulli(config.activity);
     visit(StepView{
         .step = s,
-        .t_s = static_cast<double>(s + 1) * config.step_s,
+        .t_s = static_cast<double>(s + 1) * kStepS,
         .serving = step.serving_cell,
         .serving_rsrp_dbm = step.serving_rsrp_dbm,
         .active = active,
@@ -94,9 +105,7 @@ struct ShardMetrics {
 void validate(const MetroConfig& config) {
   require(config.cells >= 1, "metro: cells must be >= 1");
   require(config.ues_per_cell >= 1, "metro: ues_per_cell must be >= 1");
-  require(config.cell_spacing_m > 0.0, "metro: cell_spacing_m must be > 0");
-  require(config.step_s > 0.0, "metro: step_s must be > 0");
-  require(config.duration_s >= config.step_s,
+  require(config.duration_s >= kStepS,
           "metro: duration_s must cover at least one step");
   require(config.background_load >= 0.0 && config.background_load < 1.0,
           "metro: background_load out of [0, 1)");
@@ -132,7 +141,7 @@ std::vector<faults::FaultKind> unsupported_fault_kinds(
 MetroResult run_campaign(const MetroConfig& config, Rng rng) {
   validate(config);
 
-  const int steps = static_cast<int>(config.duration_s / config.step_s);
+  const int steps = static_cast<int>(config.duration_s / kStepS);
   const int total_ues = config.cells * config.ues_per_cell;
   const std::size_t matrix_size =
       static_cast<std::size_t>(config.cells) * static_cast<std::size_t>(steps);
@@ -141,9 +150,8 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
   sites.reserve(static_cast<std::size_t>(config.cells));
   for (int c = 0; c < config.cells; ++c) {
     sites.push_back({.id = c,
-                     .position_m = static_cast<double>(c) *
-                                   config.cell_spacing_m,
-                     .band = config.network.band});
+                     .position_m = static_cast<double>(c) * kCellSpacingM,
+                     .band = kNetwork.band});
   }
 
   const Rng base = rng.split();
@@ -201,52 +209,28 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
     result.peak_step_handoffs = std::max(result.peak_step_handoffs, n);
   }
 
-  // --- Ledger: replay attachment deltas through the cell schedulers. -----
-  const radio::CellSchedulerConfig cell_config{
-      .band = config.network.band,
+  // --- Occupancy totals, read off the merged matrices. --------------------
+  const radio::CellScheduler scheduler({
       .background_load = config.background_load,
-  };
-  {
-    std::vector<radio::CellScheduler> schedulers(
-        static_cast<std::size_t>(config.cells),
-        radio::CellScheduler(cell_config));
-    // Per-cell LIFO of live slots: the ledger does not track UE identity
-    // (phase 1 already did), only that every churn flows through
-    // attach/detach and the bookkeeping agrees with the occupancy matrix.
-    std::vector<std::vector<int>> live(
-        static_cast<std::size_t>(config.cells));
-    double utilization_sum = 0.0;
-    for (int s = 0; s < steps; ++s) {
-      for (int c = 0; c < config.cells; ++c) {
-        auto& cell = schedulers[static_cast<std::size_t>(c)];
-        auto& slots = live[static_cast<std::size_t>(c)];
-        const std::size_t cell_step =
-            static_cast<std::size_t>(c) * static_cast<std::size_t>(steps) +
-            static_cast<std::size_t>(s);
-        const int want = attached[cell_step];
-        while (static_cast<int>(slots.size()) < want) {
-          slots.push_back(cell.attach());
-          ++result.attach_ops;
-        }
-        while (static_cast<int>(slots.size()) > want) {
-          cell.detach(slots.back());
-          slots.pop_back();
-          ++result.attach_ops;
-        }
-        require(cell.attached_count() == want,
-                "metro: ledger out of sync with occupancy matrix");
-        const int now_active = active[cell_step];
-        result.peak_cell_active =
-            std::max(result.peak_cell_active, now_active);
-        utilization_sum += cell.utilization(now_active);
-      }
+  });
+  double utilization_sum = 0.0;  // steps outer, cells inner: a fixed order
+  for (int s = 0; s < steps; ++s) {
+    for (int c = 0; c < config.cells; ++c) {
+      const std::size_t cell_step =
+          static_cast<std::size_t>(c) * static_cast<std::size_t>(steps) +
+          static_cast<std::size_t>(s);
+      const std::int32_t before = s > 0 ? attached[cell_step - 1] : 0;
+      result.attach_ops += std::abs(attached[cell_step] - before);
+      result.peak_cell_active =
+          std::max(result.peak_cell_active, active[cell_step]);
+      utilization_sum += scheduler.utilization(active[cell_step]);
     }
-    result.mean_utilization =
-        utilization_sum / static_cast<double>(matrix_size);
   }
+  result.mean_utilization =
+      utilization_sum / static_cast<double>(matrix_size);
 
   // --- Phase 2: price each UE's share against the global occupancy. ------
-  const radio::CellScheduler scheduler(cell_config);
+  const radio::UeProfile ue = radio::pixel5();
   auto shard_metrics = parallel::parallel_map(
       static_cast<std::size_t>(shard_count), [&](std::size_t shard) {
         ShardMetrics metrics;
@@ -276,8 +260,8 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
                   config.faults != nullptr &&
                   config.faults->nr_fallback_at(v.t_s);
               goodput = scheduler.ue_throughput_mbps(
-                  fallback ? config.lte_fallback : config.network, config.ue,
-                  config.direction, rsrp, sharers);
+                  fallback ? kLteFallback : kNetwork, ue, kDirection, rsrp,
+                  sharers);
             }
             goodput_sum += goodput;
             satisfied_sum += std::min(1.0, goodput / config.demand_mbps);

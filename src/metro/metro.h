@@ -20,9 +20,9 @@
 //     (attached / active counts per cell per step) plus handoff tallies;
 //     integer addition is exact, so the serial index-ordered merge is
 //     schedule-independent.
-//   Ledger (serial): the merged attachment deltas are replayed through one
-//     CellScheduler per cell — attach/detach bookkeeping at campaign scale,
-//     cross-checked against the occupancy matrix every step.
+//   Totals (serial): attach/detach operations, peak per-cell activity and
+//     mean cell utilization are read straight off the merged matrices,
+//     summed steps-outer, cells-inner so the double sum has one order.
 //   Phase 2 (parallel again): each UE is re-simulated with byte-identical
 //     draws (fork(i) is position-independent), now reading the *global*
 //     active-count matrix to price its airtime share and interference; the
@@ -51,25 +51,16 @@
 namespace wild5g::metro {
 
 struct MetroConfig {
-  /// Corridor geometry: `cells` sites in a line, `cell_spacing_m` apart.
+  /// Corridor geometry: `cells` sites in a line, 800 m apart, each serving
+  /// Verizon NSA mid band (NSA LTE during an nr_to_lte_outage window) to
+  /// Pixel 5 downlink UEs stepped every 0.5 s.
   int cells = 12;
   int ues_per_cell = 100;
-  double cell_spacing_m = 800.0;
 
-  /// Service every cell offers, and the service UEs fall back to while an
-  /// nr_to_lte_outage fault window is open.
-  radio::NetworkConfig network{radio::Carrier::kVerizon,
-                               radio::Band::kNrMidBand,
-                               radio::DeploymentMode::kNsa};
-  radio::NetworkConfig lte_fallback{radio::Carrier::kVerizon,
-                                    radio::Band::kLte,
-                                    radio::DeploymentMode::kNsa};
-  radio::UeProfile ue = radio::pixel5();
-  radio::Direction direction = radio::Direction::kDownlink;
+  /// A3 parameters of every UE's handoff engine.
   radio::HandoffConfig handoff;
 
   double duration_s = 60.0;
-  double step_s = 0.5;
 
   /// Airtime fraction pre-consumed in every cell by traffic the campaign
   /// does not model per-UE (the load-sweep dial); [0, 1).
@@ -101,7 +92,8 @@ struct MetroResult {
   int peak_step_handoffs = 0;
   /// Most simultaneously active UEs observed on one cell in one step.
   int peak_cell_active = 0;
-  /// Attach + detach operations replayed through the cell ledger.
+  /// Attach + detach operations the occupancy matrix implies: the sum over
+  /// cells and steps of |attached[c][s] - attached[c][s-1]|, starting empty.
   long long attach_ops = 0;
   /// Mean of CellScheduler::utilization over every (cell, step).
   double mean_utilization = 0.0;

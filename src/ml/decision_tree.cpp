@@ -263,7 +263,7 @@ class Grower {
     SplitChoice split;
     if (can_split) split = best_split(begin, end, impurity);
     if (!split.found ||
-        split.impurity_decrease < config_.min_impurity_decrease) {
+        split.impurity_decrease < kMinImpurityDecrease) {
       nodes_[static_cast<std::size_t>(node_id)].is_leaf = true;
       nodes_[static_cast<std::size_t>(node_id)].value =
           leaf_value(by_row(begin, end));

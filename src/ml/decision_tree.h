@@ -26,8 +26,10 @@ struct TreeConfig {
   int max_depth = 8;
   std::size_t min_samples_leaf = 5;
   std::size_t min_samples_split = 10;
-  double min_impurity_decrease = 1e-9;
 };
+
+/// A split must cut the node's impurity by at least this much.
+inline constexpr double kMinImpurityDecrease = 1e-9;
 
 /// One node of a learned tree. Internal nodes split on
 /// `features[feature] < threshold` (true -> left); leaves carry `value`.

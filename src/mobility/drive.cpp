@@ -4,8 +4,6 @@
 #include <cmath>
 #include <deque>
 
-#include "core/error.h"
-
 namespace wild5g::mobility {
 
 std::string to_string(BandSetting setting) {
@@ -50,6 +48,21 @@ double DriveResult::time_fraction(ActiveRadio radio) const {
 }
 
 namespace {
+
+// Geometry of the drive environment.
+constexpr double kStepS = 0.1;                   // simulation step
+constexpr double kN71TowerSpacingM = 770.0;      // ~13 crossings over 10 km
+constexpr double kLteTowerSpacingM = 480.0;      // ~21 crossings over 10 km
+constexpr double kLtePingpongProbability = 0.18; // extra toggle at a cell edge
+// EN-DC secondary-cell patchiness in NSA-only mode (downtown flapping).
+constexpr double kNsaOnMeanM = 120.0;
+constexpr double kNsaOffMeanM = 105.0;
+// With all bands enabled the EN-DC anchor is steadier.
+constexpr double kNsaAllOnMeanM = 280.0;
+constexpr double kNsaAllOffMeanM = 200.0;
+// SA coverage holes when LTE is also enabled (UE falls back).
+constexpr double kSaOnMeanM = 800.0;
+constexpr double kSaOffMeanM = 120.0;
 
 /// Alternating on/off coverage patches along the route, in meters.
 class CoverageMap {
@@ -117,13 +130,11 @@ class TowerLine {
 
 }  // namespace
 
-DriveResult simulate_drive(BandSetting setting, const Route& route,
-                           const DriveConfig& config, Rng& rng) {
-  require(config.step_s > 0.0, "simulate_drive: step must be positive");
+DriveResult simulate_drive(BandSetting setting, const Route& route, Rng& rng) {
   const double length = route.length_m();
 
-  TowerLine n71_towers(length, config.n71_tower_spacing_m, rng);
-  TowerLine lte_towers(length, config.lte_tower_spacing_m, rng);
+  TowerLine n71_towers(length, kN71TowerSpacingM, rng);
+  TowerLine lte_towers(length, kLteTowerSpacingM, rng);
 
   // Coverage of the optional legs, per setting.
   CoverageMap nsa_leg;  // EN-DC secondary-cell availability
@@ -136,15 +147,11 @@ DriveResult simulate_drive(BandSetting setting, const Route& route,
   const bool has_lte = setting != BandSetting::kSaOnly;
   if (has_nsa) {
     const bool all = setting == BandSetting::kAllBands;
-    nsa_leg = CoverageMap(length, all ? config.nsa_all_on_mean_m
-                                      : config.nsa_on_mean_m,
-                          all ? config.nsa_all_off_mean_m
-                              : config.nsa_off_mean_m,
-                          rng);
+    nsa_leg = CoverageMap(length, all ? kNsaAllOnMeanM : kNsaOnMeanM,
+                          all ? kNsaAllOffMeanM : kNsaOffMeanM, rng);
   }
   if (has_sa && setting != BandSetting::kSaOnly) {
-    sa_leg = CoverageMap(length, config.sa_on_mean_m, config.sa_off_mean_m,
-                         rng);
+    sa_leg = CoverageMap(length, kSaOnMeanM, kSaOffMeanM, rng);
   }
   // kSaOnly: low-band SA coverage is omnipresent (default CoverageMap = on).
 
@@ -170,7 +177,7 @@ DriveResult simulate_drive(BandSetting setting, const Route& route,
   std::deque<std::pair<double, int>> pingpong;
 
   const double end_s = route.duration_s();
-  for (double t = config.step_s; t <= end_s + 1e-9; t += config.step_s) {
+  for (double t = kStepS; t <= end_s + 1e-9; t += kStepS) {
     const double pos = route.position_m(t);
     const ActiveRadio new_radio = radio_at(pos);
 
@@ -202,7 +209,7 @@ DriveResult simulate_drive(BandSetting setting, const Route& route,
       tower = new_tower;
       // LTE edge ping-pong: briefly bounce back to the previous tower.
       if (radio == ActiveRadio::kLte &&
-          rng.bernoulli(config.lte_pingpong_probability)) {
+          rng.bernoulli(kLtePingpongProbability)) {
         pingpong.emplace_back(t + 1.5, old_tower);
         pingpong.emplace_back(t + 3.0, new_tower);
       }

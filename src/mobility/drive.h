@@ -64,26 +64,8 @@ struct DriveResult {
   [[nodiscard]] double time_fraction(ActiveRadio radio) const;
 };
 
-/// Tunable geometry of the drive environment.
-struct DriveConfig {
-  double step_s = 0.1;           // simulation step
-  double n71_tower_spacing_m = 770.0;   // ~13 crossings over 10 km
-  double lte_tower_spacing_m = 480.0;   // ~21 crossings over 10 km
-  double lte_pingpong_probability = 0.18;  // extra toggle at a cell edge
-  // EN-DC secondary-cell patchiness in NSA-only mode (downtown flapping).
-  double nsa_on_mean_m = 120.0;
-  double nsa_off_mean_m = 105.0;
-  // With all bands enabled the EN-DC anchor is steadier.
-  double nsa_all_on_mean_m = 280.0;
-  double nsa_all_off_mean_m = 200.0;
-  // SA coverage holes when LTE is also enabled (UE falls back).
-  double sa_on_mean_m = 800.0;
-  double sa_off_mean_m = 120.0;
-};
-
 /// Simulates one drive of `route` under `setting`; deterministic in `rng`.
 [[nodiscard]] DriveResult simulate_drive(BandSetting setting,
-                                         const Route& route,
-                                         const DriveConfig& config, Rng& rng);
+                                         const Route& route, Rng& rng);
 
 }  // namespace wild5g::mobility

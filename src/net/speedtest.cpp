@@ -14,6 +14,11 @@ namespace {
 // Effective RTT per km of geodesic distance: ~5 us/km/direction in fiber
 // times a 3.4x route-inflation factor (calibrated to the Fig. 1 city map).
 constexpr double kRttPerKm = 0.034;
+constexpr double kSessionRsrpStddevDb = 2.5;  // around session_rsrp_mean_dbm
+constexpr double kRetryBackoffS = 1.0;
+/// Spacing between the start times of successive peak_of trials; gives each
+/// trial a distinct position on the fault timeline.
+constexpr double kTrialSpacingS = 20.0;
 }  // namespace
 
 double path_rtt_ms(const radio::NetworkConfig& config, double distance_km) {
@@ -100,11 +105,6 @@ SpeedtestHarness::SpeedtestHarness(SpeedtestConfig config)
           "SpeedtestHarness: test too short");
 }
 
-SpeedtestResult SpeedtestHarness::run(const SpeedtestServer& server,
-                                      ConnectionMode mode, Rng& rng) const {
-  return run_at(server, mode, rng, 0.0);
-}
-
 SpeedtestResult SpeedtestHarness::run_at(const SpeedtestServer& server,
                                          ConnectionMode mode, Rng& rng,
                                          double start_s) const {
@@ -118,8 +118,8 @@ SpeedtestResult SpeedtestHarness::run_at(const SpeedtestServer& server,
   // instead of throwing.
   double t = start_s;
   if (faults != nullptr) {
-    double backoff_s = config_.retry_backoff_s;
-    int attempts_left = config_.max_retries;
+    double backoff_s = kRetryBackoffS;
+    int attempts_left = kMaxRetries;
     while (faults->server_unreachable_at(t)) {
       ++result.errors;
       if (attempts_left-- <= 0) {
@@ -149,7 +149,7 @@ SpeedtestResult SpeedtestHarness::run_at(const SpeedtestServer& server,
   // Session signal draw (stationary, LoS to the panel), minus any mmWave
   // blockage attenuation active at connect time.
   double rsrp = rng.normal(config_.session_rsrp_mean_dbm,
-                           config_.session_rsrp_stddev_db);
+                           kSessionRsrpStddevDb);
   if (faults != nullptr) rsrp -= faults->rsrp_penalty_db_at(t);
 
   // Fractions of the measurement window lost to dead air / server stalls;
@@ -209,7 +209,7 @@ SpeedtestResult SpeedtestHarness::peak_of(const SpeedtestServer& server,
         // of trials samples fault windows the way repeated real-world
         // sessions would (ignored when no injector is configured).
         return run_at(server, mode, trial_rng,
-                      static_cast<double>(i) * config_.trial_spacing_s);
+                      static_cast<double>(i) * kTrialSpacingS);
       });
   // Index-ordered reduction on the caller's thread. Failed trials
   // contribute their error counts but not their (zeroed) metrics.

@@ -75,22 +75,18 @@ struct SpeedtestConfig {
   geo::GeoPoint ue_location;
   /// Stationary outdoor LoS RSRP distribution for the session.
   double session_rsrp_mean_dbm = -76.0;
-  double session_rsrp_stddev_db = 2.5;
   double test_duration_s = 15.0;
 
   /// Optional fault injector (not owned; null = no faults, and the harness
   /// then executes the exact pre-fault code path and draw sequence).
   const faults::Injector* faults = nullptr;
-  /// Graceful-degradation knobs, only consulted when faults are active:
-  /// a server_unreachable window triggers up to `max_retries` reconnects
-  /// with deterministic exponential backoff (retry_backoff_s * 2^attempt —
-  /// no rng involved, so retries never perturb the draw stream).
-  int max_retries = 3;
-  double retry_backoff_s = 1.0;
-  /// Wall-clock spacing between the start times of successive trials in
-  /// peak_of; gives each trial a distinct position on the fault timeline.
-  double trial_spacing_s = 20.0;
 };
+
+/// Graceful degradation, only exercised when faults are active: a
+/// server_unreachable window triggers up to kMaxRetries reconnects with
+/// deterministic exponential backoff (1 s * 2^attempt — no rng involved, so
+/// retries never perturb the draw stream).
+inline constexpr int kMaxRetries = 3;
 
 /// Runs speedtest sessions against servers.
 class SpeedtestHarness {
@@ -98,21 +94,17 @@ class SpeedtestHarness {
   explicit SpeedtestHarness(SpeedtestConfig config);
 
   /// One full test (latency probe + downlink + uplink phases) starting at
-  /// t = 0 on the fault timeline.
-  [[nodiscard]] SpeedtestResult run(const SpeedtestServer& server,
-                                    ConnectionMode mode, Rng& rng) const;
-
-  /// Like run(), but the session starts at `start_s` on the fault timeline
-  /// (fault windows are evaluated against [start_s, start_s + duration)).
-  /// With no injector configured, start_s is irrelevant and ignored.
+  /// `start_s` on the fault timeline (fault windows are evaluated against
+  /// [start_s, start_s + duration)). With no injector configured, start_s
+  /// is irrelevant and ignored.
   [[nodiscard]] SpeedtestResult run_at(const SpeedtestServer& server,
                                        ConnectionMode mode, Rng& rng,
                                        double start_s) const;
 
   /// Repeats the test and reports the per-metric 95th percentile (latency
   /// uses the 5th percentile: "peak performance" means lowest RTT). Trial i
-  /// starts at i * trial_spacing_s on the fault timeline. Failed trials are
-  /// excluded from the percentiles; their connection errors are summed into
+  /// starts at i * 20 s on the fault timeline. Failed trials are excluded
+  /// from the percentiles; their connection errors are summed into
   /// `errors`, and `failed` is set only when every trial failed.
   [[nodiscard]] SpeedtestResult peak_of(const SpeedtestServer& server,
                                         ConnectionMode mode, int repeats,

@@ -7,11 +7,16 @@
 
 namespace wild5g::power {
 
+namespace {
+constexpr double kLogPeriodS = 0.1;     // 10 Hz network logging
+constexpr double kUplinkRatio = 0.03;   // ack traffic share
+constexpr double kSecondsPerStep = 5.0; // sweep dwell per target (10 Hz log)
+}  // namespace
+
 std::vector<CampaignSample> run_walking_campaign(
     const WalkingCampaignConfig& config, const DevicePowerProfile& device,
     Rng& rng) {
-  require(config.duration_s > 0.0 && config.log_period_s > 0.0,
-          "run_walking_campaign: invalid durations");
+  require(config.duration_s > 0.0, "run_walking_campaign: invalid duration");
   const RailKey rail = rail_key(config.network);
   require(device.has_rail(rail),
           "run_walking_campaign: device lacks this network's rail");
@@ -22,13 +27,13 @@ std::vector<CampaignSample> run_walking_campaign(
 
   std::vector<CampaignSample> samples;
   samples.reserve(
-      static_cast<std::size_t>(config.duration_s / config.log_period_s));
+      static_cast<std::size_t>(config.duration_s / kLogPeriodS));
 
   // Link utilization wanders slowly around the mean (application pacing,
   // server share, cross traffic).
   double utilization = config.mean_utilization;
-  for (double t = 0.0; t < config.duration_s; t += config.log_period_s) {
-    const auto sample = channel.step(config.log_period_s);
+  for (double t = 0.0; t < config.duration_s; t += kLogPeriodS) {
+    const auto sample = channel.step(kLogPeriodS);
     // Unconstrained walk over (0.05, 1]: campaigns cover idle-ish seconds
     // too, so fitted models have support at low throughput (the Sec. 4.5
     // app-validation workloads spend much of their time there).
@@ -38,7 +43,7 @@ std::vector<CampaignSample> run_walking_campaign(
         config.network, config.ue, radio::Direction::kDownlink,
         sample.rsrp_dbm);
     const double dl = capacity * utilization;
-    const double ul = dl * config.uplink_ratio;
+    const double ul = dl * kUplinkRatio;
     const double clean =
         device.transfer_power_mw(rail, dl, ul, sample.rsrp_dbm);
     const double power =
@@ -51,7 +56,7 @@ std::vector<CampaignSample> run_walking_campaign(
 std::vector<CampaignSample> run_controlled_sweep(
     const ControlledSweepConfig& config, const DevicePowerProfile& device,
     Rng& rng) {
-  require(config.throughput_steps >= 2 && config.seconds_per_step > 0.0,
+  require(config.throughput_steps >= 2,
           "run_controlled_sweep: invalid config");
   const RailKey rail = rail_key(config.network);
   require(device.has_rail(rail),
@@ -68,7 +73,7 @@ std::vector<CampaignSample> run_controlled_sweep(
     const double fraction = static_cast<double>(step) /
                             static_cast<double>(config.throughput_steps - 1);
     const double target = capacity * fraction * fraction;
-    for (double dwell = 0.0; dwell < config.seconds_per_step; dwell += 0.1) {
+    for (double dwell = 0.0; dwell < kSecondsPerStep; dwell += 0.1) {
       const double rsrp = config.rsrp_dbm + rng.normal(0.0, 1.0);
       const double dl = std::max(0.0, target * rng.uniform(0.97, 1.0));
       const double ul = dl * 0.02;

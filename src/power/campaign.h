@@ -27,9 +27,7 @@ struct WalkingCampaignConfig {
   radio::NetworkConfig network;
   radio::UeProfile ue;
   double duration_s = 1200.0;    // the 20-minute loop
-  double log_period_s = 0.1;     // 10 Hz network logging
   double mean_utilization = 0.9; // bulk transfer fills most of the capacity
-  double uplink_ratio = 0.03;    // ack traffic share
 };
 
 /// Simulates one walking loop: the channel wanders (shadowing/blockage per
@@ -43,7 +41,6 @@ struct ControlledSweepConfig {
   radio::NetworkConfig network;
   radio::UeProfile ue;
   int throughput_steps = 20;     // iPerf3 target rates, 0..capacity
-  double seconds_per_step = 5.0; // dwell per target (10 Hz logging)
   double rsrp_dbm = -78.0;       // stationary LoS to the panel
 };
 

@@ -1,81 +1,20 @@
 #include "radio/cell.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/error.h"
 
 namespace wild5g::radio {
 
-namespace {
-
-// Customary subcarrier spacing per band (3GPP numerology): 15 kHz for LTE
-// and NR low band, 30 kHz for NR mid band, 120 kHz for mmWave.
-double subcarrier_spacing_khz(Band band) {
-  switch (band) {
-    case Band::kNrMmWave: return 120.0;
-    case Band::kNrMidBand: return 30.0;
-    case Band::kNrLowBand:
-    case Band::kLte: return 15.0;
-  }
-  return 15.0;
-}
-
-// PRBs per component carrier: 12 subcarriers each, ~10% of the carrier
-// reserved for guard bands. Lands on the familiar grid sizes (100 PRBs for
-// 20 MHz LTE, 273-ish for 100 MHz mid band, 66 for 100 MHz mmWave).
-int derive_total_prbs(Band band) {
-  const double bandwidth_khz = band_params(band).cc_bandwidth_mhz * 1000.0;
-  const double prb_khz = 12.0 * subcarrier_spacing_khz(band);
-  return static_cast<int>(std::floor(bandwidth_khz * 0.9 / prb_khz));
-}
-
-}  // namespace
-
 CellScheduler::CellScheduler(CellSchedulerConfig config) : config_(config) {
   require(config_.background_load >= 0.0 && config_.background_load < 1.0,
           "CellScheduler: background_load out of [0, 1)");
-  require(config_.total_prbs >= 0,
-          "CellScheduler: total_prbs must be non-negative");
-  total_prbs_ =
-      config_.total_prbs > 0 ? config_.total_prbs : derive_total_prbs(config_.band);
-}
-
-int CellScheduler::attach() {
-  int slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    slot_used_[static_cast<std::size_t>(slot)] = true;
-  } else {
-    slot = static_cast<int>(slot_used_.size());
-    slot_used_.push_back(true);
-  }
-  ++attached_;
-  return slot;
-}
-
-void CellScheduler::detach(int slot) {
-  require(is_attached(slot), "CellScheduler::detach: slot not attached");
-  slot_used_[static_cast<std::size_t>(slot)] = false;
-  free_slots_.push_back(slot);
-  --attached_;
-}
-
-bool CellScheduler::is_attached(int slot) const {
-  return slot >= 0 && static_cast<std::size_t>(slot) < slot_used_.size() &&
-         slot_used_[static_cast<std::size_t>(slot)];
 }
 
 double CellScheduler::airtime_share(int active_ues) const {
   require(active_ues >= 0, "CellScheduler: active_ues must be non-negative");
   return (1.0 - config_.background_load) /
          static_cast<double>(std::max(1, active_ues));
-}
-
-int CellScheduler::prbs_per_ue(int active_ues) const {
-  return static_cast<int>(
-      std::floor(static_cast<double>(total_prbs_) * airtime_share(active_ues)));
 }
 
 double CellScheduler::utilization(int active_ues) const {

@@ -1,23 +1,16 @@
-// wild5g/radio: per-cell scheduler model — PRB/airtime allocation across
-// the UEs attached to one cell.
+// wild5g/radio: per-cell scheduler model — airtime allocation across the
+// active UEs of one cell.
 //
 // The paper's campaigns measure one UE against an effectively unloaded
 // network; at metro scale the dominant throughput factor is how the cell's
-// radio resources are split across its attached users (the Mid-Band 5G
-// measurement study finds cell load, not signal strength, explains most of
-// the production throughput variance). CellScheduler is that split:
+// radio resources are split across its users (the Mid-Band 5G measurement
+// study finds cell load, not signal strength, explains most of the
+// production throughput variance). CellScheduler is that split:
 //
-//  - Attach/detach bookkeeping: slot-addressed, O(1), fully deterministic
-//    (a LIFO free list, no hashing), so a campaign can move thousands of
-//    UEs between cells — composing with radio::A3HandoffEngine — without
-//    perturbing the byte-identical-at-any-thread-count contract.
 //  - Airtime allocation: full-buffer equal-airtime round robin. With `n`
 //    active UEs each gets (1 - background_load) / n of the frame;
 //    `background_load` models traffic the campaign does not simulate
 //    per-UE (the busy-hour dial of the load-sweep figure).
-//  - PRB view: the same split expressed in physical resource blocks, for
-//    tables and tests (equal airtime == equal PRBs under full-buffer
-//    traffic).
 //  - Throughput: per-UE goodput = loaded_link_capacity_mbps(...) at the
 //    cell's utilization (interference rise) times the UE's airtime share.
 //    Strictly non-increasing in both load and the number of sharers.
@@ -27,9 +20,6 @@
 // draw-free by construction.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "radio/channel.h"
 #include "radio/types.h"
 #include "radio/ue.h"
@@ -37,35 +27,18 @@
 namespace wild5g::radio {
 
 struct CellSchedulerConfig {
-  Band band = Band::kNrLowBand;
   /// Airtime fraction in [0, 1) consumed by traffic the campaign does not
   /// model per-UE; the remainder is shared equally by the active UEs.
   double background_load = 0.0;
-  /// Physical resource blocks per component carrier; 0 derives the count
-  /// from the band's carrier bandwidth and customary subcarrier spacing.
-  int total_prbs = 0;
 };
 
 class CellScheduler {
  public:
   explicit CellScheduler(CellSchedulerConfig config);
 
-  // --- attach/detach bookkeeping -----------------------------------------
-  /// Attaches one UE and returns its slot id (reused LIFO after detach).
-  [[nodiscard]] int attach();
-  /// Detaches the UE in `slot`; detaching a free slot is an error.
-  void detach(int slot);
-  [[nodiscard]] int attached_count() const { return attached_; }
-  [[nodiscard]] bool is_attached(int slot) const;
-
-  // --- allocation model ---------------------------------------------------
-  [[nodiscard]] const CellSchedulerConfig& config() const { return config_; }
-  [[nodiscard]] int total_prbs() const { return total_prbs_; }
   /// Airtime fraction granted to one of `active_ues` active UEs:
   /// (1 - background_load) / max(1, active_ues).
   [[nodiscard]] double airtime_share(int active_ues) const;
-  /// The same share in whole PRBs (floor; the remainder PRBs cycle).
-  [[nodiscard]] int prbs_per_ue(int active_ues) const;
   /// Cell utilization in [0, 1] driving the interference rise: background
   /// plus the full non-background frame whenever anyone is active
   /// (full-buffer UEs drain every granted slot).
@@ -80,10 +53,6 @@ class CellScheduler {
 
  private:
   CellSchedulerConfig config_;
-  int total_prbs_ = 0;
-  int attached_ = 0;
-  std::vector<bool> slot_used_;
-  std::vector<int> free_slots_;  // LIFO, deterministic reuse order
 };
 
 }  // namespace wild5g::radio

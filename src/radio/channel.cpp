@@ -43,6 +43,9 @@ constexpr double kNsaAnchorUlMbps = 35.0;
 // coverage-driven power control and the immature SA core).
 constexpr double kSaUplinkDerate = 0.8;
 
+// Correlation time of the slow distance wander around the mean.
+constexpr double kDistanceTauS = 30.0;
+
 }  // namespace
 
 const BandParams& band_params(Band band) {
@@ -247,8 +250,7 @@ ChannelSample ChannelProcess::step(double dt_s) {
     return value * decay + rng_.normal(0.0, noise);
   };
   distance_offset_m_ =
-      ou_step(distance_offset_m_, config_.distance_jitter_m,
-              config_.distance_tau_s);
+      ou_step(distance_offset_m_, config_.distance_jitter_m, kDistanceTauS);
   shadowing_db_ = ou_step(shadowing_db_, config_.shadowing_sigma_db,
                           config_.shadowing_tau_s);
 

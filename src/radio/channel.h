@@ -99,7 +99,6 @@ struct ChannelProcessConfig {
   Band band = Band::kNrMmWave;
   double mean_distance_m = 120.0;
   double distance_jitter_m = 60.0;   // slow wandering around the mean
-  double distance_tau_s = 30.0;
   double shadowing_sigma_db = 4.0;
   double shadowing_tau_s = 8.0;
   double blockage_rate_per_s = 0.0;  // Poisson arrival rate of obstructions

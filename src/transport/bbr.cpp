@@ -11,6 +11,10 @@ namespace wild5g::transport {
 namespace {
 
 constexpr double kBbrEfficiency = 0.97;  // header/ack overhead
+constexpr double kStartupGain = 2.885;  // BBR STARTUP pacing gain
+constexpr double kProbeGain = 1.25;     // PROBE_BW up-cycle gain
+constexpr double kDrainGain = 0.75;     // PROBE_BW drain phase
+constexpr double kBwWindowS = 10.0;     // max-filter window for bw samples
 
 /// PROBE_BW pacing-gain cycle (RFC-draft BBR v1): one probe, one drain,
 /// six cruise phases, each lasting ~1 RTT.
@@ -59,8 +63,8 @@ FlowResult simulate_bbr(int connection_count, const PathConfig& path,
       auto& c = conns[i];
       double gain = kCruiseGain;
       switch (c.phase) {
-        case BbrState::Phase::kStartup: gain = options.startup_gain; break;
-        case BbrState::Phase::kDrain: gain = options.drain_gain; break;
+        case BbrState::Phase::kStartup: gain = kStartupGain; break;
+        case BbrState::Phase::kDrain: gain = kDrainGain; break;
         case BbrState::Phase::kProbeBw: {
           // 8-phase cycle: probe, drain, cruise x6.
           const auto phase_len_s = rtt_s;
@@ -68,8 +72,8 @@ FlowResult simulate_bbr(int connection_count, const PathConfig& path,
             c.cycle_index = (c.cycle_index + 1) % 8;
             c.cycle_started_s = now;
           }
-          gain = c.cycle_index == 0 ? options.probe_gain
-                 : c.cycle_index == 1 ? options.drain_gain
+          gain = c.cycle_index == 0 ? kProbeGain
+                 : c.cycle_index == 1 ? kDrainGain
                                       : kCruiseGain;
           break;
         }
@@ -93,7 +97,7 @@ FlowResult simulate_bbr(int connection_count, const PathConfig& path,
       c.delivered_rate_mbps = c.achieved_mbps / kBbrEfficiency;
       c.bw_samples.emplace_back(now, c.delivered_rate_mbps);
       while (!c.bw_samples.empty() &&
-             now - c.bw_samples.front().first > options.bw_window_s) {
+             now - c.bw_samples.front().first > kBwWindowS) {
         c.bw_samples.pop_front();
       }
       double max_bw = 1.0;
@@ -101,7 +105,7 @@ FlowResult simulate_bbr(int connection_count, const PathConfig& path,
       c.btl_bw_mbps = max_bw;
 
       // Loss is observed but (unlike CUBIC) does not change the rate model.
-      const double pkts = c.achieved_mbps * dt / (options.mss_bytes * 8e-6);
+      const double pkts = c.achieved_mbps * dt / (kMssBytes * 8e-6);
       if (rng.bernoulli(std::min(1.0, path.loss_event_rate_per_s * dt +
                                           path.loss_per_packet * pkts))) {
         ++loss_events;

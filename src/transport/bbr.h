@@ -14,13 +14,8 @@
 namespace wild5g::transport {
 
 struct BbrOptions {
-  double mss_bytes = 1448.0;
   /// Receive/send window budget still applies (flow control).
   double wmem_bytes = 32.0e6;
-  double startup_gain = 2.885;   // BBR STARTUP pacing gain
-  double probe_gain = 1.25;      // PROBE_BW up-cycle gain
-  double drain_gain = 0.75;      // PROBE_BW drain phase
-  double bw_window_s = 10.0;     // max-filter window for bandwidth samples
 };
 
 /// Simulates `connection_count` BBR flows over `path` for `duration_s`.

@@ -13,6 +13,7 @@ constexpr double kCubicC = 0.4;    // packets / s^3 (RFC 8312)
 constexpr double kCubicBeta = 0.7; // multiplicative decrease
 constexpr double kTcpEfficiency = 0.97;  // header/ack overhead
 constexpr double kUdpEfficiency = 0.985;
+constexpr double kInitialCwndPkts = 10.0;
 
 struct ConnState {
   double cwnd_pkts = 10.0;
@@ -47,15 +48,15 @@ FlowResult simulate_tcp(int connection_count, const PathConfig& path,
   require(duration_s > 1.0, "simulate_tcp: duration too short");
 
   const double rtt_s = path.rtt_ms / 1000.0;
-  const double wmem_pkts = options.wmem_bytes / options.mss_bytes;
-  const double pkt_mbits = options.mss_bytes * 8.0 / 1e6;
+  const double wmem_pkts = options.wmem_bytes / kMssBytes;
+  const double pkt_mbits = kMssBytes * 8.0 / 1e6;
   // Window cap: send buffer, and sanity ceiling of 2x BDP + queue.
   const double bdp_pkts = path.capacity_mbps * rtt_s / pkt_mbits;
   const double cwnd_cap = std::min(wmem_pkts, 2.0 * bdp_pkts + 100.0);
 
   std::vector<ConnState> conns(static_cast<std::size_t>(connection_count));
   for (auto& c : conns) {
-    c.cwnd_pkts = options.initial_cwnd_pkts;
+    c.cwnd_pkts = kInitialCwndPkts;
     c.loss_threshold = rng.uniform(0.7, 1.3);
   }
 
@@ -113,7 +114,7 @@ FlowResult simulate_tcp(int connection_count, const PathConfig& path,
         // connections far below capacity (Fig. 3 / Fig. 8).
         if (rng.bernoulli(0.15)) {
           c.ssthresh_pkts = std::max(10.0, 0.5 * c.cwnd_pkts);
-          c.cwnd_pkts = options.initial_cwnd_pkts;
+          c.cwnd_pkts = kInitialCwndPkts;
           c.slow_start = true;
         } else {
           c.cwnd_pkts = std::max(2.0, c.cwnd_pkts * kCubicBeta);

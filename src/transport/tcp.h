@@ -31,11 +31,12 @@ struct PathConfig {
   double loss_per_packet = 5e-7;
 };
 
+/// Maximum segment size of every CUBIC and BBR flow, in bytes.
+inline constexpr double kMssBytes = 1448.0;
+
 /// Kernel/socket configuration of the sending side.
 struct TcpOptions {
   double wmem_bytes = 1.4e6;   // effective default Linux send-buffer budget
-  double mss_bytes = 1448.0;
-  double initial_cwnd_pkts = 10.0;
 };
 
 /// A tuned sender (tcp_wmem raised well past the BDP, Sec. 3.2).

@@ -31,6 +31,10 @@ PageLoadConfig lte_page_config() {
 namespace {
 
 constexpr double kInitialWindowKb = 14.6;  // 10 x 1460B segments
+constexpr int kParallelConnections = 6;
+constexpr double kDynamicThinkMs = 120.0;  // server generation per dyn object
+constexpr double kParseRoundMs = 60.0;     // client parse/JS between rounds
+constexpr double kObjectTimeoutS = 2.0;    // client's give-up deadline
 
 /// Time to fetch one object of `size_kb` on a connection whose fair share
 /// of the link is `share_mbps`: request RTT, slow-start ramp, bulk residual,
@@ -40,7 +44,7 @@ double object_fetch_s(double size_kb, bool dynamic,
                       Rng& rng) {
   const double rtt_s = config.rtt_ms / 1000.0;
   const double think_s =
-      dynamic ? (config.dynamic_think_ms / 1000.0) * rng.uniform(0.6, 1.6)
+      dynamic ? (kDynamicThinkMs / 1000.0) * rng.uniform(0.6, 1.6)
               : 0.0;
   const double ramp_rounds =
       std::min(6.0, std::ceil(std::log2(1.0 + size_kb / kInitialWindowKb)));
@@ -54,7 +58,6 @@ double object_fetch_s(double size_kb, bool dynamic,
 PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
                          const power::DevicePowerProfile& device, Rng& rng) {
   require(site.object_count > 0, "load_page: empty website");
-  require(config.parallel_connections > 0, "load_page: no connections");
 
   // Fault-failure predicate for one object. Checked *before* any per-object
   // rng draws, and failed objects draw nothing — so with a null injector the
@@ -70,7 +73,7 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
                                 radio::Direction::kDownlink, config.rsrp_dbm) *
       rng.uniform(0.85, 1.0);
   const double share_mbps =
-      capacity_mbps / static_cast<double>(config.parallel_connections);
+      capacity_mbps / static_cast<double>(kParallelConnections);
   const double rtt_s = config.rtt_ms / 1000.0;
 
   // Object sizes: lognormal split of the page, dynamic objects flagged by
@@ -134,13 +137,13 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
           // The failed stream transfers nothing; the client abandons it at
           // the timeout, which gates the round like the slowest think time.
           ++result.failed_objects;
-          max_think_s = std::max(max_think_s, config.object_timeout_s);
+          max_think_s = std::max(max_think_s, kObjectTimeoutS);
           continue;
         }
         round_mbits += sizes_kb[index] * 8.0 / 1024.0;
         if (rng.bernoulli(dyn_fraction)) {
           max_think_s = std::max(
-              max_think_s, config.dynamic_think_ms / 1000.0 *
+              max_think_s, kDynamicThinkMs / 1000.0 *
                                rng.uniform(0.6, 1.6));
         }
       }
@@ -149,7 +152,7 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
       record(plt, round_s, round_mbits);
       plt += round_s;
       if (round + 1 < round_objects.size()) {
-        plt += config.parse_round_ms / 1000.0;
+        plt += kParseRoundMs / 1000.0;
       }
       continue;
     }
@@ -162,7 +165,7 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
         // Failed fetch: holds its connection slot until the client's
         // timeout, delivers no bytes, consumes no rng draws.
         ++result.failed_objects;
-        durations.push_back(config.object_timeout_s);
+        durations.push_back(kObjectTimeoutS);
         continue;
       }
       const bool dynamic = rng.bernoulli(dyn_fraction);
@@ -172,7 +175,7 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
     }
     std::sort(durations.rbegin(), durations.rend());
     std::vector<double> workers(
-        static_cast<std::size_t>(config.parallel_connections), 0.0);
+        static_cast<std::size_t>(kParallelConnections), 0.0);
     for (double d : durations) {
       auto slot = std::min_element(workers.begin(), workers.end());
       *slot += d;
@@ -181,7 +184,7 @@ PageLoadResult load_page(const Website& site, const PageLoadConfig& config,
     record(plt, round_s, round_mbits);
     plt += round_s;
     if (round + 1 < round_objects.size()) {
-      plt += config.parse_round_ms / 1000.0;  // parse/JS gap, radio idle
+      plt += kParseRoundMs / 1000.0;  // parse/JS gap, radio idle
     }
   }
   result.plt_s = plt;

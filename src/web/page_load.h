@@ -24,26 +24,22 @@ struct PageLoadConfig {
   radio::UeProfile ue;
   double rtt_ms = 26.0;             // UE to web server (CDN-close)
   double rsrp_dbm = -80.0;
-  int parallel_connections = 6;
-  double dynamic_think_ms = 120.0;  // server-side generation per dyn object
-  double parse_round_ms = 60.0;     // client parse/JS between rounds
   /// HTTP/2-style multiplexing: all objects of a round stream over one warm
   /// connection (one request round-trip per round, no per-object slow-start
   /// ramps). Narayanan et al. [39] studied protocol versions over mmWave;
   /// this knob reproduces that comparison (see bench_extension_http2).
   bool multiplexed = false;
   /// Optional fault injector (not owned; null = no faults). Object fetches
-  /// that the injector fails occupy their connection slot for
-  /// `object_timeout_s` (the client's give-up deadline), transfer no bytes,
-  /// and are counted in PageLoadResult::failed_objects — the page still
-  /// completes, with the timeout folded into PLT like a real browser's
-  /// error-and-continue behavior.
+  /// that the injector fails occupy their connection slot for 2 s (the
+  /// client's give-up deadline), transfer no bytes, and are counted in
+  /// PageLoadResult::failed_objects — the page still completes, with the
+  /// timeout folded into PLT like a real browser's error-and-continue
+  /// behavior.
   const faults::Injector* faults = nullptr;
   /// Keys the injector's per-object failure decisions; give each page of a
   /// corpus a distinct salt (e.g. its site index) so one plan fails
   /// different object subsets on different pages.
   std::uint64_t fault_salt = 0;
-  double object_timeout_s = 2.0;
 };
 
 /// Defaults for the paper's two settings: stationary LoS Verizon mmWave 5G

@@ -82,7 +82,7 @@ TEST(InterfaceSelection, ReducesStallsOnBlockyTraces) {
   for (std::size_t i = 0; i < f.traces_5g.size(); ++i) {
     const auto& t4 = f.traces_4g[i % f.traces_4g.size()];
     stall_only += wa::stream_5g_only(wa::video_ladder_5g(), f.traces_5g[i],
-                                     f.options, f.selection, f.device)
+                                     f.options, f.device)
                       .session.total_stall_s;
     stall_aware +=
         wa::stream_5g_aware(wa::video_ladder_5g(), f.traces_5g[i], t4,
@@ -100,7 +100,7 @@ TEST(InterfaceSelection, SavesEnergy) {
   for (std::size_t i = 0; i < f.traces_5g.size(); ++i) {
     const auto& t4 = f.traces_4g[i % f.traces_4g.size()];
     energy_only += wa::stream_5g_only(wa::video_ladder_5g(), f.traces_5g[i],
-                                      f.options, f.selection, f.device)
+                                      f.options, f.device)
                        .energy_j;
     energy_aware +=
         wa::stream_5g_aware(wa::video_ladder_5g(), f.traces_5g[i], t4,
@@ -134,9 +134,8 @@ TEST(InterfaceSelection, NoOverheadVariantNeverWorseOnStalls) {
 TEST(InterfaceSelection, SessionEnergyAllFiveGMatchesHelper) {
   Fixture f;
   const auto run = wa::stream_5g_only(wa::video_ladder_5g(), f.traces_5g[0],
-                                      f.options, f.selection, f.device);
-  const double recomputed =
-      wa::session_energy_j(run.session, {}, f.selection, f.device);
+                                      f.options, f.device);
+  const double recomputed = wa::session_energy_j(run.session, {}, f.device);
   EXPECT_NEAR(run.energy_j, recomputed, 1e-9);
 }
 
@@ -157,7 +156,7 @@ TEST(InterfaceSelection, MixedInterfaceEnergyBetweenPureCases) {
   // for the same throughput series.
   Fixture f;
   const auto run = wa::stream_5g_only(wa::video_ladder_5g(), f.traces_5g[1],
-                                      f.options, f.selection, f.device);
+                                      f.options, f.device);
   const std::size_t seconds = run.session.per_second_dl_mbps.size();
   const std::vector<wa::Interface> all_5g(seconds, wa::Interface::k5g);
   const std::vector<wa::Interface> all_4g(seconds, wa::Interface::k4g);
@@ -165,12 +164,9 @@ TEST(InterfaceSelection, MixedInterfaceEnergyBetweenPureCases) {
   for (std::size_t s = 0; s < seconds; ++s) {
     mixed[s] = s % 2 == 0 ? wa::Interface::k5g : wa::Interface::k4g;
   }
-  const double e5 =
-      wa::session_energy_j(run.session, all_5g, f.selection, f.device);
-  const double e4 =
-      wa::session_energy_j(run.session, all_4g, f.selection, f.device);
-  const double em =
-      wa::session_energy_j(run.session, mixed, f.selection, f.device);
+  const double e5 = wa::session_energy_j(run.session, all_5g, f.device);
+  const double e4 = wa::session_energy_j(run.session, all_4g, f.device);
+  const double em = wa::session_energy_j(run.session, mixed, f.device);
   // 4G is cheap at low rates but its uplink/downlink slopes are steep; for
   // a video workload the 5G base dominates, so all-5G costs most.
   EXPECT_GT(e5, em);

@@ -70,13 +70,12 @@ TEST(chaos, speedtest_exhausted_retries_degrade_to_failed_result) {
   const faults::Injector injector(
       plan_of({{faults::FaultKind::kServerUnreachable, 0.0, 1e6, 0.0}}),
       kChaosSeed);
-  auto config = speedtest_config(&injector);
-  const net::SpeedtestHarness harness(config);
+  const net::SpeedtestHarness harness(speedtest_config(&injector));
   Rng rng(kChaosSeed);
   const auto result =
       harness.run_at(local_server(), net::ConnectionMode::kMultiple, rng, 0.0);
   EXPECT_TRUE(result.failed);
-  EXPECT_EQ(result.errors, config.max_retries + 1);
+  EXPECT_EQ(result.errors, net::kMaxRetries + 1);
   EXPECT_DOUBLE_EQ(result.downlink_mbps, 0.0);
   EXPECT_DOUBLE_EQ(result.rtt_ms, 0.0);
 }

@@ -381,7 +381,7 @@ class ReferenceGrower {
         }
       }
     }
-    if (feature < 0 || best < config_.min_impurity_decrease) {
+    if (feature < 0 || best < wild5g::ml::kMinImpurityDecrease) {
       tree_.nodes[static_cast<std::size_t>(id)].value = leaf_value(idx);
       return id;
     }

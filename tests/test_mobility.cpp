@@ -55,7 +55,7 @@ namespace {
 wm::DriveResult drive(wm::BandSetting setting, std::uint64_t seed) {
   Rng rng(seed);
   const auto route = wm::driving_route(rng);
-  return wm::simulate_drive(setting, route, {}, rng);
+  return wm::simulate_drive(setting, route, rng);
 }
 }  // namespace
 
@@ -84,7 +84,7 @@ TEST(Drive, PaperOrderingAcrossSettings) {
     for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
       Rng rng(seed);
       const auto route = wm::driving_route(rng);
-      total += wm::simulate_drive(setting, route, {}, rng).total_handoffs();
+      total += wm::simulate_drive(setting, route, rng).total_handoffs();
     }
     return total / 5.0;
   };

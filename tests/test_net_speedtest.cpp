@@ -146,8 +146,10 @@ TEST(Harness, DeterministicInSeed) {
   wn::SpeedtestHarness harness(mmwave_config());
   Rng a(6);
   Rng b(6);
-  const auto ra = harness.run(local_server(), wn::ConnectionMode::kSingle, a);
-  const auto rb = harness.run(local_server(), wn::ConnectionMode::kSingle, b);
+  const auto ra =
+      harness.run_at(local_server(), wn::ConnectionMode::kSingle, a, 0.0);
+  const auto rb =
+      harness.run_at(local_server(), wn::ConnectionMode::kSingle, b, 0.0);
   EXPECT_DOUBLE_EQ(ra.downlink_mbps, rb.downlink_mbps);
 }
 

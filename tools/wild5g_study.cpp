@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
       for (int drive = 0; drive < 4; ++drive) {
         Rng rng(seed + static_cast<std::uint64_t>(drive));
         const auto route = mobility::driving_route(rng);
-        const auto result = mobility::simulate_drive(setting, route, {}, rng);
+        const auto result = mobility::simulate_drive(setting, route, rng);
         table.add_row({mobility::to_string(setting), std::to_string(drive),
                        std::to_string(result.total_handoffs()),
                        std::to_string(result.horizontal_handoffs()),
