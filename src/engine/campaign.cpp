@@ -10,6 +10,7 @@
 #include "core/integer.h"
 #include "engine/figures/figure.h"
 #include "engine/metro_campaigns.h"
+#include "metro/metro.h"
 
 namespace wild5g::engine {
 
@@ -44,12 +45,19 @@ std::vector<RegistryEntry>& registry_locked() {
 }
 
 /// The metro extensions: a corridor of "cells" x "ues" UEs per cell
-/// (default 12 x 100) that models only the radio fault kinds.
+/// (default 12 x 100, at most INT_MAX UEs) that models only the radio
+/// fault kinds.
 template <figures::FigureBody Body, std::size_t Steps>
 std::unique_ptr<Campaign> metro_figure(const CampaignRequest& request) {
-  return figures::make_figure(request, Body, Steps,
-                              {{"cells", 12}, {"ues", 100}},
-                              require_radio_plan);
+  constexpr int kCells = 12;
+  constexpr int kUes = 100;
+  auto campaign = figures::make_figure(
+      request, Body, Steps, {{"cells", kCells}, {"ues", kUes}},
+      require_radio_plan);
+  metro::require_population(
+      param_positive_int(request.params, "cells", kCells),
+      param_positive_int(request.params, "ues", kUes));
+  return campaign;
 }
 
 }  // namespace

@@ -53,6 +53,7 @@ class DriveSoakCampaign final : public Campaign {
         rng_(request.seed) {
     reject_unknown_params(request.params,
                           {"intervals", "interval_s", "cells", "ues"});
+    metro::require_population(cells_, ues_per_cell_);
     if (request.fault_plan.has_value()) {
       require_radio_plan(*request.fault_plan, "drive_soak");
       plan_ = *request.fault_plan;

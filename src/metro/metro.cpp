@@ -1,6 +1,7 @@
 #include "metro/metro.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -36,57 +37,13 @@ bool kind_supported(faults::FaultKind kind) {
          kind == faults::FaultKind::kRadioOutage;
 }
 
-struct StepView {
-  int step = 0;
-  double t_s = 0.0;
-  int serving = 0;
-  double serving_rsrp_dbm = 0.0;
-  bool active = false;
-  bool handed_off = false;
-};
-
-struct UeTotals {
-  int handoffs = 0;
-  int pingpongs = 0;
-};
-
-/// Replays UE `ue_index` from scratch: trajectory, A3 handoffs, activity.
-/// Every draw comes from base.fork(ue_index) substreams, so phase 1 and
-/// phase 2 observe byte-identical timelines by construction.
-template <typename Visitor>
-UeTotals simulate_ue(const MetroConfig& config,
-                     const std::vector<radio::CellSite>& sites,
-                     const Rng& base, int ue_index, int steps,
-                     Visitor&& visit) {
-  const Rng ue_rng = base.fork(static_cast<std::uint64_t>(ue_index));
-  Rng placement_rng = ue_rng.fork(0);
-  const int home = ue_index % config.cells;
-  double position =
-      sites[static_cast<std::size_t>(home)].position_m +
-      placement_rng.uniform(-0.45 * kCellSpacingM, 0.45 * kCellSpacingM);
-  radio::A3HandoffEngine engine(sites, config.handoff, ue_rng.fork(1), home);
-  Rng activity_rng = ue_rng.fork(2);
-  for (int s = 0; s < steps; ++s) {
-    position += config.ue_speed_mps * kStepS;
-    const auto step = engine.step(kStepS, position);
-    // One activity draw per step unconditionally, so the stream position
-    // never depends on the outcome.
-    const bool active = activity_rng.bernoulli(config.activity);
-    visit(StepView{
-        .step = s,
-        .t_s = static_cast<double>(s + 1) * kStepS,
-        .serving = step.serving_cell,
-        .serving_rsrp_dbm = step.serving_rsrp_dbm,
-        .active = active,
-        .handed_off = step.handed_off,
-    });
-  }
-  return UeTotals{engine.handoff_count(), engine.pingpong_count()};
-}
-
-/// Integer occupancy view one shard contributes; element-wise addition is
-/// exact, so merging shards in index order is schedule-independent.
-struct ShardCounts {
+/// Everything one shard of phase 1 records. The timeline is what phase 2
+/// prices, 12 B per UE-step. The integer occupancy counts add exactly, so
+/// merging shards in index order is schedule-independent.
+struct Shard {
+  // Timeline entries are [(ue - the shard's first ue) * steps + step].
+  std::vector<double> rsrp_dbm;             // serving RSRP
+  std::vector<std::int32_t> active_cell;    // serving cell; -1 when idle
   std::vector<std::int32_t> attached;       // [cell * steps + step]
   std::vector<std::int32_t> active;         // [cell * steps + step]
   std::vector<std::int32_t> step_handoffs;  // [step]
@@ -105,6 +62,7 @@ struct ShardMetrics {
 void validate(const MetroConfig& config) {
   require(config.cells >= 1, "metro: cells must be >= 1");
   require(config.ues_per_cell >= 1, "metro: ues_per_cell must be >= 1");
+  require_population(config.cells, config.ues_per_cell);
   require(config.duration_s >= kStepS,
           "metro: duration_s must cover at least one step");
   require(config.background_load >= 0.0 && config.background_load < 1.0,
@@ -126,6 +84,13 @@ void validate(const MetroConfig& config) {
 
 }  // namespace
 
+void require_population(int cells, int ues_per_cell) {
+  const long long ues = static_cast<long long>(cells) * ues_per_cell;
+  require(ues <= INT_MAX, "metro: cells x ues_per_cell = " +
+                              std::to_string(ues) +
+                              " UEs, more than INT_MAX");
+}
+
 std::vector<faults::FaultKind> unsupported_fault_kinds(
     const faults::FaultPlan& plan) {
   std::vector<faults::FaultKind> out;
@@ -143,8 +108,9 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
 
   const int steps = static_cast<int>(config.duration_s / kStepS);
   const int total_ues = config.cells * config.ues_per_cell;
+  const auto steps_z = static_cast<std::size_t>(steps);
   const std::size_t matrix_size =
-      static_cast<std::size_t>(config.cells) * static_cast<std::size_t>(steps);
+      static_cast<std::size_t>(config.cells) * steps_z;
 
   std::vector<radio::CellSite> sites;
   sites.reserve(static_cast<std::size_t>(config.cells));
@@ -157,32 +123,48 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
   const Rng base = rng.split();
   const int shard_count = (total_ues + kUesPerShard - 1) / kUesPerShard;
 
-  // --- Phase 1: occupancy. Each shard sees only its own UEs. -------------
-  auto shard_counts = parallel::parallel_map(
-      static_cast<std::size_t>(shard_count), [&](std::size_t shard) {
-        ShardCounts counts;
-        counts.attached.assign(matrix_size, 0);
-        counts.active.assign(matrix_size, 0);
-        counts.step_handoffs.assign(static_cast<std::size_t>(steps), 0);
-        const int begin = static_cast<int>(shard) * kUesPerShard;
+  // --- Phase 1: each UE's trajectory, A3 handoffs and activity, simulated
+  // once from base.fork(ue). Each shard sees only its own UEs. -------------
+  auto shards = parallel::parallel_map(
+      static_cast<std::size_t>(shard_count), [&](std::size_t index) {
+        Shard shard;
+        shard.attached.assign(matrix_size, 0);
+        shard.active.assign(matrix_size, 0);
+        shard.step_handoffs.assign(steps_z, 0);
+        const int begin = static_cast<int>(index) * kUesPerShard;
         const int end = std::min(total_ues, begin + kUesPerShard);
+        const std::size_t entries =
+            static_cast<std::size_t>(end - begin) * steps_z;
+        shard.rsrp_dbm.reserve(entries);
+        shard.active_cell.reserve(entries);
         for (int i = begin; i < end; ++i) {
-          const UeTotals totals = simulate_ue(
-              config, sites, base, i, steps, [&](const StepView& v) {
-                const std::size_t cell_step =
-                    static_cast<std::size_t>(v.serving) *
-                        static_cast<std::size_t>(steps) +
-                    static_cast<std::size_t>(v.step);
-                ++counts.attached[cell_step];
-                if (v.active) ++counts.active[cell_step];
-                if (v.handed_off) {
-                  ++counts.step_handoffs[static_cast<std::size_t>(v.step)];
-                }
-              });
-          counts.handoffs += totals.handoffs;
-          counts.pingpongs += totals.pingpongs;
+          const Rng ue_rng = base.fork(static_cast<std::uint64_t>(i));
+          Rng placement_rng = ue_rng.fork(0);
+          const int home = i % config.cells;
+          double position = sites[static_cast<std::size_t>(home)].position_m +
+                            placement_rng.uniform(-0.45 * kCellSpacingM,
+                                                  0.45 * kCellSpacingM);
+          radio::A3HandoffEngine engine(sites, config.handoff, ue_rng.fork(1),
+                                        home);
+          Rng activity_rng = ue_rng.fork(2);
+          for (std::size_t s = 0; s < steps_z; ++s) {
+            position += config.ue_speed_mps * kStepS;
+            const auto step = engine.step(kStepS, position);
+            // One activity draw per step unconditionally, so the stream
+            // position never depends on the outcome.
+            const bool active = activity_rng.bernoulli(config.activity);
+            shard.rsrp_dbm.push_back(step.serving_rsrp_dbm);
+            shard.active_cell.push_back(active ? step.serving_cell : -1);
+            const std::size_t cell_step =
+                static_cast<std::size_t>(step.serving_cell) * steps_z + s;
+            ++shard.attached[cell_step];
+            if (active) ++shard.active[cell_step];
+            if (step.handed_off) ++shard.step_handoffs[s];
+          }
+          shard.handoffs += engine.handoff_count();
+          shard.pingpongs += engine.pingpong_count();
         }
-        return counts;
+        return shard;
       });
 
   MetroResult result;
@@ -192,19 +174,18 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
 
   std::vector<std::int32_t> attached(matrix_size, 0);
   std::vector<std::int32_t> active(matrix_size, 0);
-  std::vector<std::int32_t> step_handoffs(static_cast<std::size_t>(steps), 0);
-  for (const auto& counts : shard_counts) {  // index order: exact merge
+  std::vector<std::int32_t> step_handoffs(steps_z, 0);
+  for (const auto& shard : shards) {  // index order: exact merge
     for (std::size_t k = 0; k < matrix_size; ++k) {
-      attached[k] += counts.attached[k];
-      active[k] += counts.active[k];
+      attached[k] += shard.attached[k];
+      active[k] += shard.active[k];
     }
-    for (std::size_t s = 0; s < step_handoffs.size(); ++s) {
-      step_handoffs[s] += counts.step_handoffs[s];
+    for (std::size_t s = 0; s < steps_z; ++s) {
+      step_handoffs[s] += shard.step_handoffs[s];
     }
-    result.handoffs += counts.handoffs;
-    result.pingpongs += counts.pingpongs;
+    result.handoffs += shard.handoffs;
+    result.pingpongs += shard.pingpongs;
   }
-  shard_counts.clear();
   for (const std::int32_t n : step_handoffs) {
     result.peak_step_handoffs = std::max(result.peak_step_handoffs, n);
   }
@@ -214,11 +195,9 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
       .background_load = config.background_load,
   });
   double utilization_sum = 0.0;  // steps outer, cells inner: a fixed order
-  for (int s = 0; s < steps; ++s) {
-    for (int c = 0; c < config.cells; ++c) {
-      const std::size_t cell_step =
-          static_cast<std::size_t>(c) * static_cast<std::size_t>(steps) +
-          static_cast<std::size_t>(s);
+  for (std::size_t s = 0; s < steps_z; ++s) {
+    for (std::size_t c = 0; c < static_cast<std::size_t>(config.cells); ++c) {
+      const std::size_t cell_step = c * steps_z + s;
       const std::int32_t before = s > 0 ? attached[cell_step - 1] : 0;
       result.attach_ops += std::abs(attached[cell_step] - before);
       result.peak_cell_active =
@@ -229,36 +208,34 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
   result.mean_utilization =
       utilization_sum / static_cast<double>(matrix_size);
 
-  // --- Phase 2: price each UE's share against the global occupancy. ------
+  // --- Phase 2: price each recorded step against the global occupancy. ---
   const radio::UeProfile ue = radio::pixel5();
   auto shard_metrics = parallel::parallel_map(
-      static_cast<std::size_t>(shard_count), [&](std::size_t shard) {
+      static_cast<std::size_t>(shard_count), [&](std::size_t index) {
+        const Shard& shard = shards[index];
         ShardMetrics metrics;
-        const int begin = static_cast<int>(shard) * kUesPerShard;
-        const int end = std::min(total_ues, begin + kUesPerShard);
-        for (int i = begin; i < end; ++i) {
+        for (std::size_t first = 0; first < shard.rsrp_dbm.size();
+             first += steps_z) {
           double goodput_sum = 0.0;
           double satisfied_sum = 0.0;
           int active_steps = 0;
-          simulate_ue(config, sites, base, i, steps, [&](const StepView& v) {
-            if (!v.active) return;
-            const std::size_t cell_step =
-                static_cast<std::size_t>(v.serving) *
-                    static_cast<std::size_t>(steps) +
-                static_cast<std::size_t>(v.step);
+          for (std::size_t s = 0; s < steps_z; ++s) {
+            const std::int32_t cell = shard.active_cell[first + s];
+            if (cell < 0) continue;
             // This UE is active, so the global count includes it: >= 1.
-            const int sharers = active[cell_step];
+            const int sharers =
+                active[static_cast<std::size_t>(cell) * steps_z + s];
+            const double t_s = static_cast<double>(s + 1) * kStepS;
             double goodput = 0.0;
             if (config.faults == nullptr ||
-                !config.faults->radio_outage_at(v.t_s)) {
+                !config.faults->radio_outage_at(t_s)) {
               const double rsrp =
-                  v.serving_rsrp_dbm -
+                  shard.rsrp_dbm[first + s] -
                   (config.faults == nullptr
                        ? 0.0
-                       : config.faults->rsrp_penalty_db_at(v.t_s));
-              const bool fallback =
-                  config.faults != nullptr &&
-                  config.faults->nr_fallback_at(v.t_s);
+                       : config.faults->rsrp_penalty_db_at(t_s));
+              const bool fallback = config.faults != nullptr &&
+                                    config.faults->nr_fallback_at(t_s);
               goodput = scheduler.ue_throughput_mbps(
                   fallback ? kLteFallback : kNetwork, ue, kDirection, rsrp,
                   sharers);
@@ -267,7 +244,7 @@ MetroResult run_campaign(const MetroConfig& config, Rng rng) {
             satisfied_sum += std::min(1.0, goodput / config.demand_mbps);
             ++active_steps;
             metrics.step_tput.add(goodput);
-          });
+          }
           if (active_steps > 0) {
             const double n = static_cast<double>(active_steps);
             metrics.per_ue_mean.add(goodput_sum / n);

@@ -1,36 +1,34 @@
 // wild5g/metro: sharded multi-UE campaign driver over shared cells.
 //
-// The paper measures a handful of UEs one at a time; metro scale asks what
-// a city of them does to each other. This module couples the repo's radio
-// primitives into a contention campaign: a corridor of cells, each with a
-// radio::CellScheduler splitting its airtime among the UEs camped on it, a
-// population of UEs driven through radio::A3HandoffEngine (so a loaded
-// cell's UEs move — and hand off — together), and per-UE metrics aggregated
-// through stats::SampleAccumulator so memory stays O(cells x steps +
-// sketch) no matter whether the campaign runs 1e3 or 1e6 UEs.
+// The paper measures a handful of UEs one at a time; the metro extensions
+// ask what a co-moving population does to each user's airtime share. This
+// module couples the repo's radio primitives into a contention campaign: a
+// corridor of cells, each with a radio::CellScheduler splitting its airtime
+// among the UEs camped on it, and a population of UEs driven through
+// radio::A3HandoffEngine (so a loaded cell's UEs move — and hand off —
+// together). Per-UE metrics aggregate through stats::SampleAccumulator.
 //
-// Determinism (DESIGN.md section 11): coupling UEs through shared cells
-// naively breaks the byte-identical-at-any-thread-count contract, because a
-// UE's throughput depends on how many *other* UEs share its cell at each
-// step. run_campaign restores independence with a two-phase recompute:
+// Determinism (DESIGN.md section 11): a UE's throughput depends on how many
+// *other* UEs share its cell at each step, so run_campaign works in two
+// phases over fixed 512-UE shards:
 //
-//   Phase 1 (parallel over fixed-size UE shards): every UE's serving-cell
-//     timeline is a pure function of base.fork(ue_index) — trajectory, A3
-//     handoffs, activity draws. Shards return integer occupancy matrices
-//     (attached / active counts per cell per step) plus handoff tallies;
-//     integer addition is exact, so the serial index-ordered merge is
-//     schedule-independent.
+//   Phase 1 (parallel): each UE is simulated once from base.fork(ue_index)
+//     — trajectory, A3 handoffs, activity draws. A shard records every step
+//     of its UEs (serving cell, serving RSRP, active flag) and returns
+//     integer occupancy matrices (attached / active counts per cell per
+//     step) plus handoff tallies; integer addition is exact, so the serial
+//     index-ordered merge is schedule-independent.
 //   Totals (serial): attach/detach operations, peak per-cell activity and
 //     mean cell utilization are read straight off the merged matrices,
 //     summed steps-outer, cells-inner so the double sum has one order.
-//   Phase 2 (parallel again): each UE is re-simulated with byte-identical
-//     draws (fork(i) is position-independent), now reading the *global*
-//     active-count matrix to price its airtime share and interference; the
-//     resulting samples land in per-shard SampleAccumulators merged in
-//     index order.
+//   Phase 2 (parallel): each shard prices its recorded steps against the
+//     *global* active-count matrix; the samples land in per-shard
+//     SampleAccumulators merged in index order.
 //
-// CPU cost is 2x one pass; in exchange every number is a pure function of
-// (config, seed), verified by tests/test_metro.cpp at 1 vs 8 threads.
+// Every number is a pure function of (config, seed), verified by
+// tests/test_metro.cpp at 1 vs 8 threads. Memory is O(UEs x steps): the
+// timeline takes 12 B per UE-step (1.7 MB for the figures' 12 x 100 UEs x
+// 120 steps), and each shard's occupancy counts take 8 B per cell-step.
 //
 // Faults: the campaign models the *radio* fault kinds — mmwave_blockage
 // (RSRP penalty), nr_to_lte_outage (LTE fallback), radio_outage (zero
@@ -107,6 +105,11 @@ struct MetroResult {
   /// One sample per (UE, active step): instantaneous goodput.
   stats::SampleAccumulator step_throughput_mbps;
 };
+
+/// Refuses a corridor whose UE count, cells x ues_per_cell, exceeds
+/// INT_MAX; throws wild5g::Error. run_campaign checks it, and the engine
+/// checks it where a request's params are resolved.
+void require_population(int cells, int ues_per_cell);
 
 /// Fault kinds present in `plan` that the metro campaign does not model
 /// (anything beyond mmwave_blockage / nr_to_lte_outage / radio_outage),

@@ -8,9 +8,10 @@
 namespace wild5g::power {
 
 namespace {
-constexpr double kLogPeriodS = 0.1;     // 10 Hz network logging
-constexpr double kUplinkRatio = 0.03;   // ack traffic share
-constexpr double kSecondsPerStep = 5.0; // sweep dwell per target (10 Hz log)
+constexpr double kLogPeriodS = 0.1;       // 10 Hz network logging
+constexpr double kUplinkRatio = 0.03;     // ack traffic share
+constexpr double kSecondsPerStep = 5.0;   // sweep dwell per target (10 Hz log)
+constexpr double kMeanUtilization = 0.9;  // bulk transfer fills most capacity
 }  // namespace
 
 std::vector<CampaignSample> run_walking_campaign(
@@ -31,7 +32,7 @@ std::vector<CampaignSample> run_walking_campaign(
 
   // Link utilization wanders slowly around the mean (application pacing,
   // server share, cross traffic).
-  double utilization = config.mean_utilization;
+  double utilization = kMeanUtilization;
   for (double t = 0.0; t < config.duration_s; t += kLogPeriodS) {
     const auto sample = channel.step(kLogPeriodS);
     // Unconstrained walk over (0.05, 1]: campaigns cover idle-ish seconds
@@ -63,7 +64,7 @@ std::vector<CampaignSample> run_controlled_sweep(
           "run_controlled_sweep: device lacks this network's rail");
   const double capacity = radio::link_capacity_mbps(
       config.network, config.ue, radio::Direction::kDownlink,
-      config.rsrp_dbm);
+      kSweepRsrpDbm);
 
   std::vector<CampaignSample> samples;
   double t = 0.0;
@@ -74,7 +75,7 @@ std::vector<CampaignSample> run_controlled_sweep(
                             static_cast<double>(config.throughput_steps - 1);
     const double target = capacity * fraction * fraction;
     for (double dwell = 0.0; dwell < kSecondsPerStep; dwell += 0.1) {
-      const double rsrp = config.rsrp_dbm + rng.normal(0.0, 1.0);
+      const double rsrp = kSweepRsrpDbm + rng.normal(0.0, 1.0);
       const double dl = std::max(0.0, target * rng.uniform(0.97, 1.0));
       const double ul = dl * 0.02;
       const double power = std::max(

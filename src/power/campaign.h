@@ -27,7 +27,6 @@ struct WalkingCampaignConfig {
   radio::NetworkConfig network;
   radio::UeProfile ue;
   double duration_s = 1200.0;    // the 20-minute loop
-  double mean_utilization = 0.9; // bulk transfer fills most of the capacity
 };
 
 /// Simulates one walking loop: the channel wanders (shadowing/blockage per
@@ -41,8 +40,10 @@ struct ControlledSweepConfig {
   radio::NetworkConfig network;
   radio::UeProfile ue;
   int throughput_steps = 20;     // iPerf3 target rates, 0..capacity
-  double rsrp_dbm = -78.0;       // stationary LoS to the panel
 };
+
+/// Mean RSRP of the controlled sweep: stationary LoS to the panel.
+inline constexpr double kSweepRsrpDbm = -78.0;
 
 /// The paper's controlled experiments (Sec. 4.1): stationary LoS, UDP at
 /// fixed target throughputs swept from idle to link capacity. Covers the

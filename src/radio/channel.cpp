@@ -234,8 +234,6 @@ ChannelProcess::ChannelProcess(ChannelProcessConfig config, Rng rng)
     : config_(config), rng_(rng) {
   require(config_.mean_distance_m > 0.0,
           "ChannelProcess: mean_distance_m must be positive");
-  require(config_.cell_load >= 0.0 && config_.cell_load <= 1.0,
-          "ChannelProcess: cell_load out of [0, 1]");
   refresh_sample();
 }
 
@@ -286,7 +284,6 @@ void ChannelProcess::refresh_sample() {
       .rsrp_dbm = rsrp_dbm(config_.band, distance, extra),
       .extra_loss_db = extra,
       .blocked = blocked,
-      .cell_load = config_.cell_load,
   };
 }
 

@@ -85,10 +85,6 @@ struct ChannelSample {
   double rsrp_dbm = 0.0;
   double extra_loss_db = 0.0;  // shadowing + blockage actually applied
   bool blocked = false;        // inside an obstruction event
-  /// Serving-cell utilization the sample was taken under; throughput
-  /// sampling feeds it to loaded_link_capacity_mbps. 0 for the unloaded
-  /// single-UE campaigns (their draw sequences and outputs are unchanged).
-  double cell_load = 0.0;
 };
 
 /// Configuration of the stochastic channel evolution used for walking
@@ -109,11 +105,6 @@ struct ChannelProcessConfig {
   double partial_rate_per_s = 0.0;
   double partial_mean_duration_s = 4.0;
   double partial_loss_db = 12.0;
-  /// First-class cell load: utilization in [0, 1] of the serving cell the
-  /// process is camped on. Copied into every ChannelSample (no extra
-  /// draws), where throughput sampling picks it up; 0 preserves the
-  /// unloaded campaigns byte for byte.
-  double cell_load = 0.0;
 };
 
 /// Default stochastic configs per band (blockage only for mmWave).

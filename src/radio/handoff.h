@@ -79,8 +79,7 @@ class A3HandoffEngine {
   /// Handoffs that returned to the previous cell within `window_s`.
   [[nodiscard]] int pingpong_count(double window_s = 5.0) const;
   [[nodiscard]] int serving_cell() const { return serving_; }
-  /// Every completed handoff in order; the metro campaign driver bins
-  /// these into per-step storm counts.
+  /// Every completed handoff in order.
   [[nodiscard]] const std::vector<HandoffEvent>& events() const {
     return events_;
   }

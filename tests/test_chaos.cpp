@@ -478,6 +478,12 @@ TEST(chaos, bench_metro_rejects_degenerate_campaign_sizes) {
     EXPECT_EQ(bench_exit_code(bench, "--ues 4294967297"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--ues"), 2) << bench;
     EXPECT_EQ(bench_exit_code(bench, "--frobnicate"), 2) << bench;
+    // Each count is in range, but the population is not an int: the run
+    // must be refused, not wrapped to 1,410,065,408 UEs and started.
+    EXPECT_EQ(bench_exit_code(bench, "--cells 100000 --ues 100000"), 2)
+        << bench;
+    EXPECT_EQ(bench_exit_code(bench, "--cells 46341 --ues 46341"), 2)
+        << bench;
   }
 }
 

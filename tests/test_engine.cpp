@@ -761,6 +761,15 @@ TEST(engine, factories_reject_unknown_params_and_unsupported_faults) {
   faulted.fault_plan = plan;
   EXPECT_THROW((void)engine::make_campaign(faulted), Error);
 
+  // cells x ues above INT_MAX is refused when the params are resolved.
+  for (const char* name : {"extension_metro_load", "extension_metro_qoe",
+                           "drive_soak"}) {
+    engine::CampaignRequest crowded = small_request(name, false);
+    crowded.params.set("cells", 100000);
+    crowded.params.set("ues", 100000);
+    EXPECT_THROW((void)engine::make_campaign(crowded), Error) << name;
+  }
+
   engine::CampaignRequest unknown;
   unknown.campaign = "no_such_campaign";
   EXPECT_THROW((void)engine::make_campaign(unknown), Error);

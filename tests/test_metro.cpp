@@ -174,7 +174,9 @@ TEST(MetroCampaign, MemoryStaysSketchBounded) {
   // the accumulator must have spilled to the sketch...
   EXPECT_GT(result.step_throughput_mbps.count(), 8192u);
   EXPECT_FALSE(result.step_throughput_mbps.exact());
-  // ...and sketch memory is O(bucket range), not O(samples).
+  // ...and the accumulators are O(bucket range), not O(samples). Only they
+  // are: the timeline run_campaign records, 12 B per UE-step, is O(UEs x
+  // steps), and it is gone once the result returns.
   EXPECT_LT(result.step_throughput_mbps.memory_bytes(), 256u * 1024u);
   EXPECT_LT(result.per_ue_rebuffer_fraction.memory_bytes(), 256u * 1024u);
 }
@@ -208,6 +210,13 @@ TEST(MetroCampaign, RejectsInvalidConfig) {
   bad = small_campaign();
   bad.duration_s = 0.25;  // shorter than one 0.5 s step
   EXPECT_THROW((void)wm::run_campaign(bad, Rng(1)), wild5g::Error);
+  bad = small_campaign();
+  bad.cells = 100000;  // 10^10 UEs: more than an int holds
+  bad.ues_per_cell = 100000;
+  EXPECT_THROW((void)wm::run_campaign(bad, Rng(1)), wild5g::Error);
+  // The bound is exact: 46341 x 46340 fits in an int, 46341^2 does not.
+  EXPECT_NO_THROW(wm::require_population(46341, 46340));
+  EXPECT_THROW(wm::require_population(46341, 46341), wild5g::Error);
 }
 
 TEST(MetroFaults, UnsupportedKindsAreListedAndRejected) {

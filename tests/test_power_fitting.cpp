@@ -176,7 +176,7 @@ TEST(ControlledSweep, TargetsReachLinkCapacity) {
   double max_dl = 0.0;
   for (const auto& s : samples) max_dl = std::max(max_dl, s.dl_mbps);
   const double capacity = wr::link_capacity_mbps(
-      sweep.network, sweep.ue, wr::Direction::kDownlink, sweep.rsrp_dbm);
+      sweep.network, sweep.ue, wr::Direction::kDownlink, wp::kSweepRsrpDbm);
   EXPECT_GT(max_dl, 0.9 * capacity);
 }
 
