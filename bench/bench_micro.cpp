@@ -132,12 +132,14 @@ void BM_ChannelProcess(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelProcess);
 
-void BM_MpcDecision(benchmark::State& state) {
+/// fastMPC at horizon state.range(0) deciding chunk 10 of 60 with 12 s of a
+/// 30 s buffer after a track-3 chunk, predicting from `history`.
+void run_mpc_decisions(benchmark::State& state,
+                       const std::vector<double>& history) {
   const auto video = abr::video_ladder_5g();
   abr::HarmonicMeanPredictor predictor;
   abr::ModelPredictiveAbr mpc(abr::ModelPredictiveAbr::Variant::kFast,
                               predictor, static_cast<int>(state.range(0)));
-  const std::vector<double> history{150.0, 90.0, 200.0, 120.0, 160.0};
   abr::AbrContext context;
   context.video = &video;
   context.next_chunk = 10;
@@ -150,8 +152,21 @@ void BM_MpcDecision(benchmark::State& state) {
     benchmark::DoNotOptimize(mpc.choose_track(context));
   }
 }
+
+/// Steady mmWave: the prediction (~134 Mbps) is near the top track.
+void BM_MpcDecision(benchmark::State& state) {
+  run_mpc_decisions(state, {150.0, 90.0, 200.0, 120.0, 160.0});
+}
 // Horizon 5 is the 4 s-chunk lookahead; 12 is the 1 s-chunk one.
 BENCHMARK(BM_MpcDecision)->Arg(5)->Arg(12);
+
+/// A mmWave outage: the prediction (~14 Mbps) is below the lowest track, so
+/// every plan drains the buffer, long plans stall, and the planner's stall
+/// bound does the pruning.
+void BM_MpcOutageDecision(benchmark::State& state) {
+  run_mpc_decisions(state, {150.0, 120.0, 40.0, 9.0, 5.0});
+}
+BENCHMARK(BM_MpcOutageDecision)->Arg(5)->Arg(12);
 
 void BM_StreamingSession(benchmark::State& state) {
   Rng rng(6);
@@ -187,6 +202,7 @@ int main(int argc, char** argv) {
   inventory.add_row({"BM_PercentileSketch", "2"});
   inventory.add_row({"BM_ChannelProcess", "1"});
   inventory.add_row({"BM_MpcDecision", "2"});
+  inventory.add_row({"BM_MpcOutageDecision", "2"});
   inventory.add_row({"BM_StreamingSession", "1"});
   emitter.record(inventory);
   if (emitter.json_requested()) {

@@ -17,6 +17,8 @@ constexpr double kBbaCushionFraction = 0.9;
 constexpr double kBolaGp = 5.0;
 constexpr int kFestiveWindow = 20;
 constexpr double kFestiveSafety = 0.85;
+/// Relative margin on the MPC planner's stall bound (see plan_qoe).
+constexpr double kStallCapSlack = 1e-9;
 
 /// Highest track with bitrate <= budget; 0 when none fit.
 int highest_track_within(const VideoProfile& video, double budget_mbps) {
@@ -110,44 +112,35 @@ void ModelPredictiveAbr::reset() {
   last_prediction_mbps_ = -1.0;
 }
 
-double ModelPredictiveAbr::plan_qoe(const AbrContext& context, int first_track,
-                                    double predicted_mbps,
-                                    std::span<const double> reach,
-                                    double floor) const {
-  const auto& video = *context.video;
-  const double rebuffer_penalty = video.top_mbps();
-  const int top = video.track_count() - 1;
-  const int steps =
-      std::min(horizon_, context.chunk_count - context.next_chunk);
+double ModelPredictiveAbr::plan_qoe(const Plan& plan, int first_track,
+                                    double floor) {
+  const auto& ladder = plan.ladder;
+  const int top = static_cast<int>(ladder.size()) - 1;
+  const double penalty = plan.rebuffer_penalty;
+  // Stalling for a larger bitrate sum costs more than it earns.
+  const bool stall_outweighs_bitrate = penalty * plan.chunk_per_mbps > 1.0;
 
   // Depth-first branch-and-bound over track sequences with the first fixed.
   double best = floor;
-  struct Frame {
-    int depth;
-    double buffer;
-    double prev_bitrate;
-    double qoe;
-    int next_track;
-  };
-  std::vector<Frame> stack;
-  const double last_bitrate = context.last_track >= 0
-                                  ? video.bitrate(context.last_track)
-                                  : video.bitrate(first_track);
-  stack.push_back({0, context.buffer_s, last_bitrate, 0.0, first_track});
+  const double last_bitrate =
+      ladder[static_cast<std::size_t>(
+          plan.last_track >= 0 ? plan.last_track : first_track)];
+  stack_.clear();
+  stack_.push_back({0, plan.buffer_s, last_bitrate, 0.0, first_track});
 
-  while (!stack.empty()) {
-    Frame frame = stack.back();
-    stack.pop_back();
+  while (!stack_.empty()) {
+    const Frame frame = stack_.back();
+    stack_.pop_back();
 
-    const double bitrate = video.bitrate(frame.next_track);
-    const double download_s = bitrate * video.chunk_s / predicted_mbps;
+    const double bitrate = ladder[static_cast<std::size_t>(frame.next_track)];
+    const double download_s = bitrate * plan.chunk_s / plan.predicted_mbps;
     const double stall = std::max(0.0, download_s - frame.buffer);
-    double buffer = std::max(0.0, frame.buffer - download_s) + video.chunk_s;
-    buffer = std::min(buffer, context.max_buffer_s);
-    const double qoe = frame.qoe + bitrate - rebuffer_penalty * stall -
+    double buffer = std::max(0.0, frame.buffer - download_s) + plan.chunk_s;
+    buffer = std::min(buffer, plan.max_buffer_s);
+    const double qoe = frame.qoe + bitrate - penalty * stall -
                        std::abs(bitrate - frame.prev_bitrate);
 
-    if (frame.depth + 1 >= steps) {
+    if (frame.depth + 1 >= plan.steps) {
       best = std::max(best, qoe);
       continue;
     }
@@ -158,19 +151,53 @@ double ModelPredictiveAbr::plan_qoe(const AbrContext& context, int first_track,
     // round-to-nearest + and - are monotone, so no leaf below can exceed
     // it. Pruning on <= drops only plans that at best tie `best`, and
     // choose_track keeps the first track that strictly beats the floor.
+    const int left = plan.steps - frame.depth - 1;
     double bound = qoe;
-    for (int k = 1; k < steps - frame.depth; ++k) {
-      bound += reach[static_cast<std::size_t>(
+    double climb = 0.0;  // the largest bitrate sum of the `left` chunks
+    for (int k = 1; k <= left; ++k) {
+      const double most = plan.reach[static_cast<std::size_t>(
           std::min(top, frame.next_track + k))];
+      bound += most;
+      climb += most;
     }
     if (bound <= best) continue;
+    // Stall bound: the `left` chunks below fetch a bitrate sum s in
+    // [left * min_mbps, climb]. Each download adds at most one chunk to a
+    // buffer that never drops below 0, so together they stall at least
+    // s * chunk_s / predicted - credit seconds, credit being this node's
+    // buffer plus `left` chunks. So they add at most
+    // f(s) = s - penalty * max(0, s * chunk_s / predicted - credit), which
+    // climbs with slope 1 until s = credit * predicted / chunk_s and then
+    // with slope 1 - penalty * chunk_s / predicted; cap is its maximum.
+    const double credit = buffer + left * plan.chunk_s;
+    const double forced_stall = climb * plan.chunk_per_mbps - credit;
+    if (forced_stall > 0.0) {
+      double cap = climb - penalty * forced_stall;
+      if (stall_outweighs_bitrate) {
+        const double lowest = left * plan.min_mbps;
+        const double unstalled = credit * plan.mbps_per_chunk;
+        cap = unstalled >= lowest
+                  ? unstalled
+                  : lowest - penalty * (lowest * plan.chunk_per_mbps - credit);
+      }
+      // Unlike the bound above, this one rounds differently from the leaf
+      // sums it bounds. Both take at most about a hundred rounded steps on
+      // values no larger than `scale` (terms a leaf subtracts beyond the cap
+      // lower it by more than they can add in rounding), so each is within
+      // about 1e-14 * scale of its real value, and the slack covers that
+      // 10^5 times over. DESIGN.md section 10 has the argument in full.
+      const double scale =
+          std::abs(qoe) + climb +
+          penalty * (climb * plan.chunk_per_mbps + credit);
+      if (qoe + cap + kStallCapSlack * scale <= best) continue;
+    }
     // Plan model: the first chunk takes any track, and each later chunk
     // moves at most one level from the chunk before it. The search covers
-    // every such plan; the bound above only skips ones that cannot win.
+    // every such plan; the bounds above only skip ones that cannot win.
     const int lo = std::max(0, frame.next_track - 1);
     const int hi = std::min(top, frame.next_track + 1);
     for (int track = lo; track <= hi; ++track) {
-      stack.push_back({frame.depth + 1, buffer, bitrate, qoe, track});
+      stack_.push_back({frame.depth + 1, buffer, bitrate, qoe, track});
     }
   }
   return best;
@@ -199,17 +226,35 @@ int ModelPredictiveAbr::choose_track(const AbrContext& context) {
   // reach[t]: the highest bitrate among tracks 0..t, the most a plan that
   // can climb no higher than t earns in one step.
   const auto& video = *context.video;
-  std::vector<double> reach(static_cast<std::size_t>(video.track_count()));
+  const std::span<const double> ladder(video.track_mbps);
+  require(!ladder.empty(), "ModelPredictiveAbr: empty ladder");
+  reach_.resize(ladder.size());
   double highest = -std::numeric_limits<double>::infinity();
-  for (int track = 0; track < video.track_count(); ++track) {
-    highest = std::max(highest, video.bitrate(track));
-    reach[static_cast<std::size_t>(track)] = highest;
+  for (std::size_t track = 0; track < ladder.size(); ++track) {
+    highest = std::max(highest, ladder[track]);
+    reach_[track] = highest;
   }
+  require(context.last_track < static_cast<int>(ladder.size()),
+          "ModelPredictiveAbr: last track out of range");
 
+  const Plan plan{
+      .ladder = ladder,
+      .reach = reach_,
+      .min_mbps = *std::min_element(ladder.begin(), ladder.end()),
+      .chunk_s = video.chunk_s,
+      .max_buffer_s = context.max_buffer_s,
+      .buffer_s = context.buffer_s,
+      .rebuffer_penalty = ladder.back(),
+      .predicted_mbps = predicted,
+      .chunk_per_mbps = video.chunk_s / predicted,
+      .mbps_per_chunk = predicted / video.chunk_s,
+      .last_track = context.last_track,
+      .steps = std::min(horizon_, context.chunk_count - context.next_chunk),
+  };
   int best_track = 0;
   double best_qoe = -std::numeric_limits<double>::infinity();
   for (int track = 0; track < video.track_count(); ++track) {
-    const double qoe = plan_qoe(context, track, predicted, reach, best_qoe);
+    const double qoe = plan_qoe(plan, track, best_qoe);
     if (qoe > best_qoe) {
       best_qoe = qoe;
       best_track = track;

@@ -9,6 +9,7 @@
 #include <deque>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "abr/predictor.h"
 #include "abr/session.h"
@@ -61,8 +62,8 @@ class ModelPredictiveAbr final : public AbrAlgorithm,
   ModelPredictiveAbr(Variant variant, ThroughputPredictor& predictor,
                      int horizon = 5);
 
-  /// Horizon (in chunks) that keeps the paper's ~20 s lookahead across
-  /// chunk lengths (5 chunks at 4 s; more chunks for shorter chunks).
+  /// Horizon (in chunks) for a ~20 s lookahead, clamped to 5..12 chunks:
+  /// 5 chunks (20 s) at 4 s, 10 (20 s) at 2 s, but 12 (12 s) at 1 s chunks.
   [[nodiscard]] static int horizon_for_chunk_length(double chunk_s);
 
   [[nodiscard]] std::string name() const override;
@@ -79,12 +80,38 @@ class ModelPredictiveAbr final : public AbrAlgorithm,
   std::deque<double> relative_errors_;
   double last_prediction_mbps_ = -1.0;
 
+  /// What plan_qoe reads at every node; fixed for one decision.
+  struct Plan {
+    std::span<const double> ladder;  // the video's track_mbps
+    std::span<const double> reach;   // running maximum of `ladder`
+    double min_mbps;                 // lowest bitrate on `ladder`
+    double chunk_s;
+    double max_buffer_s;
+    double buffer_s;
+    double rebuffer_penalty;         // the video's top_mbps()
+    double predicted_mbps;
+    double chunk_per_mbps;           // chunk_s / predicted_mbps
+    double mbps_per_chunk;           // predicted_mbps / chunk_s
+    int last_track;
+    int steps;
+  };
+  /// One search node: the chunk at `depth` fetched at `next_track`.
+  struct Frame {
+    int depth;
+    double buffer;
+    double prev_bitrate;
+    double qoe;
+    int next_track;
+  };
+
+  // Per-decision scratch, kept so that the search allocates nothing.
+  std::vector<double> reach_;
+  std::vector<Frame> stack_;
+
   /// Best plan QoE over plans starting at first_track, or `floor` when no
-  /// plan beats it; `reach` is the running maximum of the ladder's bitrates.
-  [[nodiscard]] double plan_qoe(const AbrContext& context, int first_track,
-                                double predicted_mbps,
-                                std::span<const double> reach,
-                                double floor) const;
+  /// plan beats it.
+  [[nodiscard]] double plan_qoe(const Plan& plan, int first_track,
+                                double floor);
 };
 
 }  // namespace wild5g::abr

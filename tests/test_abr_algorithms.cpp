@@ -249,6 +249,38 @@ int exhaustive_choice(const wa::AbrContext& context, int horizon,
   return best_track;
 }
 
+/// robustMPC after one missed prediction, checked against the oracle: the
+/// first decision has no realized throughput to score, so it predicts
+/// `first_mbps` undiscounted; the second sees `actual_mbps` and divides the
+/// predictor's current value by one plus the capped relative miss, as
+/// choose_track does.
+void expect_robust_matches_oracle(const wa::AbrContext& context, int horizon,
+                                  FixedPredictor& predictor,
+                                  double first_mbps, double actual_mbps) {
+  wa::ModelPredictiveAbr robust(wa::ModelPredictiveAbr::Variant::kRobust,
+                                predictor, horizon);
+  const double second_mbps = predictor.mbps;
+  wa::AbrContext first = context;
+  first.past_chunk_mbps = {};
+  predictor.mbps = first_mbps;
+  ASSERT_EQ(robust.choose_track(first),
+            exhaustive_choice(first, horizon, std::max(0.05, first_mbps)));
+
+  predictor.mbps = second_mbps;
+  const std::vector<double> past{actual_mbps};
+  wa::AbrContext second = context;
+  second.past_chunk_mbps = past;
+  const double miss =
+      std::min(std::abs(std::max(0.05, first_mbps) - actual_mbps) /
+                   std::max(0.01, actual_mbps),
+               0.7);
+  const double discounted = std::max(0.05, second_mbps) / (1.0 + miss);
+  ASSERT_EQ(robust.choose_track(second),
+            exhaustive_choice(second, horizon, discounted))
+      << "robustMPC: first " << first_mbps << ", actual " << actual_mbps
+      << ", then " << second_mbps << " Mbps";
+}
+
 }  // namespace
 
 TEST(Mpc, BoundedSearchMatchesExhaustiveEnumeration) {
@@ -264,6 +296,27 @@ TEST(Mpc, BoundedSearchMatchesExhaustiveEnumeration) {
 
   FixedPredictor predictor;
   wild5g::Rng rng(20210823);
+  wild5g::Rng miss_rng(20210824);
+  // fastMPC against the oracle, then robustMPC after one missed prediction.
+  // The miss draws come from their own stream, so the contexts below stay
+  // the ones earlier versions of this test checked.
+  const auto check = [&](const wa::AbrContext& context, int horizon,
+                         const std::string& label) {
+    wa::ModelPredictiveAbr mpc(wa::ModelPredictiveAbr::Variant::kFast,
+                               predictor, horizon);
+    ASSERT_EQ(mpc.choose_track(context),
+              exhaustive_choice(context, horizon,
+                                std::max(0.05, predictor.mbps)))
+        << label << ": horizon " << horizon << ", remaining "
+        << context.chunk_count - context.next_chunk << ", buffer "
+        << context.buffer_s << "/" << context.max_buffer_s << ", last track "
+        << context.last_track << ", predicted " << predictor.mbps
+        << " Mbps, chunk " << context.video->chunk_s << " s";
+    SCOPED_TRACE(label);
+    expect_robust_matches_oracle(context, horizon, predictor,
+                                 predictor.mbps * miss_rng.uniform(0.4, 2.5),
+                                 predictor.mbps);
+  };
   // Horizons 1..9 cycle through most contexts; a few run at 10..12, where
   // the exhaustive oracle costs up to ~1M leaves per decision.
   const std::vector<int> long_horizons{10, 10, 10, 11, 11, 11, 12, 12, 12};
@@ -308,15 +361,69 @@ TEST(Mpc, BoundedSearchMatchesExhaustiveEnumeration) {
             0.5 * (video.bitrate(track) + video.bitrate(track + 1));
     }
 
-    wa::ModelPredictiveAbr mpc(wa::ModelPredictiveAbr::Variant::kFast,
-                               predictor, horizon);
-    const int expected =
-        exhaustive_choice(context, horizon, std::max(0.05, predictor.mbps));
-    ASSERT_EQ(mpc.choose_track(context), expected)
-        << "context " << i << ": horizon " << horizon << ", remaining "
-        << remaining << ", buffer " << context.buffer_s << "/"
-        << context.max_buffer_s << ", last track " << context.last_track
-        << ", predicted " << predictor.mbps << " Mbps, ladder " << i % 5;
+    check(context, horizon, "context " + std::to_string(i));
+  }
+
+  // Stall regime: every prediction is at most the lowest bitrate, so no
+  // chunk downloads faster than it plays, no plan gains buffer, and the
+  // stall bound, not the climb bound, does the pruning.
+  // Horizons 8..12 on both ladders and the zigzag one; one context in three
+  // starts with an empty buffer and one in four caps the buffer below one
+  // chunk.
+  const std::vector<wa::VideoProfile> stall_ladders{
+      wa::video_ladder_5g(1.0), wa::video_ladder_4g(2.0), zigzag};
+  for (int i = 0; i < 90; ++i) {
+    const int horizon = 8 + i % 5;
+    const auto& video = stall_ladders[static_cast<std::size_t>(i % 3)];
+    const double lowest_mbps =
+        *std::min_element(video.track_mbps.begin(), video.track_mbps.end());
+    wa::AbrContext context;
+    context.video = &video;
+    context.chunk_count = 60;
+    context.next_chunk = context.chunk_count - horizon;
+    context.max_buffer_s = i % 4 == 0
+                               ? rng.uniform(0.1, 1.0) * video.chunk_s
+                               : rng.uniform(4.0, 60.0);
+    context.buffer_s =
+        i / 5 % 3 == 0 ? 0.0 : rng.uniform(0.0, context.max_buffer_s);
+    context.last_track = static_cast<int>(
+        rng.uniform_int(-1, video.track_count() - 1));
+    // Log-uniform over 0.05 Mbps..the lowest bitrate, or either end.
+    switch (i % 7) {
+      case 0: predictor.mbps = 0.05; break;
+      case 1: predictor.mbps = lowest_mbps; break;
+      default:
+        predictor.mbps =
+            std::exp(rng.uniform(std::log(0.05), std::log(lowest_mbps)));
+    }
+    check(context, horizon, "stall context " + std::to_string(i));
+  }
+
+  // Stalls that cost less than the bitrate they buy: with sub-second chunks
+  // a prediction above penalty * chunk_s (the penalty being top_mbps()) still
+  // stalls the higher tracks, and the stall bound peaks at the largest
+  // bitrate sum rather than at the largest sum that does not stall.
+  wa::VideoProfile short_zigzag = zigzag;
+  short_zigzag.chunk_s = 0.5;
+  const std::vector<wa::VideoProfile> short_ladders{wa::video_ladder_5g(0.25),
+                                                    short_zigzag};
+  for (int i = 0; i < 60; ++i) {
+    const int horizon = 1 + i % 12;
+    const auto& video = short_ladders[static_cast<std::size_t>(i % 2)];
+    const double highest_mbps =
+        *std::max_element(video.track_mbps.begin(), video.track_mbps.end());
+    wa::AbrContext context;
+    context.video = &video;
+    context.chunk_count = 60;
+    context.next_chunk = context.chunk_count - horizon;
+    context.max_buffer_s = rng.uniform(1.0, 30.0);
+    context.buffer_s = rng.uniform(0.0, context.max_buffer_s);
+    context.last_track = static_cast<int>(
+        rng.uniform_int(-1, video.track_count() - 1));
+    predictor.mbps =
+        std::exp(rng.uniform(std::log(video.top_mbps() * video.chunk_s),
+                             std::log(highest_mbps)));
+    check(context, horizon, "short-chunk context " + std::to_string(i));
   }
 }
 
