@@ -1,9 +1,13 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "core/error.h"
 
@@ -56,11 +60,22 @@ void stable_partition_by_row(std::span<Entry> range,
   std::copy_n(scratch.begin(), right, out);
 }
 
+/// Maps a finite double to an unsigned key whose order is the double's `<`
+/// order: flip every bit of a negative, only the sign bit of a positive.
+/// Adding 0.0 first turns -0.0 into +0.0, so the two zeros, which compare
+/// equal, share a key and keep their rows' relative order.
+std::uint64_t order_key(double value) {
+  const auto bits = std::bit_cast<std::uint64_t>(value + 0.0);
+  constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
 /// Presorted exact-greedy growth (the XGBoost "exact" method): each feature's
-/// rows are sorted once, by value with the row index breaking ties, and a
-/// node owns the same [begin, end) range in every order. Splitting a node
-/// stable-partitions each range into left then right, so every child range
-/// stays sorted and the scan sees exactly what a per-node sort would.
+/// rows start in their presorted order, by value with the row index breaking
+/// ties, and a node owns the same [begin, end) range in every order.
+/// Splitting a node stable-partitions each range into left then right, so
+/// every child range stays sorted and the scan sees exactly what a per-node
+/// sort would.
 class Grower {
  public:
   Grower(const Dataset& data, const TreeConfig& config, Criterion criterion,
@@ -75,21 +90,21 @@ class Grower {
         scratch_(data.size()),
         importance_(data.feature_count(), 0.0) {}
 
-  std::vector<TreeNode> grow() {
+  std::vector<TreeNode> grow(const Presort& presort) {
     const auto features = data_.feature_count();
-    for (std::size_t f = 0; f <= features; ++f) {
+    for (std::size_t f = 0; f < features; ++f) {
       const auto order = order_span(f, 0, rows_);
+      const auto sorted = presort.order(f);
       for (std::size_t i = 0; i < rows_; ++i) {
-        order[i] = {f < features ? data_.row(i)[f] : 0.0, data_.targets[i], i};
+        const std::size_t row = sorted[i];
+        order[i] = {data_.values[row * features + f], data_.targets[row], row};
       }
-      // Order `features` stays in ascending row index: node impurity and
-      // leaf values sum in that order.
-      if (f < features) {
-        std::stable_sort(order.begin(), order.end(),
-                         [](const Entry& a, const Entry& b) {
-                           return a.value < b.value;
-                         });
-      }
+    }
+    // Order `features` is the rows in ascending index: node impurity and
+    // leaf values sum in that order.
+    const auto by_index = order_span(features, 0, rows_);
+    for (std::size_t i = 0; i < rows_; ++i) {
+      by_index[i] = {0.0, data_.targets[i], i};
     }
     grow_node(0, rows_, 0);
     return std::move(nodes_);
@@ -335,12 +350,64 @@ int tree_depth_from(const std::vector<TreeNode>& nodes, std::size_t at) {
 
 }  // namespace
 
+Presort::Presort(const Dataset& data)
+    : rows_(data.size()),
+      features_(data.feature_count()),
+      orders_(data.size() * data.feature_count()) {
+  data.validate();
+  require(rows_ <= std::numeric_limits<std::uint32_t>::max(),
+          "Presort: too many rows");
+  // LSD radix sort of row indices, one byte of the key per pass from the
+  // lowest: each pass is a stable counting sort, so rows with equal keys end
+  // in ascending row order. The passes ping-pong between the order itself
+  // and one scratch array, reading keys by row.
+  constexpr std::size_t kDigits = 8;
+  constexpr std::size_t kBuckets = 256;
+  std::vector<std::uint64_t> keys(rows_);
+  std::vector<std::uint32_t> scratch(rows_);
+  for (std::size_t f = 0; f < features_ && rows_ > 0; ++f) {
+    const std::span<std::uint32_t> order(orders_.data() + f * rows_, rows_);
+    std::array<std::array<std::uint32_t, kBuckets>, kDigits> counts{};
+    for (std::size_t i = 0; i < rows_; ++i) {
+      keys[i] = order_key(data.values[i * features_ + f]);
+      order[i] = static_cast<std::uint32_t>(i);
+      for (std::size_t d = 0; d < kDigits; ++d) {
+        ++counts[d][(keys[i] >> (8 * d)) & 0xFF];
+      }
+    }
+    std::span<std::uint32_t> from = order;
+    std::span<std::uint32_t> to = scratch;
+    for (std::size_t d = 0; d < kDigits; ++d) {
+      const auto digit = [&keys, d](std::uint32_t row) {
+        return (keys[row] >> (8 * d)) & 0xFF;
+      };
+      auto& count = counts[d];
+      // A byte every key shares would leave the order as it is.
+      if (count[digit(from[0])] == rows_) continue;
+      std::uint32_t offset = 0;
+      for (auto& c : count) offset += std::exchange(c, offset);
+      for (const std::uint32_t row : from) to[count[digit(row)]++] = row;
+      std::swap(from, to);
+    }
+    if (from.data() != order.data()) {
+      std::copy(from.begin(), from.end(), order.begin());
+    }
+  }
+}
+
 void DecisionTreeRegressor::fit(const Dataset& data) {
+  fit(data, Presort(data));
+}
+
+void DecisionTreeRegressor::fit(const Dataset& data, const Presort& presort) {
   data.validate();
   require(data.size() > 0, "DecisionTreeRegressor::fit: empty dataset");
+  require(presort.size() == data.size() &&
+              presort.feature_count() == data.feature_count(),
+          "DecisionTreeRegressor::fit: presort shape mismatch");
   feature_count_ = data.feature_count();
   Grower grower(data, config_, Criterion::kSquaredError, 0);
-  nodes_ = grower.grow();
+  nodes_ = grower.grow(presort);
   importance_raw_ = grower.take_importance();
 }
 
@@ -380,7 +447,7 @@ void DecisionTreeClassifier::fit(const Dataset& data) {
   }
   class_count_ = max_label + 1;
   Grower grower(data, config_, Criterion::kGini, class_count_);
-  nodes_ = grower.grow();
+  nodes_ = grower.grow(Presort(data));
   importance_raw_ = grower.take_importance();
 }
 

@@ -4,9 +4,10 @@
 // TH+SS power model (Sec. 4.5) and software-monitor calibration (Sec. 4.6),
 // and a Gini-based classifier for the 4G/5G interface selector (Sec. 6.2).
 //
-// Growth is exact greedy over presorted features: every candidate threshold
-// (the midpoint between consecutive distinct values, or the upper value when
-// the two are adjacent doubles) of every feature is scanned at every node. Ties are broken deterministically. Among splits with
+// Growth is exact greedy over presorted features (`Presort`): every
+// candidate threshold (the midpoint between consecutive distinct values, or
+// the upper value when the two are adjacent doubles) of every feature is
+// scanned at every node. Ties are broken deterministically. Among splits with
 // equal impurity decrease, the lowest feature index wins, then the lowest
 // threshold; so when two features order the rows identically (one a positive
 // multiple of the other), every split names the lower-indexed one.
@@ -43,6 +44,30 @@ struct TreeNode {
   std::size_t sample_count = 0;
 };
 
+/// Every feature's rows sorted once by value, ties in ascending row index:
+/// the orders tree growth starts from. They depend only on the feature
+/// values, never on the targets, so fits over the same rows with different
+/// targets (the stages of a boosted ensemble) can share one presort. Built by
+/// a stable LSD radix sort on an order-preserving 64-bit key per value, so
+/// each order equals a stable sort by `<`.
+class Presort {
+ public:
+  /// Sorts every feature of `data`, which must be valid.
+  explicit Presort(const Dataset& data);
+
+  [[nodiscard]] std::size_t size() const { return rows_; }
+  [[nodiscard]] std::size_t feature_count() const { return features_; }
+  /// Feature `f`'s row indices in (value, row) order.
+  [[nodiscard]] std::span<const std::uint32_t> order(std::size_t f) const {
+    return {orders_.data() + f * rows_, rows_};
+  }
+
+ private:
+  std::size_t rows_;
+  std::size_t features_;
+  std::vector<std::uint32_t> orders_;  // order f at [f * rows_, (f+1) * rows_)
+};
+
 /// CART regressor minimizing within-node variance (squared error).
 class DecisionTreeRegressor {
  public:
@@ -50,6 +75,9 @@ class DecisionTreeRegressor {
 
   /// Learns the tree; `data` must be valid and non-empty.
   void fit(const Dataset& data);
+  /// Learns the tree from a presort of `data`'s feature values (or of any
+  /// dataset with the same feature values, whatever its targets).
+  void fit(const Dataset& data, const Presort& presort);
 
   /// Predicts the target for one feature row.
   [[nodiscard]] double predict(std::span<const double> features) const;
@@ -75,8 +103,6 @@ class DecisionTreeRegressor {
   std::vector<TreeNode> nodes_;
   std::vector<double> importance_raw_;
   std::size_t feature_count_ = 0;
-
-  friend class TreeGrower;
 };
 
 /// CART classifier minimizing Gini impurity. Labels are dense ints [0, k).
@@ -118,8 +144,6 @@ class DecisionTreeClassifier {
   std::vector<double> importance_raw_;
   std::size_t feature_count_ = 0;
   int class_count_ = 0;
-
-  friend class TreeGrower;
 };
 
 }  // namespace wild5g::ml

@@ -19,6 +19,9 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
       static_cast<double>(data.targets.size());
 
   std::vector<double> current(data.size(), base_prediction_);
+  // Every stage fits the same rows with new targets, so one presort serves
+  // them all.
+  const Presort presort(data);
   Dataset residuals;
   residuals.feature_names = data.feature_names;
   residuals.values = data.values;
@@ -32,7 +35,7 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
     }
     if (sum_sq < 1e-12) break;  // already fit exactly
     DecisionTreeRegressor tree(config_.tree);
-    tree.fit(residuals);
+    tree.fit(residuals, presort);
     for (std::size_t i = 0; i < data.size(); ++i) {
       current[i] += config_.learning_rate * tree.predict(data.row(i));
     }

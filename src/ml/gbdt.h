@@ -20,7 +20,9 @@ struct GbdtConfig {
 };
 
 /// Least-squares gradient boosting: F_0 = mean(y); each stage fits a shallow
-/// CART to the residuals and adds it with shrinkage `learning_rate`.
+/// CART to the residuals and adds it with shrinkage `learning_rate`. The
+/// features are presorted once per fit and every stage grows from that
+/// presort.
 class GradientBoostedRegressor {
  public:
   explicit GradientBoostedRegressor(GbdtConfig config = {})

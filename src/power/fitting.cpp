@@ -29,15 +29,19 @@ std::vector<std::string> PowerModelFit::feature_names() const {
   return {};
 }
 
-std::vector<double> PowerModelFit::feature_row(double dl_mbps, double ul_mbps,
-                                               double rsrp_dbm) const {
+std::span<const double> PowerModelFit::feature_row(
+    double dl_mbps, double ul_mbps, double rsrp_dbm,
+    std::array<double, 3>& buffer) const {
   switch (features_) {
     case FeatureSet::kThroughputAndSignal:
-      return {dl_mbps, ul_mbps, rsrp_dbm};
+      buffer = {dl_mbps, ul_mbps, rsrp_dbm};
+      return {buffer.data(), 3};
     case FeatureSet::kThroughputOnly:
-      return {dl_mbps, ul_mbps};
+      buffer = {dl_mbps, ul_mbps, 0.0};
+      return {buffer.data(), 2};
     case FeatureSet::kSignalOnly:
-      return {rsrp_dbm};
+      buffer = {rsrp_dbm, 0.0, 0.0};
+      return {buffer.data(), 1};
   }
   return {};
 }
@@ -47,10 +51,14 @@ void PowerModelFit::fit(std::span<const CampaignSample> samples, Rng& rng,
   require(samples.size() >= 50, "PowerModelFit::fit: campaign too small");
   ml::Dataset data;
   data.feature_names = feature_names();
+  std::array<double, 3> buffer{};
   for (const auto& sample : samples) {
-    data.add(feature_row(sample.dl_mbps, sample.ul_mbps, sample.rsrp_dbm),
-             sample.power_mw);
+    const auto row =
+        feature_row(sample.dl_mbps, sample.ul_mbps, sample.rsrp_dbm, buffer);
+    data.values.insert(data.values.end(), row.begin(), row.end());
+    data.targets.push_back(sample.power_mw);
   }
+  // train_test_split validates the filled rows.
   const auto split = ml::train_test_split(data, train_fraction, rng);
   tree_.fit(split.train);
   const auto predicted = tree_.predict_all(split.test);
@@ -60,7 +68,8 @@ void PowerModelFit::fit(std::span<const CampaignSample> samples, Rng& rng,
 double PowerModelFit::predict_mw(double dl_mbps, double ul_mbps,
                                  double rsrp_dbm) const {
   require(tree_.is_fitted(), "PowerModelFit: not fitted");
-  return tree_.predict(feature_row(dl_mbps, ul_mbps, rsrp_dbm));
+  std::array<double, 3> buffer{};
+  return tree_.predict(feature_row(dl_mbps, ul_mbps, rsrp_dbm, buffer));
 }
 
 double PowerModelFit::estimate_energy_j(

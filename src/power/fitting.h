@@ -7,6 +7,7 @@
 // the energy estimators used by the video (Sec. 5) and web (Sec. 6) studies.
 #pragma once
 
+#include <array>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,9 +62,11 @@ class PowerModelFit {
   ml::DecisionTreeRegressor tree_;
   double test_mape_ = 0.0;
 
-  [[nodiscard]] std::vector<double> feature_row(double dl_mbps,
-                                                double ul_mbps,
-                                                double rsrp_dbm) const;
+  /// The feature set's values at an operating point, written to the front
+  /// of `buffer`.
+  [[nodiscard]] std::span<const double> feature_row(
+      double dl_mbps, double ul_mbps, double rsrp_dbm,
+      std::array<double, 3>& buffer) const;
   [[nodiscard]] std::vector<std::string> feature_names() const;
 };
 

@@ -46,6 +46,20 @@ WaveformSynthesizer::WaveformSynthesizer(rrc::RrcProfile profile,
           "WaveformSynthesizer: device has no rail for this network");
 }
 
+double drx_remainder(double t, double cycle) {
+  // q may round up to one more than the true quotient when t/cycle falls
+  // just below an integer, never down past it (the true floor is an integer
+  // below 2^52, so it is representable and rounding is monotone). The fma
+  // then yields t - q*cycle exactly: the true remainder, or the true
+  // remainder minus `cycle`, both multiples of the finer of t's and cycle's
+  // last-place units and small enough to be representable. In the second
+  // case the exact sum r + cycle is the representable true remainder, so
+  // the addition is exact too.
+  const double q = std::floor(t / cycle);
+  const double r = std::fma(-q, cycle, t);
+  return r < 0.0 ? r + cycle : r;
+}
+
 namespace {
 
 /// Noise-pass chunk length in ticks. Fixed, never derived from the thread
@@ -63,7 +77,7 @@ enum class FillKind : std::uint8_t {
 };
 
 /// SoA segment plan: one entry per maximal run of samples sharing a
-/// timeline segment. Per-tick work drops to an fmod (DRX) or a rail
+/// timeline segment. Per-tick work drops to a remainder (DRX) or a rail
 /// evaluation (trajectory transfers); everything else is hoisted here.
 struct SegmentPlan {
   std::vector<std::size_t> begin;     // first sample index of the run
@@ -207,12 +221,17 @@ PowerTrace WaveformSynthesizer::synthesize(
     i = run_end;
   }
 
-  // Pass 2: render clean power, one batched run at a time.
+  // Pass 2: clean power and measurement + conversion noise (~2%
+  // multiplicative with a 4 mW floor), fused per chunk. Two normals per tick,
+  // i.e. kWordsPerTick words of one stream in tick order: the exact draw
+  // sequence of the per-tick path, so traces are bit-identical to it. The
+  // stream is cut into kNoiseChunk-tick chunks, each rendering its runs'
+  // clean power and then its noise from a copy of `rng` taken at its first
+  // word, and `rng` itself ends kWordsPerTick * sample_count words on, as if
+  // drawn serially.
   std::vector<double>& samples = trace.samples_mw;
   samples.resize(sample_count);
-  for (std::size_t run = 0; run < plan.begin.size(); ++run) {
-    const std::size_t b = plan.begin[run];
-    const std::size_t e = plan.end[run];
+  const auto render = [&](std::size_t run, std::size_t b, std::size_t e) {
     switch (plan.kind[run]) {
       case FillKind::kConstant:
         std::fill(samples.begin() + static_cast<std::ptrdiff_t>(b),
@@ -235,20 +254,13 @@ PowerTrace WaveformSynthesizer::synthesize(
         const double sleep = plan.sleep_mw[run];
         for (std::size_t s = b; s < e; ++s) {
           const double t = static_cast<double>(s) * dt_ms;
-          const double phase = std::fmod(t, cycle) / cycle;
+          const double phase = drx_remainder(t, cycle) / cycle;
           samples[s] = phase < on_fraction ? on : sleep;
         }
         break;
       }
     }
-  }
-
-  // Pass 3: measurement + conversion noise, ~2% multiplicative with a 4 mW
-  // floor. Two normals per tick, i.e. kWordsPerTick words of one stream in
-  // tick order: the exact draw sequence of the per-tick path, so traces are
-  // bit-identical to it. The stream is cut into kNoiseChunk-tick chunks,
-  // each rendered from a copy of `rng` taken at its first word, and `rng`
-  // itself ends kWordsPerTick * sample_count words on, as if drawn serially.
+  };
   const std::size_t chunks = (sample_count + kNoiseChunk - 1) / kNoiseChunk;
   const auto chunk_end = [sample_count](std::size_t c) {
     return std::min(sample_count, (c + 1) * kNoiseChunk);
@@ -260,8 +272,19 @@ PowerTrace WaveformSynthesizer::synthesize(
     rng.discard(kWordsPerTick * (chunk_end(c) - c * kNoiseChunk));
   }
   parallel::parallel_for(chunks, [&](std::size_t c) {
+    const std::size_t first = c * kNoiseChunk;
+    const std::size_t last = chunk_end(c);
+    // Runs tile [0, sample_count) in order; start at the first one ending
+    // past this chunk's first tick.
+    auto run = static_cast<std::size_t>(
+        std::upper_bound(plan.end.begin(), plan.end.end(), first) -
+        plan.end.begin());
+    for (; run < plan.begin.size() && plan.begin[run] < last; ++run) {
+      render(run, std::max(first, plan.begin[run]),
+             std::min(last, plan.end[run]));
+    }
     Rng& chunk_rng = chunk_rngs[c];
-    for (std::size_t s = c * kNoiseChunk; s < chunk_end(c); ++s) {
+    for (std::size_t s = first; s < last; ++s) {
       const double clean = samples[s];
       const double noisy = clean * (1.0 + chunk_rng.normal(0.0, 0.02)) +
                            chunk_rng.normal(0.0, 4.0);

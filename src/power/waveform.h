@@ -8,11 +8,12 @@
 // Hot-path layout: synthesis is batched per RRC-state segment, not per
 // tick. A first pass builds an SoA segment plan (sample-index runs plus
 // hoisted per-segment constants: promotion level, rail transfer power under
-// constant signal, DRX on/sleep levels), a second pass renders each run,
-// and a third pass applies measurement noise: one Rng stream in tick order,
-// four words per tick, cut at fixed chunk boundaries so the chunks render
-// in parallel (each from a copy of the caller's Rng taken at its first
-// word) while the caller's Rng ends where the serial pass left it.
+// constant signal, DRX on/sleep levels). A second pass cuts the samples at
+// fixed chunk boundaries and, in parallel, renders each chunk's part of the
+// runs and then its measurement noise: one Rng stream in tick order, four
+// words per tick, each chunk drawing from a copy of the caller's Rng taken
+// at its first word, while the caller's Rng ends where a serial pass would
+// have left it.
 // Traces are bit-identical to the original per-tick evaluation; the
 // per-table equivalence digests in tests/test_power_waveform_equiv.cpp pin
 // that equivalence against the pre-batching implementation.
@@ -48,9 +49,10 @@ struct PowerTrace {
 class WaveformSynthesizer {
  public:
   /// `rsrp_at(t_ms)` supplies the signal trajectory; pass nullptr for a
-  /// constant good-signal campaign. Must be a pure function of t_ms: the
-  /// batched renderer only evaluates it for samples whose power depends on
-  /// signal (transfer segments), in time order within each segment.
+  /// constant good-signal campaign. Must be a pure function of t_ms that is
+  /// safe to call concurrently: the renderer evaluates it only for samples
+  /// whose power depends on signal (transfer segments), from pool threads,
+  /// each chunk's samples in time order.
   using RsrpFn = std::function<double(double t_ms)>;
 
   WaveformSynthesizer(rrc::RrcProfile profile, DevicePowerProfile device,
@@ -58,8 +60,8 @@ class WaveformSynthesizer {
 
   /// Renders `timeline` (from rrc::build_timeline) into a power trace,
   /// advancing `rng` by exactly 4 words per sample at any thread count.
-  /// Passes 1-2 run on the calling thread; the noise pass is a
-  /// parallel_for (nested when called from inside a parallel region).
+  /// The plan pass runs on the calling thread; the render-and-noise pass is
+  /// a parallel_for (nested when called from inside a parallel region).
   [[nodiscard]] PowerTrace synthesize(
       std::span<const rrc::StateSegment> timeline, Rng& rng,
       const RsrpFn& rsrp_at = nullptr) const;
@@ -72,5 +74,10 @@ class WaveformSynthesizer {
   RailKey rail_;
   double sample_rate_hz_;
 };
+
+/// `std::fmod(t, cycle)` computed as `fma(-floor(t / cycle), cycle, t)` with
+/// one correction step: bit-equal to it for t >= 0, cycle > 0 and
+/// t / cycle < 2^52, and cheaper. The DRX square wave's phase.
+[[nodiscard]] double drx_remainder(double t, double cycle);
 
 }  // namespace wild5g::power

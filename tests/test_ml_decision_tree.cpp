@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <vector>
@@ -17,6 +18,7 @@ using wild5g::Rng;
 using wild5g::ml::Dataset;
 using wild5g::ml::DecisionTreeClassifier;
 using wild5g::ml::DecisionTreeRegressor;
+using wild5g::ml::Presort;
 using wild5g::ml::TreeConfig;
 using wild5g::ml::TreeNode;
 
@@ -527,4 +529,79 @@ TEST(TreeOracle, CollinearFeaturesSplitOnTheLowerIndex) {
     }
     EXPECT_GT(on_dl, 0u);
   }
+}
+
+// --- presort -----------------------------------------------------------------
+
+// The radix presort orders every feature as a stable sort by `<` does: by
+// value, equal values in ascending row order. The two zeros compare equal, so
+// -0.0 and +0.0 rows interleave by row index; subnormals, negatives and
+// values near the ends of the double range must all land in `<` order.
+TEST(Presort, RadixOrderMatchesStableSortByValue) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> specials = {
+      0.0,   -0.0,  1e300, -1e300, Limits::max(), Limits::lowest(),
+      Limits::denorm_min(), -Limits::denorm_min(), 3.0 * Limits::denorm_min(),
+      Limits::min(), -Limits::min(), 1.0, -1.0};
+  Rng rng(21);
+  const auto special = [&] {
+    return specials[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(specials.size()) - 1))];
+  };
+  Dataset data;
+  data.feature_names = {"ties", "specials", "mixed", "continuous", "constant"};
+  for (int i = 0; i < 3000; ++i) {
+    // Five distinct values, zero signed either way.
+    const double ties = (rng.bernoulli(0.5) ? 1.0 : -1.0) *
+                        std::floor(rng.uniform(-2.0, 3.0));
+    const double mixed = rng.bernoulli(0.5)
+                             ? special()
+                             : rng.normal(0.0, 1.0) * Limits::denorm_min() *
+                                   1e6;
+    data.add({ties, special(), mixed, rng.normal(0.0, 1e3), 2.5}, 0.0);
+  }
+  const Presort presort(data);
+  ASSERT_EQ(presort.size(), data.size());
+  ASSERT_EQ(presort.feature_count(), data.feature_count());
+  std::size_t negative_zeros = 0;
+  for (std::size_t f = 0; f < data.feature_count(); ++f) {
+    std::vector<std::uint32_t> want(data.size());
+    std::iota(want.begin(), want.end(), 0u);
+    std::stable_sort(want.begin(), want.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return data.row(a)[f] < data.row(b)[f];
+                     });
+    const auto got = presort.order(f);
+    ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "feature " << data.feature_names[f];
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      const double v = data.row(i)[f];
+      if (v == 0.0 && std::signbit(v)) ++negative_zeros;
+    }
+  }
+  // The data really mixes both zeros.
+  EXPECT_GT(negative_zeros, 100u);
+}
+
+TEST(Presort, FitWithSharedPresortMatchesPlainFit) {
+  const Dataset data = oracle_dataset(14, 300, Targets::kContinuous);
+  const Presort presort(data);
+  TreeConfig config;
+  config.max_depth = 6;
+  config.min_samples_leaf = 2;
+  config.min_samples_split = 4;
+  DecisionTreeRegressor plain(config);
+  plain.fit(data);
+  DecisionTreeRegressor shared(config);
+  shared.fit(data, presort);
+  ASSERT_EQ(shared.node_count(), plain.node_count());
+  for (std::size_t i = 0; i < plain.node_count(); ++i) {
+    EXPECT_EQ(shared.nodes()[i].feature, plain.nodes()[i].feature);
+    EXPECT_EQ(shared.nodes()[i].threshold, plain.nodes()[i].threshold);
+    EXPECT_EQ(shared.nodes()[i].value, plain.nodes()[i].value);
+  }
+  Dataset fewer = data;
+  fewer.values.resize(fewer.values.size() - fewer.feature_count());
+  fewer.targets.pop_back();
+  EXPECT_THROW(shared.fit(fewer, presort), wild5g::Error);
 }

@@ -105,3 +105,60 @@ TEST(Gbdt, RejectsBadConfig) {
   data.add({1.0}, 1.0);
   EXPECT_THROW(model.fit(data), wild5g::Error);
 }
+
+// Every stage grows from the one presort the ensemble builds per fit. The
+// ensemble must equal one built by hand from fresh DecisionTreeRegressor fits,
+// each presorting the stage's residuals itself: the same stages and bit-equal
+// predictions.
+TEST(Gbdt, SharedPresortMatchesFreshFitsPerStage) {
+  Rng rng(5);
+  Dataset data;
+  data.feature_names = {"grid", "x", "y"};
+  for (int i = 0; i < 700; ++i) {
+    const double grid = std::floor(rng.uniform(0.0, 8.0)) * 0.5;
+    const double x = rng.uniform(-2.0, 2.0);
+    const double y = rng.normal(0.0, 1.0);
+    data.add({grid, x, y}, std::sin(grid) + x * y + rng.normal(0.0, 0.1));
+  }
+  GbdtConfig config;
+  config.tree_count = 40;
+  GradientBoostedRegressor model(config);
+  model.fit(data);
+
+  double base = 0.0;
+  for (const double t : data.targets) base += t;
+  base /= static_cast<double>(data.size());
+  std::vector<double> current(data.size(), base);
+  std::vector<DecisionTreeRegressor> stages;
+  Dataset residuals = data;
+  for (int stage = 0; stage < config.tree_count; ++stage) {
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      residuals.targets[i] = data.targets[i] - current[i];
+    }
+    DecisionTreeRegressor tree(config.tree);
+    tree.fit(residuals);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      current[i] += config.learning_rate * tree.predict(data.row(i));
+    }
+    stages.push_back(std::move(tree));
+  }
+  ASSERT_EQ(model.stage_count(), stages.size());
+
+  const auto by_hand = [&](std::span<const double> row) {
+    double value = base;
+    for (const auto& tree : stages) {
+      value += config.learning_rate * tree.predict(row);
+    }
+    return value;
+  };
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    ASSERT_EQ(model.predict(data.row(i)), by_hand(data.row(i))) << "row " << i;
+  }
+  Rng probe_rng(7);
+  for (int i = 0; i < 200; ++i) {
+    const std::vector<double> row = {probe_rng.uniform(-1.0, 5.0),
+                                     probe_rng.uniform(-3.0, 3.0),
+                                     probe_rng.normal(0.0, 2.0)};
+    ASSERT_EQ(model.predict(row), by_hand(row)) << "probe " << i;
+  }
+}

@@ -24,7 +24,7 @@ Usage:
       --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json \
       --check BENCH_2026-10-17-cart.json --check BENCH_2026-10-18-rng.json \
       --check BENCH_2026-10-18-pool.json --check BENCH_2026-10-19-metro.json \
-      --check BENCH_2026-10-20-mpc.json
+      --check BENCH_2026-10-20-mpc.json --check BENCH_2026-10-20-presort.json
 """
 
 import argparse
@@ -49,6 +49,8 @@ TRACKED_MICRO = [
     "BM_MpcDecision/12",
     "BM_MpcOutageDecision/5",
     "BM_MpcOutageDecision/12",
+    "BM_MpcDecision1s/h:12/outage:0",
+    "BM_MpcDecision1s/h:12/outage:1",
     "BM_DecisionTreeFit/1000",
     "BM_DecisionTreeFit/5000",
     "BM_CubicFlows/1",
@@ -109,24 +111,32 @@ TRACKED_CAMPAIGNS = [
 # host whose speed drifts. They replace the branch-and-bound pass's
 # BM_MpcDecision and fig18b numbers and the Rng pass's fig17 number, which
 # stay recorded in BENCH_2026-10-17.json and BENCH_2026-10-18-rng.json.
+# The BM_DecisionTreeFit, BM_WaveformSynthesis, fig15_16 and fig18a entries
+# were measured the same way (six passes of each tree, parent medians)
+# against the tree immediately before CART presorts became a radix sort
+# shared across boosting stages and the waveform's clean render moved into
+# the parallel noise chunks. They replace the CART pass's
+# BM_DecisionTreeFit and fig18a numbers and the pool pass's
+# BM_WaveformSynthesis and fig15_16 numbers, which stay recorded in
+# BENCH_2026-10-17-cart.json and BENCH_2026-10-18-pool.json.
 PRE_CHANGE = {
     "micro_ns": {
-        "BM_WaveformSynthesis/1000": 3311168,
-        "BM_WaveformSynthesis/5000": 18459986,
+        "BM_WaveformSynthesis/1000": 1135896,
+        "BM_WaveformSynthesis/5000": 4997423,
         "BM_MpcDecision/5": 1634,
         "BM_MpcDecision/12": 3130,
         "BM_MpcOutageDecision/5": 1032,
         "BM_MpcOutageDecision/12": 41481,
-        "BM_DecisionTreeFit/1000": 1785766,
-        "BM_DecisionTreeFit/5000": 11800528,
+        "BM_DecisionTreeFit/1000": 424732,
+        "BM_DecisionTreeFit/5000": 2568610,
         "BM_CubicFlows/1": 35234,
         "BM_CubicFlows/20": 299287,
     },
     "campaign_s": {
         "fig24_server_survey": 0.255,
-        "fig15_16_power_models": 0.115,
+        "fig15_16_power_models": 0.057,
         "fig19_20_web_qoe": 0.361,
-        "fig18a_predictors": 1.169,
+        "fig18a_predictors": 0.315,
         "fig18b_chunk_length": 1.706,
         "extension_metro_load": 0.693,
         "extension_metro_qoe": 0.436,
