@@ -54,8 +54,7 @@ class FestiveAbr final : public AbrAlgorithm {
 /// MPC family: maximizes the linear QoE over a receding horizon using a
 /// plug-in throughput predictor. kFast trusts the prediction; kRobust
 /// discounts it by the recent maximum prediction error (robustMPC).
-class ModelPredictiveAbr final : public AbrAlgorithm,
-                                 public SourceAwareAlgorithm {
+class ModelPredictiveAbr final : public AbrAlgorithm {
  public:
   enum class Variant { kFast, kRobust };
 
@@ -68,9 +67,6 @@ class ModelPredictiveAbr final : public AbrAlgorithm,
 
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] int choose_track(const AbrContext& context) override;
-  void on_session_start(const BandwidthSource& source) override {
-    predictor_->on_session_start(source);
-  }
   void reset() override;
 
  private:

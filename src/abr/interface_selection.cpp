@@ -50,7 +50,7 @@ constexpr double kRsrp4gDbm = -85.0;
 constexpr double kSwitchEnergyJ = 2.2;     // Table 2 switch power x delay
 
 /// MPC wrapper implementing the switching policy at chunk boundaries.
-class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
+class FiveGAwareMpc final : public AbrAlgorithm {
  public:
   FiveGAwareMpc(ModelPredictiveAbr& inner, SwitchableSource& source,
                 const InterfaceSelectionConfig& config)
@@ -81,9 +81,6 @@ class FiveGAwareMpc final : public AbrAlgorithm, public SourceAwareAlgorithm {
     return inner_->choose_track(context);
   }
 
-  void on_session_start(const BandwidthSource& source) override {
-    inner_->on_session_start(source);
-  }
   void reset() override { inner_->reset(); }
 
  private:
@@ -124,7 +121,6 @@ InterfaceRunResult stream_5g_aware(const VideoProfile& video,
   HarmonicMeanPredictor predictor;
   ModelPredictiveAbr mpc(ModelPredictiveAbr::Variant::kFast, predictor);
   FiveGAwareMpc aware(mpc, source, config);
-  aware.on_session_start(source);
 
   InterfaceRunResult result;
   result.session = stream(video, source, aware, options);
@@ -150,7 +146,6 @@ InterfaceRunResult stream_5g_only(const VideoProfile& video,
   TraceSource source(trace_5g);
   HarmonicMeanPredictor predictor;
   ModelPredictiveAbr mpc(ModelPredictiveAbr::Variant::kFast, predictor);
-  mpc.on_session_start(source);
 
   InterfaceRunResult result;
   result.session = stream(video, source, mpc, options);

@@ -10,8 +10,7 @@ namespace wild5g::abr {
 namespace {
 
 /// Wraps an algorithm and logs (features, action) pairs for distillation.
-class RecordingAlgorithm final : public AbrAlgorithm,
-                                 public SourceAwareAlgorithm {
+class RecordingAlgorithm final : public AbrAlgorithm {
  public:
   RecordingAlgorithm(ModelPredictiveAbr& oracle, ml::Dataset& sink,
                      std::vector<double> (*featurize)(const AbrContext&))
@@ -22,9 +21,6 @@ class RecordingAlgorithm final : public AbrAlgorithm,
     const int action = oracle_->choose_track(context);
     sink_->add(featurize_(context), static_cast<double>(action));
     return action;
-  }
-  void on_session_start(const BandwidthSource& source) override {
-    oracle_->on_session_start(source);
   }
   void reset() override { oracle_->reset(); }
 
@@ -68,13 +64,13 @@ std::vector<double> PensieveLikeAbr::features(const AbrContext& context) {
 
 void PensieveLikeAbr::train(const VideoProfile& video,
                             const std::vector<traces::Trace>& training_traces,
-                            const SessionOptions& options, Rng& /*rng*/) {
+                            const SessionOptions& options) {
   require(!training_traces.empty(), "PensieveLikeAbr::train: no traces");
   ml::Dataset data;
   data.feature_names = {"last_tput", "hm5_tput", "buffer", "last_track",
                         "remaining"};
 
-  OraclePredictor oracle_predictor(video.chunk_s);
+  OraclePredictor oracle_predictor;
   ModelPredictiveAbr oracle(ModelPredictiveAbr::Variant::kFast,
                             oracle_predictor);
   RecordingAlgorithm recorder(oracle, data, &PensieveLikeAbr::features);

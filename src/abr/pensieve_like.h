@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "abr/session.h"
-#include "core/rng.h"
 #include "ml/decision_tree.h"
 
 namespace wild5g::abr {
@@ -27,7 +26,7 @@ class PensieveLikeAbr final : public AbrAlgorithm {
   /// normalized to the training population, as Pensieve's reward was).
   void train(const VideoProfile& video,
              const std::vector<traces::Trace>& training_traces,
-             const SessionOptions& options, Rng& rng);
+             const SessionOptions& options);
 
   [[nodiscard]] std::string name() const override { return "Pensieve"; }
   [[nodiscard]] int choose_track(const AbrContext& context) override;

@@ -23,41 +23,41 @@ double recent_harmonic_mean(std::span<const double> past, int window,
 double HarmonicMeanPredictor::predict_mbps(const AbrContext& context) {
   // Before any history exists, assume the lowest track is sustainable.
   const double fallback = context.video->track_mbps.front();
-  return recent_harmonic_mean(context.past_chunk_mbps, window_, fallback);
+  return recent_harmonic_mean(context.past_chunk_mbps, kPredictorWindow,
+                              fallback);
 }
 
 double OraclePredictor::predict_mbps(const AbrContext& context) {
-  require(source_ != nullptr,
-          "OraclePredictor: on_session_start was not called");
+  require(context.source != nullptr, "OraclePredictor: context has no source");
   constexpr double kStep = 0.25;
+  const double end_s = context.now_s + context.video->chunk_s;
   double sum = 0.0;
   int samples = 0;
-  for (double t = context.now_s; t < context.now_s + horizon_s_; t += kStep) {
-    sum += source_->mbps_at(t);
+  for (double t = context.now_s; t < end_s; t += kStep) {
+    sum += context.source->mbps_at(t);
     ++samples;
   }
   return std::max(0.05, sum / std::max(1, samples));
 }
 
-GbdtPredictor::GbdtPredictor(int window, double horizon_s)
-    : window_(window), horizon_s_(horizon_s) {
-  require(window_ >= 1 && horizon_s_ > 0.0, "GbdtPredictor: invalid config");
+GbdtPredictor::GbdtPredictor(double horizon_s) : horizon_s_(horizon_s) {
+  require(horizon_s_ > 0.0, "GbdtPredictor: invalid config");
   ml::GbdtConfig config;
   config.tree_count = 120;
-  config.learning_rate = 0.1;
   config.tree.max_depth = 4;
   model_ = ml::GradientBoostedRegressor(config);
 }
 
 std::vector<double> GbdtPredictor::features_from(
     std::span<const double> past) const {
-  std::vector<double> features(static_cast<std::size_t>(window_), 0.0);
+  std::vector<double> features(
+      static_cast<std::size_t>(kPredictorWindow), 0.0);
   // Right-align history; pad the far past with the oldest known value.
   // Log space, matching training.
   const double pad = past.empty() ? 0.05 : past.front();
-  for (int i = 0; i < window_; ++i) {
+  for (int i = 0; i < kPredictorWindow; ++i) {
     const int source_index =
-        static_cast<int>(past.size()) - window_ + i;
+        static_cast<int>(past.size()) - kPredictorWindow + i;
     const double raw =
         source_index >= 0 ? past[static_cast<std::size_t>(source_index)]
                           : pad;
@@ -70,10 +70,10 @@ void GbdtPredictor::train(const std::vector<traces::Trace>& traces,
                           Rng& rng) {
   require(!traces.empty(), "GbdtPredictor::train: no traces");
   ml::Dataset data;
-  data.feature_names.resize(static_cast<std::size_t>(window_));
-  for (int i = 0; i < window_; ++i) {
-    data.feature_names[static_cast<std::size_t>(i)] =
-        "tput_t-" + std::to_string(window_ - i);
+  constexpr auto kWindow = static_cast<std::size_t>(kPredictorWindow);
+  data.feature_names.resize(kWindow);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    data.feature_names[i] = "tput_t-" + std::to_string(kWindow - i);
   }
   // Aggregate each trace into chunk-length means first so training samples
   // live on the same scale as the per-chunk throughputs the predictor sees
@@ -88,17 +88,15 @@ void GbdtPredictor::train(const std::vector<traces::Trace>& traces,
       for (std::size_t j = 0; j < horizon; ++j) sum += trace.mbps[at + j];
       agg.push_back(sum / static_cast<double>(horizon));
     }
-    if (agg.size() < static_cast<std::size_t>(window_) + 1) continue;
-    for (std::size_t at = static_cast<std::size_t>(window_);
-         at < agg.size();
+    if (agg.size() < kWindow + 1) continue;
+    for (std::size_t at = kWindow; at < agg.size();
          at += 1 + static_cast<std::size_t>(rng.uniform_int(0, 1))) {
       // Train in log space: squared error on raw Mbps would be dominated by
       // the multi-Gbps region, leaving the low-rate region — where rate
       // adaptation lives or dies — essentially unfit.
       std::vector<double> features;
-      features.reserve(static_cast<std::size_t>(window_));
-      for (std::size_t j = at - static_cast<std::size_t>(window_); j < at;
-           ++j) {
+      features.reserve(kWindow);
+      for (std::size_t j = at - kWindow; j < at; ++j) {
         features.push_back(std::log2(std::max(0.05, agg[j])));
       }
       data.add(std::move(features), std::log2(std::max(0.05, agg[at])));
@@ -111,6 +109,9 @@ void GbdtPredictor::train(const std::vector<traces::Trace>& traces,
 double GbdtPredictor::predict_mbps(const AbrContext& context) {
   require(model_.is_fitted(), "GbdtPredictor: not trained");
   if (context.past_chunk_mbps.empty()) {
+    // No history: a new session, so its smoothing starts afresh.
+    has_smoothed_ = false;
+    smoothed_log2_ = 0.0;
     return context.video->track_mbps.front();
   }
   const auto features = features_from(context.past_chunk_mbps);
@@ -126,11 +127,6 @@ double GbdtPredictor::predict_mbps(const AbrContext& context) {
     smoothed_log2_ = 0.5 * smoothed_log2_ + 0.5 * raw_log2;
   }
   return std::max(0.05, std::exp2(smoothed_log2_));
-}
-
-void GbdtPredictor::on_session_start(const BandwidthSource& /*source*/) {
-  has_smoothed_ = false;
-  smoothed_log2_ = 0.0;
 }
 
 }  // namespace wild5g::abr

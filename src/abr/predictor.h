@@ -16,66 +16,52 @@
 
 namespace wild5g::abr {
 
-/// Mixin for algorithms/predictors that need the session's bandwidth source
-/// (only the oracle does; everything causal ignores it).
-class SourceAwareAlgorithm {
- public:
-  virtual ~SourceAwareAlgorithm() = default;
-  virtual void on_session_start(const BandwidthSource& source) = 0;
-};
-
 class ThroughputPredictor {
  public:
   virtual ~ThroughputPredictor() = default;
   [[nodiscard]] virtual std::string name() const = 0;
+  /// Never called by the session engine: a predictor reads the session's
+  /// source from `AbrContext::source` and starts a session at the decision
+  /// with no history. Kept as a no-op for decorators that still forward it.
   virtual void on_session_start(const BandwidthSource& /*source*/) {}
   /// Predicted average throughput (Mbps) over the next chunk download.
   [[nodiscard]] virtual double predict_mbps(const AbrContext& context) = 0;
 };
 
-/// Harmonic mean of the last `window` chunk throughputs.
+/// Chunk throughputs the causal predictors look back over.
+inline constexpr int kPredictorWindow = 5;
+
+/// Harmonic mean of the last kPredictorWindow chunk throughputs.
 class HarmonicMeanPredictor final : public ThroughputPredictor {
  public:
-  explicit HarmonicMeanPredictor(int window = 5) : window_(window) {}
   [[nodiscard]] std::string name() const override { return "harmonic-mean"; }
   [[nodiscard]] double predict_mbps(const AbrContext& context) override;
-
- private:
-  int window_;
 };
 
-/// Oracle: true mean bandwidth over the next `horizon_s` of the trace.
+/// Oracle: true mean bandwidth of `context.source` over the next chunk
+/// length (`context.video->chunk_s`).
 class OraclePredictor final : public ThroughputPredictor {
  public:
-  explicit OraclePredictor(double horizon_s = 4.0) : horizon_s_(horizon_s) {}
   [[nodiscard]] std::string name() const override { return "ground-truth"; }
-  void on_session_start(const BandwidthSource& source) override {
-    source_ = &source;
-  }
   [[nodiscard]] double predict_mbps(const AbrContext& context) override;
-
- private:
-  double horizon_s_;
-  const BandwidthSource* source_ = nullptr;
 };
 
 /// Gradient-boosted-tree predictor trained on throughput traces: features
-/// are the last `window` one-second samples, the target is the mean
-/// bandwidth over the following `horizon_s` seconds.
+/// are the last kPredictorWindow `horizon_s`-second means, the target is the
+/// mean bandwidth over the following `horizon_s` seconds. Its smoothing
+/// restarts at a decision with no history, the first of every session.
 class GbdtPredictor final : public ThroughputPredictor {
  public:
-  explicit GbdtPredictor(int window = 5, double horizon_s = 4.0);
+  explicit GbdtPredictor(double horizon_s = 4.0);
 
   /// Trains on sliding windows drawn from `traces`.
   void train(const std::vector<traces::Trace>& traces, Rng& rng);
 
   [[nodiscard]] std::string name() const override { return "gbdt"; }
-  void on_session_start(const BandwidthSource& source) override;
   [[nodiscard]] double predict_mbps(const AbrContext& context) override;
   [[nodiscard]] bool is_trained() const { return model_.is_fitted(); }
 
  private:
-  int window_;
   double horizon_s_;
   ml::GradientBoostedRegressor model_;
   double smoothed_log2_ = 0.0;  // EMA over predictions (anti-jitter)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "abr/predictor.h"
 #include "core/error.h"
 
 namespace wild5g::abr {
@@ -15,6 +14,10 @@ constexpr double kMinBandwidthMbps = 0.05;
 constexpr double kAbandonMultiplier = 1.8;
 constexpr int kMaxAbandonments = 3;
 constexpr double kQoeSmoothness = 1.0;  // weight of sum(|delta bitrate|)
+// dash.js-like player buffering: media queued before playback starts, and
+// before it resumes after a rebuffer.
+constexpr double kStartupBufferS = 8.0;
+constexpr double kResumeBufferS = 4.0;
 }  // namespace
 
 SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
@@ -31,15 +34,15 @@ SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
   double buffer = 0.0;
   int last_track = -1;
   // Player state: media time only advances while kPlaying; the player
-  // queues `startup_buffer_s` before starting and, after a rebuffer, waits
-  // for `resume_buffer_s` before resuming.
+  // queues kStartupBufferS before starting and, after a rebuffer, waits
+  // for kResumeBufferS before resuming.
   enum class PlayState { kStartup, kPlaying, kRebuffering };
   PlayState play_state = PlayState::kStartup;
   const double startup_target =
-      std::min(options.startup_buffer_s,
+      std::min(kStartupBufferS,
                static_cast<double>(options.chunk_count) * video.chunk_s);
   const double resume_target =
-      std::min(options.resume_buffer_s, options.max_buffer_s);
+      std::min(kResumeBufferS, options.max_buffer_s);
 
   auto record_consumption = [&](double from_s, double mbits) {
     // Attribute consumed megabits to integral-second buckets.
@@ -71,6 +74,7 @@ SessionResult stream(const VideoProfile& video, const BandwidthSource& source,
       context.last_track = last_track;
       context.past_chunk_mbps = past_mbps;
       context.now_s = t;
+      context.source = &source;
 
       track = std::clamp(algorithm.choose_track(context), 0,
                          video.track_count() - 1);
@@ -196,9 +200,6 @@ AggregateQoe evaluate_on_traces(const VideoProfile& video,
   AggregateQoe aggregate;
   for (const auto& trace : traces) {
     TraceSource source(trace);
-    if (auto* aware = dynamic_cast<SourceAwareAlgorithm*>(&algorithm)) {
-      aware->on_session_start(source);
-    }
     const auto result = stream(video, source, algorithm, options);
     aggregate.mean_normalized_bitrate += result.normalized_bitrate(video);
     aggregate.mean_stall_percent += result.stall_percent();

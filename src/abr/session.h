@@ -38,9 +38,8 @@ class TraceSource final : public BandwidthSource {
   const traces::Trace* trace_;
 };
 
-class ThroughputPredictor;
-
-/// Decision context handed to an ABR algorithm for one chunk.
+/// Decision context handed to an ABR algorithm for one chunk. A session
+/// starts at the decision whose `past_chunk_mbps` is empty.
 struct AbrContext {
   const VideoProfile* video = nullptr;
   int next_chunk = 0;
@@ -50,9 +49,10 @@ struct AbrContext {
   int last_track = -1;  // -1 before the first chunk
   /// Measured per-chunk download throughput so far, oldest first.
   std::span<const double> past_chunk_mbps;
-  /// Optional plug-in predictor (MPC variants); may be null.
-  ThroughputPredictor* predictor = nullptr;
   double now_s = 0.0;
+  /// The session's bandwidth source. Only an oracle may read ahead of
+  /// `now_s`; causal algorithms ignore it.
+  const BandwidthSource* source = nullptr;
 };
 
 /// Rate-adaptation policy interface.
@@ -90,11 +90,6 @@ struct SessionOptions {
   /// 5G-aware interface-selection scheme (Sec. 5.4) enables it as its
   /// progress-monitoring component.
   bool allow_abandonment = false;
-  /// Player buffering policy (dash.js-like): playback starts once
-  /// `startup_buffer_s` of media is queued, and after a rebuffer event it
-  /// resumes only when the buffer recovers past `resume_buffer_s`.
-  double startup_buffer_s = 8.0;
-  double resume_buffer_s = 4.0;
   /// Optional fault injector (not owned; null = no faults). Chunk stalls,
   /// NR->LTE fallback and radio outages scale the bandwidth the session
   /// sees sample by sample; the player degrades gracefully (downloads slow

@@ -61,10 +61,9 @@ void fig17_abr_qoe(FigureRun& run) {
                                  hm_robust);
   abr::PensieveLikeAbr pensieve;
   {
-    Rng train_rng(run.seed + 2);
     std::vector<traces::Trace> training(traces_4g.begin(),
                                         traces_4g.begin() + 60);
-    pensieve.train(abr::video_ladder_4g(), training, options, train_rng);
+    pensieve.train(abr::video_ladder_4g(), training, options);
   }
 
   std::vector<abr::AbrAlgorithm*> algorithms{&bba, &rb,      &bola, &fast,
@@ -161,10 +160,10 @@ void fig18a_predictors(FigureRun& run) {
   const auto video = abr::video_ladder_5g();
 
   abr::HarmonicMeanPredictor hm;
-  abr::GbdtPredictor gbdt(5, video.chunk_s);
+  abr::GbdtPredictor gbdt(video.chunk_s);
   Rng train_rng(run.seed + 2);
   gbdt.train(train_traces, train_rng);
-  abr::OraclePredictor oracle(video.chunk_s);
+  abr::OraclePredictor oracle;
 
   Table table("fastMPC QoE by predictor (normalized, mean over traces)");
   table.set_header({"predictor", "norm. QoE", "norm. bitrate", "stall %"});
@@ -589,15 +588,9 @@ void extension_pensieve_5g(FigureRun& run) {
       {"policy", "training data", "norm. bitrate", "stall %"});
 
   abr::PensieveLikeAbr trained_4g;
-  {
-    Rng train_rng(run.seed + 3);
-    trained_4g.train(abr::video_ladder_4g(), train_4g, options, train_rng);
-  }
+  trained_4g.train(abr::video_ladder_4g(), train_4g, options);
   abr::PensieveLikeAbr trained_5g;
-  {
-    Rng train_rng(run.seed + 4);
-    trained_5g.train(video, train_5g, options, train_rng);
-  }
+  trained_5g.train(video, train_5g, options);
   abr::HarmonicMeanPredictor predictor;
   abr::ModelPredictiveAbr robust(abr::ModelPredictiveAbr::Variant::kRobust,
                                  predictor);

@@ -10,8 +10,6 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
   data.validate();
   require(data.size() > 0, "GradientBoostedRegressor::fit: empty dataset");
   require(config_.tree_count > 0, "GradientBoostedRegressor: tree_count <= 0");
-  require(config_.learning_rate > 0.0,
-          "GradientBoostedRegressor: learning_rate <= 0");
 
   stages_.clear();
   base_prediction_ =
@@ -37,7 +35,7 @@ void GradientBoostedRegressor::fit(const Dataset& data) {
     DecisionTreeRegressor tree(config_.tree);
     tree.fit(residuals, presort);
     for (std::size_t i = 0; i < data.size(); ++i) {
-      current[i] += config_.learning_rate * tree.predict(data.row(i));
+      current[i] += kGbdtLearningRate * tree.predict(data.row(i));
     }
     stages_.push_back(std::move(tree));
   }
@@ -49,7 +47,7 @@ double GradientBoostedRegressor::predict(
   require(fitted_, "GradientBoostedRegressor: not fitted");
   double value = base_prediction_;
   for (const auto& tree : stages_) {
-    value += config_.learning_rate * tree.predict(features);
+    value += kGbdtLearningRate * tree.predict(features);
   }
   return value;
 }

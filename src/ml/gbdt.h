@@ -12,15 +12,17 @@
 
 namespace wild5g::ml {
 
+/// Shrinkage each boosting stage is added with.
+inline constexpr double kGbdtLearningRate = 0.1;
+
 struct GbdtConfig {
   int tree_count = 100;
-  double learning_rate = 0.1;
   TreeConfig tree;  // weak learners default to shallow trees
   GbdtConfig() { tree.max_depth = 3; tree.min_samples_leaf = 3; tree.min_samples_split = 6; }
 };
 
 /// Least-squares gradient boosting: F_0 = mean(y); each stage fits a shallow
-/// CART to the residuals and adds it with shrinkage `learning_rate`. The
+/// CART to the residuals and adds it with shrinkage kGbdtLearningRate. The
 /// features are presorted once per fit and every stage grows from that
 /// presort.
 class GradientBoostedRegressor {

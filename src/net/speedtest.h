@@ -75,7 +75,9 @@ struct SpeedtestConfig {
   geo::GeoPoint ue_location;
   /// Stationary outdoor LoS RSRP distribution for the session.
   double session_rsrp_mean_dbm = -76.0;
-  double test_duration_s = 15.0;
+  /// Length of each direction's transfer; a fixed constant, kept a static
+  /// member so that `config.test_duration_s` reads it.
+  static constexpr double test_duration_s = 15.0;
 
   /// Optional fault injector (not owned; null = no faults, and the harness
   /// then executes the exact pre-fault code path and draw sequence).

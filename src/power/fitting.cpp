@@ -46,8 +46,9 @@ std::span<const double> PowerModelFit::feature_row(
   return {};
 }
 
-void PowerModelFit::fit(std::span<const CampaignSample> samples, Rng& rng,
-                        double train_fraction) {
+void PowerModelFit::fit(std::span<const CampaignSample> samples, Rng& rng) {
+  // Share of the campaign the tree trains on; the rest scores it.
+  constexpr double kTrainFraction = 0.7;
   require(samples.size() >= 50, "PowerModelFit::fit: campaign too small");
   ml::Dataset data;
   data.feature_names = feature_names();
@@ -59,7 +60,7 @@ void PowerModelFit::fit(std::span<const CampaignSample> samples, Rng& rng,
     data.targets.push_back(sample.power_mw);
   }
   // train_test_split validates the filled rows.
-  const auto split = ml::train_test_split(data, train_fraction, rng);
+  const auto split = ml::train_test_split(data, kTrainFraction, rng);
   tree_.fit(split.train);
   const auto predicted = tree_.predict_all(split.test);
   test_mape_ = stats::mape_percent(split.test.targets, predicted);

@@ -35,8 +35,7 @@ class PowerModelFit {
   }());
 
   /// Trains on a 70/30 split of the campaign and records the held-out MAPE.
-  void fit(std::span<const CampaignSample> samples, Rng& rng,
-           double train_fraction = 0.7);
+  void fit(std::span<const CampaignSample> samples, Rng& rng);
 
   /// Predicted radio power at an operating point.
   [[nodiscard]] double predict_mw(double dl_mbps, double ul_mbps,

@@ -94,11 +94,12 @@ A3HandoffEngine::StepResult A3HandoffEngine::step(double dt_s,
   return result;
 }
 
-int A3HandoffEngine::pingpong_count(double window_s) const {
+int A3HandoffEngine::pingpong_count() const {
+  constexpr double kPingpongWindowS = 5.0;
   int count = 0;
   for (std::size_t i = 1; i < events_.size(); ++i) {
     if (events_[i].to == events_[i - 1].from &&
-        events_[i].t_s - events_[i - 1].t_s <= window_s) {
+        events_[i].t_s - events_[i - 1].t_s <= kPingpongWindowS) {
       ++count;
     }
   }

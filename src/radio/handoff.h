@@ -76,8 +76,8 @@ class A3HandoffEngine {
   StepResult step(double dt_s, double ue_position_m);
 
   [[nodiscard]] int handoff_count() const { return handoff_count_; }
-  /// Handoffs that returned to the previous cell within `window_s`.
-  [[nodiscard]] int pingpong_count(double window_s = 5.0) const;
+  /// Handoffs that returned to the previous cell within 5 s.
+  [[nodiscard]] int pingpong_count() const;
   [[nodiscard]] int serving_cell() const { return serving_; }
   /// Every completed handoff in order.
   [[nodiscard]] const std::vector<HandoffEvent>& events() const {

@@ -44,8 +44,7 @@ TEST(Pensieve, UntrainedThrows) {
 TEST(Pensieve, TrainsOnFourGTraces) {
   Fixture f;
   wa::PensieveLikeAbr pensieve;
-  Rng rng(3);
-  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options, rng);
+  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options);
   EXPECT_TRUE(pensieve.is_trained());
 }
 
@@ -53,8 +52,7 @@ TEST(Pensieve, StrongOnItsTrainingDistribution) {
   // The paper: Pensieve outperforms on 4G (its training regime).
   Fixture f;
   wa::PensieveLikeAbr pensieve;
-  Rng rng(4);
-  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options, rng);
+  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options);
 
   const auto video = wa::video_ladder_4g();
   const auto qoe_pensieve =
@@ -71,8 +69,7 @@ TEST(Pensieve, StallsBlowUpOutOfDistributionOn5g) {
   // policy incurs far more stall time on mmWave than robustMPC.
   Fixture f;
   wa::PensieveLikeAbr pensieve;
-  Rng rng(5);
-  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options, rng);
+  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options);
 
   const auto video = wa::video_ladder_5g();
   const auto qoe_pensieve =
@@ -91,8 +88,7 @@ TEST(Pensieve, StallsBlowUpOutOfDistributionOn5g) {
 TEST(Pensieve, ValidTracksOnArbitraryStates) {
   Fixture f;
   wa::PensieveLikeAbr pensieve;
-  Rng rng(6);
-  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options, rng);
+  pensieve.train(wa::video_ladder_4g(), f.traces_4g, f.options);
 
   const auto video = wa::video_ladder_5g();
   Rng fuzz(7);

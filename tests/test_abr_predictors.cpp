@@ -28,17 +28,18 @@ wa::AbrContext make_context(const wa::VideoProfile& video,
 TEST(HarmonicMean, MatchesStatsHelper) {
   const auto video = wa::video_ladder_5g();
   const std::vector<double> past{100.0, 50.0, 200.0, 80.0, 120.0};
-  wa::HarmonicMeanPredictor predictor(5);
   const auto context = make_context(video, past, 0.0);
-  wa::HarmonicMeanPredictor p(5);
+  wa::HarmonicMeanPredictor p;
   EXPECT_NEAR(p.predict_mbps(context),
               wild5g::stats::harmonic_mean(past), 1e-9);
 }
 
 TEST(HarmonicMean, UsesOnlyWindow) {
   const auto video = wa::video_ladder_5g();
-  const std::vector<double> past{1.0, 1.0, 1.0, 100.0, 100.0, 100.0};
-  wa::HarmonicMeanPredictor p(3);
+  const std::vector<double> past{1.0,   1.0,   1.0,   100.0,
+                                 100.0, 100.0, 100.0, 100.0};
+  ASSERT_EQ(wa::kPredictorWindow, 5);
+  wa::HarmonicMeanPredictor p;
   const auto context = make_context(video, past, 0.0);
   EXPECT_NEAR(p.predict_mbps(context), 100.0, 1e-9);
 }
@@ -55,9 +56,9 @@ TEST(Oracle, ExactOnConstantTrace) {
   wt::Trace trace;
   trace.mbps.assign(100, 77.0);
   wa::TraceSource source(trace);
-  wa::OraclePredictor oracle(4.0);
-  oracle.on_session_start(source);
-  const auto context = make_context(video, {}, 10.0);
+  wa::OraclePredictor oracle;
+  auto context = make_context(video, {}, 10.0);
+  context.source = &source;
   EXPECT_NEAR(oracle.predict_mbps(context), 77.0, 1e-9);
 }
 
@@ -67,14 +68,32 @@ TEST(Oracle, SeesTheFutureStep) {
   trace.mbps.assign(10, 100.0);
   trace.mbps.resize(100, 10.0);  // collapse at t=10
   wa::TraceSource source(trace);
-  wa::OraclePredictor oracle(4.0);
-  oracle.on_session_start(source);
+  wa::OraclePredictor oracle;
   // A causal predictor at t=9.5 would say ~100; the oracle sees the cliff.
-  const auto context = make_context(video, {}, 9.5);
+  auto context = make_context(video, {}, 9.5);
+  context.source = &source;
   EXPECT_LT(oracle.predict_mbps(context), 30.0);
 }
 
-TEST(Oracle, RequiresSessionStart) {
+TEST(Oracle, LooksOneChunkAhead) {
+  wt::Trace trace;
+  trace.mbps.assign(10, 100.0);
+  trace.mbps.resize(100, 10.0);  // collapse at t=10
+  wa::TraceSource source(trace);
+  wa::OraclePredictor oracle;
+  // At 1 s chunks the oracle averages [9.5, 10.5): two samples at 100 Mbps
+  // and two at 10; at 4 s chunks, [9.5, 13.5): two at 100 and fourteen
+  // at 10.
+  const auto short_chunks = wa::video_ladder_5g(1.0);
+  auto context = make_context(short_chunks, {}, 9.5);
+  context.source = &source;
+  EXPECT_DOUBLE_EQ(oracle.predict_mbps(context), 55.0);
+  const auto long_chunks = wa::video_ladder_5g(4.0);
+  context.video = &long_chunks;
+  EXPECT_DOUBLE_EQ(oracle.predict_mbps(context), 340.0 / 16.0);
+}
+
+TEST(Oracle, RequiresSource) {
   const auto video = wa::video_ladder_5g();
   wa::OraclePredictor oracle;
   const auto context = make_context(video, {}, 0.0);
@@ -111,12 +130,12 @@ TEST(Gbdt, BeatsHarmonicMeanOnGeneratedTraces) {
   config.count = 15;
   const auto held_out = wt::generate_traces(config, rng2);
 
-  wa::GbdtPredictor gbdt(5, 4.0);
+  wa::GbdtPredictor gbdt(4.0);
   Rng train_rng(4);
   gbdt.train(training, train_rng);
 
   const auto video = wa::video_ladder_5g();
-  wa::HarmonicMeanPredictor hm(5);
+  wa::HarmonicMeanPredictor hm;
 
   // Score with the asymmetric loss that matters for rate adaptation:
   // overpredicting throughput triggers stalls (weight 3), underpredicting
@@ -129,8 +148,8 @@ TEST(Gbdt, BeatsHarmonicMeanOnGeneratedTraces) {
   double err_hm = 0.0;
   int count = 0;
   for (const auto& trace : held_out) {
-    wa::TraceSource session_source(trace);
-    gbdt.on_session_start(session_source);  // resets prediction smoothing
+    // A decision with no history starts a session and resets smoothing.
+    (void)gbdt.predict_mbps(make_context(video, {}, 0.0));
     for (std::size_t t = 5; t + 4 < trace.mbps.size(); t += 3) {
       const std::span<const double> past(trace.mbps.data() + t - 5, 5);
       const auto context =

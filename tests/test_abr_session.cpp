@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "abr/algorithms.h"
+#include "abr/pensieve_like.h"
+#include "abr/predictor.h"
 #include "abr/video.h"
 #include "core/error.h"
 
@@ -219,19 +224,18 @@ TEST(Session, AbandonmentOffNeverAborts) {
 }
 
 TEST(Session, ResumeThresholdConsolidatesStalls) {
-  // After a rebuffer the player waits for resume_buffer_s before playing:
-  // stalls consolidate instead of dribbling one per chunk.
+  // After a rebuffer the player waits for its 4 s resume threshold before
+  // playing: at 1 s chunks stalls consolidate into runs instead of dribbling
+  // one per chunk.
   wt::Trace trace;
   trace.mbps.assign(400, 18.0);  // just below the lowest track (21.1)
   wa::TraceSource source(trace);
-  const auto video = wa::video_ladder_5g();
+  const auto video = wa::video_ladder_5g(1.0);
   FixedTrack lowest(0);
   wa::SessionOptions options;
-  options.chunk_count = 30;
-  options.resume_buffer_s = 8.0;
+  options.chunk_count = 120;
   const auto result = wa::stream(video, source, lowest, options);
-  // With an 8 s resume threshold, stall chunks come in runs; count distinct
-  // stall events (transitions from no-stall to stall).
+  // Count distinct stall events (transitions from no-stall to stall).
   int events = 0;
   bool in_stall = false;
   for (const auto& chunk : result.chunks) {
@@ -244,14 +248,170 @@ TEST(Session, ResumeThresholdConsolidatesStalls) {
 }
 
 TEST(Session, StartupTargetRespectsShortVideos) {
-  // startup_buffer_s larger than the whole video must not deadlock.
+  // The 8 s startup target is longer than a one-chunk 4 s video: playback
+  // starts once the whole video is queued instead of waiting forever.
   const auto video = wa::video_ladder_4g();
   const auto trace = constant_trace(100.0, 300);
   wa::TraceSource source(trace);
   FixedTrack lowest(0);
   wa::SessionOptions options;
-  options.chunk_count = 2;
-  options.startup_buffer_s = 1000.0;
+  options.chunk_count = 1;
   const auto result = wa::stream(video, source, lowest, options);
-  EXPECT_EQ(result.chunks.size(), 2u);
+  ASSERT_EQ(result.chunks.size(), 1u);
+  EXPECT_DOUBLE_EQ(result.startup_delay_s, result.chunks[0].download_s);
+  EXPECT_DOUBLE_EQ(result.total_stall_s, 0.0);
+}
+
+// The session protocol: a decision sees the session's source in its context,
+// and a session starts at the decision with no history, so a session's
+// result depends only on its own trace.
+namespace {
+
+void expect_same_session(const wa::SessionResult& a,
+                         const wa::SessionResult& b) {
+  ASSERT_EQ(a.chunks.size(), b.chunks.size());
+  for (std::size_t i = 0; i < a.chunks.size(); ++i) {
+    EXPECT_EQ(a.chunks[i].track, b.chunks[i].track) << "chunk " << i;
+  }
+  EXPECT_EQ(a.startup_delay_s, b.startup_delay_s);
+  EXPECT_EQ(a.total_stall_s, b.total_stall_s);
+  EXPECT_EQ(a.avg_bitrate_mbps, b.avg_bitrate_mbps);
+  EXPECT_EQ(a.qoe, b.qoe);
+}
+
+void expect_same_aggregate(const wa::AggregateQoe& a,
+                           const wa::AggregateQoe& b) {
+  EXPECT_EQ(a.mean_normalized_bitrate, b.mean_normalized_bitrate);
+  EXPECT_EQ(a.mean_stall_percent, b.mean_stall_percent);
+  EXPECT_EQ(a.mean_normalized_qoe, b.mean_normalized_qoe);
+  EXPECT_EQ(a.mean_stall_s, b.mean_stall_s);
+}
+
+std::vector<wt::Trace> mmwave_traces(int count, std::uint64_t seed) {
+  wild5g::Rng rng(seed);
+  auto config = wt::lumos5g_mmwave_config();
+  config.count = count;
+  config.duration_s = 200.0;
+  return wt::generate_traces(config, rng);
+}
+
+const wa::GbdtPredictor& trained_gbdt() {
+  static const wa::GbdtPredictor gbdt = [] {
+    wa::GbdtPredictor predictor;
+    wild5g::Rng rng(11);
+    predictor.train(mmwave_traces(30, 12), rng);
+    return predictor;
+  }();
+  return gbdt;
+}
+
+const wa::PensieveLikeAbr& trained_pensieve() {
+  static const wa::PensieveLikeAbr pensieve = [] {
+    wild5g::Rng rng(13);
+    auto config = wt::lumos5g_lte_config();
+    config.count = 20;
+    wa::SessionOptions options;
+    options.chunk_count = 30;
+    wa::PensieveLikeAbr policy;
+    policy.train(wa::video_ladder_4g(), wt::generate_traces(config, rng),
+                 options);
+    return policy;
+  }();
+  return pensieve;
+}
+
+/// One algorithm under test together with the predictor it owns.
+struct Arm {
+  wa::HarmonicMeanPredictor harmonic;
+  wa::GbdtPredictor gbdt = trained_gbdt();
+  wa::OraclePredictor oracle;
+  wa::PensieveLikeAbr pensieve = trained_pensieve();
+  wa::FestiveAbr festive;
+  std::unique_ptr<wa::AbrAlgorithm> mpc;
+
+  wa::AbrAlgorithm& algorithm(const std::string& name) {
+    using Variant = wa::ModelPredictiveAbr::Variant;
+    if (name == "FESTIVE") return festive;
+    if (name == "Pensieve") return pensieve;
+    wa::ThroughputPredictor* predictor = &harmonic;
+    if (name == "fastMPC+gbdt") predictor = &gbdt;
+    if (name == "fastMPC+oracle") predictor = &oracle;
+    mpc = std::make_unique<wa::ModelPredictiveAbr>(
+        name == "robustMPC" ? Variant::kRobust : Variant::kFast, *predictor);
+    return *mpc;
+  }
+};
+
+}  // namespace
+
+TEST(SessionProtocol, StreamRunsTheOracleLikeEvaluateOnTraces) {
+  const auto traces = mmwave_traces(1, 21);
+  const auto video = wa::video_ladder_5g();
+  wa::SessionOptions options;
+  options.chunk_count = 30;
+  wa::OraclePredictor oracle;
+  wa::ModelPredictiveAbr truth(wa::ModelPredictiveAbr::Variant::kFast,
+                               oracle);
+  const wa::TraceSource source(traces[0]);
+  const auto session = wa::stream(video, source, truth, options);
+  const auto aggregate =
+      wa::evaluate_on_traces(video, traces, truth, options);
+  wa::AggregateQoe direct;
+  direct.mean_normalized_bitrate = session.normalized_bitrate(video);
+  direct.mean_stall_percent = session.stall_percent();
+  direct.mean_normalized_qoe = session.normalized_qoe(video, options);
+  direct.mean_stall_s = session.total_stall_s;
+  expect_same_aggregate(direct, aggregate);
+}
+
+TEST(SessionProtocol, EvaluatedSessionsAreIndependent) {
+  const auto traces = mmwave_traces(2, 22);
+  const auto video = wa::video_ladder_5g();
+  wa::SessionOptions options;
+  options.chunk_count = 30;
+  for (const std::string name :
+       {"fastMPC", "fastMPC+gbdt", "fastMPC+oracle", "robustMPC", "FESTIVE",
+        "Pensieve"}) {
+    SCOPED_TRACE(name);
+    Arm pair_arm;
+    const auto both = wa::evaluate_on_traces(
+        video, traces, pair_arm.algorithm(name), options);
+    Arm arm_a;
+    const auto a = wa::evaluate_on_traces(video, {traces[0]},
+                                          arm_a.algorithm(name), options);
+    Arm arm_b;
+    const auto b = wa::evaluate_on_traces(video, {traces[1]},
+                                          arm_b.algorithm(name), options);
+    wa::AggregateQoe mean;
+    mean.mean_normalized_bitrate =
+        (a.mean_normalized_bitrate + b.mean_normalized_bitrate) / 2.0;
+    mean.mean_stall_percent =
+        (a.mean_stall_percent + b.mean_stall_percent) / 2.0;
+    mean.mean_normalized_qoe =
+        (a.mean_normalized_qoe + b.mean_normalized_qoe) / 2.0;
+    mean.mean_stall_s = (a.mean_stall_s + b.mean_stall_s) / 2.0;
+    expect_same_aggregate(both, mean);
+  }
+}
+
+TEST(SessionProtocol, GbdtSmoothingDoesNotCarryIntoTheNextStream) {
+  // The first session ends starved, so its smoothing sits far below what
+  // the second session's fast link predicts.
+  const auto video = wa::video_ladder_5g();
+  wa::SessionOptions options;
+  options.chunk_count = 20;
+  const auto slow = constant_trace(3.0, 400);
+  const auto fast = constant_trace(400.0, 400);
+  const wa::TraceSource slow_source(slow);
+  const wa::TraceSource fast_source(fast);
+
+  wa::GbdtPredictor reused = trained_gbdt();
+  wa::ModelPredictiveAbr mpc(wa::ModelPredictiveAbr::Variant::kFast, reused);
+  (void)wa::stream(video, slow_source, mpc, options);
+  const auto second = wa::stream(video, fast_source, mpc, options);
+
+  wa::GbdtPredictor fresh_predictor = trained_gbdt();
+  wa::ModelPredictiveAbr fresh(wa::ModelPredictiveAbr::Variant::kFast,
+                               fresh_predictor);
+  expect_same_session(second, wa::stream(video, fast_source, fresh, options));
 }

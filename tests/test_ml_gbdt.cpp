@@ -14,6 +14,7 @@ using wild5g::ml::Dataset;
 using wild5g::ml::DecisionTreeRegressor;
 using wild5g::ml::GbdtConfig;
 using wild5g::ml::GradientBoostedRegressor;
+using wild5g::ml::kGbdtLearningRate;
 
 namespace {
 
@@ -138,7 +139,7 @@ TEST(Gbdt, SharedPresortMatchesFreshFitsPerStage) {
     DecisionTreeRegressor tree(config.tree);
     tree.fit(residuals);
     for (std::size_t i = 0; i < data.size(); ++i) {
-      current[i] += config.learning_rate * tree.predict(data.row(i));
+      current[i] += kGbdtLearningRate * tree.predict(data.row(i));
     }
     stages.push_back(std::move(tree));
   }
@@ -147,7 +148,7 @@ TEST(Gbdt, SharedPresortMatchesFreshFitsPerStage) {
   const auto by_hand = [&](std::span<const double> row) {
     double value = base;
     for (const auto& tree : stages) {
-      value += config.learning_rate * tree.predict(row);
+      value += kGbdtLearningRate * tree.predict(row);
     }
     return value;
   };

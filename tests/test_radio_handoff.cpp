@@ -243,5 +243,5 @@ TEST(A3Boundary, EventsRecordCompletedHandoffsInOrder) {
   EXPECT_EQ(engine.events()[1].from, 1);
   EXPECT_EQ(engine.events()[1].to, 0);
   EXPECT_LT(engine.events()[0].t_s, engine.events()[1].t_s);
-  EXPECT_EQ(engine.pingpong_count(5.0), 1);
+  EXPECT_EQ(engine.pingpong_count(), 1);
 }

@@ -14,17 +14,16 @@ build tree and either
 The committed document also freezes the pre-change numbers measured on the
 same machine immediately before the speed pass landed (PRE_CHANGE below), so
 the speedup each rewrite bought stays auditable without digging through git
-history. Wall-clock numbers are machine-dependent; the committed file records
-the container this repo is developed in, and the --check gate compares a
+history. A perf pass replaces PRE_CHANGE as a whole with the entries it
+re-measured, so speedup_vs_pre_change covers only what that pass changed.
+Wall-clock numbers are machine-dependent; the committed file records the
+container this repo is developed in, and the --check gate compares a
 fresh run against a baseline from the *same* runner, not across machines.
 
 Usage:
   python3 tools/bench_baseline.py --build-dir build-rel --out BENCH_2026-08-07.json
   python3 tools/bench_baseline.py --build-dir build-rel \
-      --check BENCH_2026-08-07.json --check BENCH_2026-10-17.json \
-      --check BENCH_2026-10-17-cart.json --check BENCH_2026-10-18-rng.json \
-      --check BENCH_2026-10-18-pool.json --check BENCH_2026-10-19-metro.json \
-      --check BENCH_2026-10-20-mpc.json --check BENCH_2026-10-20-presort.json
+      $(printf -- '--check %s ' BENCH_*.json)
 """
 
 import argparse
@@ -72,76 +71,23 @@ TRACKED_CAMPAIGNS = [
     "fig17_abr_qoe",
 ]
 
-# Pre-change numbers: Release (-O3 -DNDEBUG) on the development container,
-# built from the tree state immediately before the speed pass and measured
-# *interleaved* with the post-change build (two alternating passes, min of
-# the per-pass medians) so host-level contention hits both sides equally.
-# The store-all percentile pattern had no pre-change kernel -- it is kept in
-# bench_micro as BM_PercentileStoreAll, so its current numbers double as the
-# baseline BM_PercentileSketch is compared to, back-to-back in one process.
-# The BM_MpcDecision and fig18a/fig18b entries were measured the same way
-# against the tree immediately before the MPC planner became an exact
-# branch-and-bound (BM_MpcDecision already taking the horizon argument).
-# The BM_DecisionTreeFit, fig15_16 and fig18a entries were measured the same
-# way against the tree immediately before CART growth became presorted
-# (sorting each feature once per tree instead of at every node); they
-# replace the earlier passes' fig15_16 and fig18a numbers, which stay
-# recorded in the baseline files committed with those passes.
-# The BM_CubicFlows, fig24, metro_load, ablation_handoff and fig17 entries
-# were measured the same way against the tree immediately before Rng
-# generated its own MT19937-64 stream (it wrapped std::mt19937_64).
-# The BM_WaveformSynthesis and fig15_16 entries were measured the same way
-# against the tree immediately before nested parallel regions used idle
-# workers and the waveform noise pass was split into stream-aligned
-# chunks; they replace the earlier passes' numbers for those keys, which
-# stay recorded in the baseline files committed with those passes.
-# The extension_metro_load and extension_metro_qoe entries were measured the
-# same way (four alternating passes, min of the per-pass best-of-3) against
-# the tree immediately before the metro campaign simulated each UE once
-# instead of replaying every UE's mobility and handoffs to price it; the
-# metro_load entry replaces the Rng pass's number, which stays recorded in
-# BENCH_2026-10-18-rng.json.
-# The BM_MpcDecision, BM_MpcOutageDecision, fig17 and fig18b entries were
-# measured against the tree immediately before the MPC planner gained its
-# stall bound and read the ladder once per decision, in six passes of each
-# tree (parent, change, change, parent, three times), each pass a full
-# --out run of this script. Each entry is the median over the parent's
-# passes: the committed document takes the same statistic over the
-# change's passes, so speedup_vs_pre_change compares like with like on a
-# host whose speed drifts. They replace the branch-and-bound pass's
-# BM_MpcDecision and fig18b numbers and the Rng pass's fig17 number, which
-# stay recorded in BENCH_2026-10-17.json and BENCH_2026-10-18-rng.json.
-# The BM_DecisionTreeFit, BM_WaveformSynthesis, fig15_16 and fig18a entries
-# were measured the same way (six passes of each tree, parent medians)
-# against the tree immediately before CART presorts became a radix sort
-# shared across boosting stages and the waveform's clean render moved into
-# the parallel noise chunks. They replace the CART pass's
-# BM_DecisionTreeFit and fig18a numbers and the pool pass's
-# BM_WaveformSynthesis and fig15_16 numbers, which stay recorded in
-# BENCH_2026-10-17-cart.json and BENCH_2026-10-18-pool.json.
+# Pre-change numbers of the last perf pass only: Release (-O3 -DNDEBUG) on
+# the development container, measured on the tree immediately before the
+# pass, alternating with the changed tree and taking the median over the
+# parent's passes. A perf pass replaces this dict as a whole with the
+# entries it re-measured; older passes' numbers stay in the BENCH_*.json
+# committed with them. These are the radix CART presort and fused waveform
+# render pass's (BENCH_2026-10-20-presort.json).
 PRE_CHANGE = {
     "micro_ns": {
         "BM_WaveformSynthesis/1000": 1135896,
         "BM_WaveformSynthesis/5000": 4997423,
-        "BM_MpcDecision/5": 1634,
-        "BM_MpcDecision/12": 3130,
-        "BM_MpcOutageDecision/5": 1032,
-        "BM_MpcOutageDecision/12": 41481,
         "BM_DecisionTreeFit/1000": 424732,
         "BM_DecisionTreeFit/5000": 2568610,
-        "BM_CubicFlows/1": 35234,
-        "BM_CubicFlows/20": 299287,
     },
     "campaign_s": {
-        "fig24_server_survey": 0.255,
         "fig15_16_power_models": 0.057,
-        "fig19_20_web_qoe": 0.361,
         "fig18a_predictors": 0.315,
-        "fig18b_chunk_length": 1.706,
-        "extension_metro_load": 0.693,
-        "extension_metro_qoe": 0.436,
-        "ablation_handoff": 0.343,
-        "fig17_abr_qoe": 0.076,
     },
 }
 
